@@ -8,7 +8,7 @@ from dcr.guidance import GuidanceConfig, NoisePrediction
 from dcr.sampling import (TRACE_FIELDS, BatchItem, SamplerConfig, SchedulerKind,
                           Variant, derive_seed, read_traces_jsonl, run_batch,
                           run_sampling, scheduler_step, write_traces_jsonl)
-from dcr.toy import (ATTRACTOR, TARGET, NoiseScheduleSpec, ToyDenoiser,
+from dcr.toy import (ATTRACTOR, TARGET, UNCOND, NoiseScheduleSpec, ToyDenoiser,
                      cosine_schedule, default_scenario)
 
 NP = NoisePrediction.from_array
@@ -272,3 +272,63 @@ class TestCollapseInvariant:
                    if np.linalg.norm(r.final - dom) ==
                    min(np.linalg.norm(r.final - m) for m in sc.base.means))
         assert hits > 0
+
+
+class CountingBackend(ToyDenoiser):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = {}
+
+    def epsilon(self, x_t, t, channel_label):
+        self.calls[channel_label] = self.calls.get(channel_label, 0) + 1
+        return super().epsilon(x_t, t, channel_label)
+
+
+class TestGuidedStep:
+    # channel evaluations per step; the attractor branch is skipped where the
+    # variant has no use for it
+    PER_STEP = {
+        "plain-cfg": {"uncond": 1, "target": 1},
+        "negative-prompt": {"attractor": 1, "target": 1},
+        "no-attractor-prompt": {"uncond": 1, "target": 1},
+        "full-dcr": {"uncond": 1, "target": 1, "attractor": 1},
+        "no-repulsion": {"uncond": 1, "target": 1, "attractor": 1},
+        "no-schedule": {"uncond": 1, "target": 1, "attractor": 1},
+    }
+
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_backend_calls_per_step(self, variant):
+        T = 12
+        be = CountingBackend(default_scenario(), cosine_schedule(T))
+        run_sampling(be, (TARGET, ATTRACTOR), small_cfg(variant, T=T))
+        assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
+
+    def test_full_dcr_step_equals_reference_pipeline(self):
+        from dcr.guidance import StepPosition, dcr_guided_prediction
+        from dcr.sampling import _guided_step
+
+        class Fixed:
+            def __init__(self, preds):
+                self.preds = preds
+
+            def epsilon(self, x_t, t, channel_label):
+                return self.preds[channel_label]
+
+        rng = np.random.default_rng(17)
+        cfg = small_cfg("full-dcr")
+        g = cfg.guidance
+        fired = 0
+        for _ in range(200):
+            preds = {ch: NP(rng.standard_normal(3))
+                     for ch in (UNCOND, TARGET, ATTRACTOR)}
+            pos = StepPosition(index=int(rng.integers(cfg.T)), total=cfg.T)
+            x = rng.standard_normal(3)
+            got, diag = _guided_step(Fixed(preds), x, cfg.T - 1 - pos.index, pos,
+                                     (TARGET, ATTRACTOR), cfg)
+            want, want_diag = dcr_guided_prediction(
+                preds[UNCOND], preds[TARGET], preds[ATTRACTOR], pos, g)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.shape == want.shape
+            assert diag == want_diag
+            fired += diag.lambda_t > 0.0
+        assert fired >= 10
