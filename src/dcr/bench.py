@@ -7,13 +7,13 @@ from __future__ import annotations
 import enum
 import json
 import os
-import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import (ConfigurationError, PromptFormatError, SuiteFormatError,
                      TransportError, ValidationError)
+from .judge import post_json
 
 CANONICAL_PER_CATEGORY = 50
 CANONICAL_TOTAL = 400
@@ -291,18 +291,9 @@ class HttpTextClient:
                 "text endpoint not configured (set DCR_TEXT_ENDPOINT or pass endpoint=)")
 
     def complete(self, instruction: str, temperature: float = 0.0, n: int = 1) -> str:
-        payload = json.dumps({"instruction": instruction,
-                              "temperature": temperature, "n": n}).encode("utf-8")
-        req = urllib.request.Request(self.endpoint, data=payload,
-                                     headers={"Content-Type": "application/json"})
-        key = os.environ.get(self.api_key_env)
-        if key:
-            req.add_header("Authorization", f"Bearer {key}")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
-        except (OSError, ValueError) as exc:
-            raise TransportError(f"text model request failed: {exc}") from exc
+        body = post_json(self.endpoint, {"instruction": instruction,
+                                         "temperature": temperature, "n": n},
+                         self.api_key_env, self.timeout_s)
         if "completion" not in body:
             raise TransportError(f"malformed text model response: {body!r}")
         return body["completion"]

@@ -1,8 +1,10 @@
 """Command-line surface: sampling runs, ablations, hyperparameter sweeps, and
 benchmark evaluation, all emitting manifest-linked, plot-ready tables.
 
-Configuration precedence: flags > config file > environment > scenario preset
-> built-in defaults. Exit codes: 0 success, 1 usage/configuration error,
+Configuration precedence: flags > config file > scenario preset > the
+``GuidanceConfig`` defaults; sweeps skip the scenario preset and hold the axes
+they do not sweep at those defaults. The environment supplies only service
+endpoints and keys. Exit codes: 0 success, 1 usage/configuration error,
 2 runtime failure under --strict.
 """
 
@@ -29,10 +31,6 @@ from .sampling import (BatchItem, SamplerConfig, SchedulerKind, Variant,
                        run_batch, write_traces_jsonl)
 from .toy import (ATTRACTOR, TARGET, BiasScenario, ToyDenoiser, cosine_schedule,
                   default_scenario, load_scenario, mode_assignment)
-
-PAPER_DEFAULT_GUIDANCE = dict(w_attr=3.0, eta=1.0, gamma=2.0, r_s=0.2, r_e=0.8,
-                              eps_stab=1e-8)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the documented contract
@@ -81,16 +79,11 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _resolve_guidance(args, cfg_file: dict, scenario: BiasScenario) -> GuidanceConfig:
-    preset = scenario.guidance
-    base = {
-        "w": preset.w if preset else None,
-        "w_attr": preset.w_attr if preset else PAPER_DEFAULT_GUIDANCE["w_attr"],
-        "eta": preset.eta if preset else PAPER_DEFAULT_GUIDANCE["eta"],
-        "gamma": preset.gamma if preset else PAPER_DEFAULT_GUIDANCE["gamma"],
-        "r_s": preset.r_s if preset else PAPER_DEFAULT_GUIDANCE["r_s"],
-        "r_e": preset.r_e if preset else PAPER_DEFAULT_GUIDANCE["r_e"],
-        "eps_stab": preset.eps_stab if preset else PAPER_DEFAULT_GUIDANCE["eps_stab"],
-    }
+    if scenario.guidance is not None:
+        base = dataclasses.asdict(scenario.guidance)
+    else:
+        base = {f.name: None if f.default is dataclasses.MISSING else f.default
+                for f in dataclasses.fields(GuidanceConfig)}
     w = _setting("w", args.w, cfg_file, base["w"])
     if w is None:
         raise ConfigurationError(
@@ -275,43 +268,32 @@ def cmd_sweep(args) -> int:
     cfg_file = _load_config_file(args.config)
     if args.axis not in SWEEP_AXES:
         raise ConfigurationError(f"sweep axis must be one of {SWEEP_AXES}")
-    if not args.values:
+    values = [v for v in args.values.split(",") if v]
+    if not values:
         raise ConfigurationError("sweep needs a nonempty --values list")
     scenario = _resolve_scenario(args.scenario)
     if args.w is None and "w" not in cfg_file:
         raise ConfigurationError("sweeps require an explicit --w")
-    w = float(_setting("w", args.w, cfg_file, None))
+    # each swept value is applied as its flag; the base is the reference
+    # guidance, not the scenario preset
+    dest = args.axis.replace("-", "_")
+    reference = dataclasses.replace(scenario, guidance=None)
+    cfgs = [_sampler_config(argparse.Namespace(**(vars(args) | {dest: value})),
+                            cfg_file, reference, Variant.FULL_DCR)
+            for value in values]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    values = [v for v in args.values.split(",") if v]
-    base = dict(PAPER_DEFAULT_GUIDANCE)
-    for value in values:
-        g = dict(base)
-        if args.axis == "w-attr":
-            g["w_attr"] = float(value)
-            row_key = {"axis": "w-attr", "value": float(value)}
-        elif args.axis == "eta":
-            g["eta"] = float(value)
-            row_key = {"axis": "eta", "value": float(value)}
-        else:
-            r_s, r_e = _parse_interval(value)
-            g["r_s"], g["r_e"] = r_s, r_e
-            row_key = {"axis": "interval", "value": f"{r_s}:{r_e}"}
-        guidance = GuidanceConfig(w=w, **g)
-        cfg = SamplerConfig(
-            T=int(_setting("steps", args.steps, cfg_file, scenario.steps)),
-            guidance=guidance, variant=Variant.FULL_DCR,
-            scheduler_kind=SchedulerKind(_setting("scheduler", args.scheduler,
-                                                  cfg_file,
-                                                  SchedulerKind.ANCESTRAL_DDPM.value)),
-            seed=int(_setting("seed", args.seed, cfg_file, 0)))
-        results = _run_scenario_batch(scenario, cfg, args.n)
-        rows.append(row_key | {k: v for k, v in
-                               _collapse_row("full-dcr", results, scenario).items()
-                               if k != "variant"})
-    manifest = _manifest("sweep", vars(args) | {"config_file": cfg_file}, None,
-                         scenario, {"axis": args.axis, "values": values, "w": w})
+    for cfg in cfgs:
+        g = cfg.guidance
+        value = f"{g.r_s}:{g.r_e}" if dest == "interval" else getattr(g, dest)
+        row = _collapse_row("full-dcr", _run_scenario_batch(scenario, cfg, args.n),
+                            scenario)
+        rows.append({"axis": args.axis, "value": value}
+                    | {k: v for k, v in row.items() if k != "variant"})
+    manifest = _manifest("sweep", vars(args) | {"config_file": cfg_file}, cfgs[0],
+                         scenario, {"axis": args.axis, "values": values,
+                                    "w": cfgs[0].guidance.w})
     mref = _write_manifest(outdir, manifest)
     _write_rows_csv(outdir / "sweep_report.csv", rows, mref)
     (outdir / "sweep_report.json").write_text(

@@ -1,4 +1,5 @@
-"""Client for an external multimodal judge.
+"""Client for an external multimodal judge, and ``post_json``, the one
+JSON-over-HTTP call that every external-service client in the package uses.
 
 The judge receives the target prompt, its compositional factors, the
 attractor prompt, and uniformly sampled frames; it must answer with a strict
@@ -15,7 +16,6 @@ import os
 import re
 import time
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,7 +157,6 @@ class JudgeClientConfig:
     backoff_base_s: float = 0.25
     backoff_cap_s: float = 4.0
     audit_log: str | Path | None = None
-    max_concurrency: int = 4
     frames_per_request: int = DEFAULT_FRAMES_PER_REQUEST
     transport: object = None  # callable(payload dict) -> str; None = HTTP
 
@@ -180,6 +179,25 @@ def build_request(prompt_p: str, factors, attractor: str, frames,
                         rubric_version=rubric_version)
 
 
+def post_json(endpoint: str, body: dict, api_key_env: str, timeout_s: float) -> dict:
+    """POST ``body`` as JSON and return the decoded JSON object. Sends a
+    bearer token when the ``api_key_env`` variable is set; any transport
+    failure, error status or non-object response raises TransportError."""
+    req = urllib.request.Request(endpoint, data=serialize_payload(body),
+                                 headers={"Content-Type": "application/json"})
+    key = os.environ.get(api_key_env)
+    if key:
+        req.add_header("Authorization", f"Bearer {key}")
+    try:
+        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+            doc = json.loads(resp.read().decode("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise TransportError(f"request to {endpoint} failed: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TransportError(f"response from {endpoint} is not a JSON object: {doc!r}")
+    return doc
+
+
 def _http_transport(config: JudgeClientConfig):
     endpoint = config.resolve_endpoint()
 
@@ -187,17 +205,10 @@ def _http_transport(config: JudgeClientConfig):
         body = dict(payload)
         if config.model:
             body["model"] = config.model
-        req = urllib.request.Request(endpoint, data=serialize_payload(body),
-                                     headers={"Content-Type": "application/json"})
-        key = os.environ.get(config.api_key_env)
-        if key:
-            req.add_header("Authorization", f"Bearer {key}")
-        try:
-            with urllib.request.urlopen(req, timeout=config.timeout_s) as resp:
-                doc = json.loads(resp.read().decode("utf-8"))
-            return doc["completion"]
-        except (OSError, ValueError, KeyError) as exc:
-            raise TransportError(f"judge request failed: {exc}") from exc
+        doc = post_json(endpoint, body, config.api_key_env, config.timeout_s)
+        if "completion" not in doc:
+            raise TransportError(f"malformed judge response: {doc!r}")
+        return doc["completion"]
 
     return send
 
@@ -231,19 +242,3 @@ def judge(req: JudgeRequest, config: JudgeClientConfig) -> JudgeVerdict:
             time.sleep(delay)
     _audit(config, payload, raw)
     return parse_verdict(raw)
-
-
-def judge_batch(requests, config: JudgeClientConfig
-                ) -> list[JudgeVerdict | Exception]:
-    """Judge many requests with bounded concurrency; results keep the input
-    order and per-item failures are returned in place."""
-    requests = list(requests)
-
-    def one(req):
-        try:
-            return judge(req, config)
-        except Exception as exc:  # collected, not raised: batch semantics
-            return exc
-
-    with ThreadPoolExecutor(max_workers=max(1, config.max_concurrency)) as pool:
-        return list(pool.map(one, requests))

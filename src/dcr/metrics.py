@@ -15,12 +15,12 @@ import json
 import logging
 import math
 import os
-import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, MetricError, ValidationError
+from .errors import ConfigurationError, MetricError, TransportError, ValidationError
+from .judge import post_json
 from .toy import BiasScenario, mode_assignment
 
 log = logging.getLogger(__name__)
@@ -104,17 +104,11 @@ class ExternalEmbeddingClient:
                 "embedding endpoint not configured (set DCR_EMBED_ENDPOINT)")
 
     def _post(self, kind: str, content: str) -> np.ndarray:
-        payload = json.dumps({"kind": kind, "content": content}).encode("utf-8")
-        req = urllib.request.Request(self.endpoint, data=payload,
-                                     headers={"Content-Type": "application/json"})
-        key = os.environ.get(self.api_key_env)
-        if key:
-            req.add_header("Authorization", f"Bearer {key}")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
+            body = post_json(self.endpoint, {"kind": kind, "content": content},
+                             self.api_key_env, self.timeout_s)
             return np.asarray(body["embedding"], dtype=np.float64)
-        except (OSError, ValueError, KeyError) as exc:
+        except (TransportError, ValueError, KeyError) as exc:
             raise MetricError(f"embedding request failed: {exc}") from exc
 
     def embed_text(self, text: str) -> np.ndarray:
@@ -154,17 +148,10 @@ class ExternalCaptionClient:
 
     def caption(self, frame) -> str:
         content = frame if isinstance(frame, str) else repr(frame)
-        payload = json.dumps({"frame": content}).encode("utf-8")
-        req = urllib.request.Request(self.endpoint, data=payload,
-                                     headers={"Content-Type": "application/json"})
-        key = os.environ.get(self.api_key_env)
-        if key:
-            req.add_header("Authorization", f"Bearer {key}")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
-            text = body["caption"]
-        except (OSError, ValueError, KeyError) as exc:
+            text = post_json(self.endpoint, {"frame": content}, self.api_key_env,
+                             self.timeout_s)["caption"]
+        except (TransportError, KeyError) as exc:
             raise MetricError(f"caption request failed: {exc}") from exc
         if not text:
             raise MetricError("caption service returned an empty caption")

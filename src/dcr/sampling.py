@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,54 +116,48 @@ def scheduler_step(eps_star: NoisePrediction, t: int, x_t: np.ndarray,
     return mean + np.sqrt(var) * rng.standard_normal(x.shape)
 
 
-_ZERO_EPS_STAB = 1e-8
+@dataclass(frozen=True)
+class _Parts:
+    """One variant as the DCR step with parts switched off."""
+
+    negative: str          # CFG negative branch: UNCOND or ATTRACTOR
+    probe: str | None      # probe branch: ATTRACTOR, TARGET (the prompt itself) or None
+    alpha: float | None    # fixed alpha_t; None means schedule_alpha
+    repel: bool            # whether lambda_t is applied
 
 
-def _zero_diag() -> RepulsionDiagnostics:
-    return RepulsionDiagnostics(s_t=0.0, n_t=_ZERO_EPS_STAB, alpha_t=0.0,
-                                lambda_t=0.0, collinearity_residual=0.0)
+_VARIANT_PARTS = {
+    Variant.FULL_DCR: _Parts(UNCOND, ATTRACTOR, None, True),
+    Variant.PLAIN_CFG: _Parts(UNCOND, None, 0.0, False),
+    Variant.NEGATIVE_PROMPT: _Parts(ATTRACTOR, None, 0.0, False),
+    Variant.NO_ATTRACTOR_PROMPT: _Parts(UNCOND, TARGET, None, True),
+    Variant.NO_REPULSION: _Parts(UNCOND, ATTRACTOR, None, False),
+    Variant.NO_SCHEDULE: _Parts(UNCOND, ATTRACTOR, 1.0, True),
+}
 
 
 def _guided_step(backend, x, t, pos, prompts, cfg: SamplerConfig
                  ) -> tuple[NoisePrediction, RepulsionDiagnostics]:
-    """Variant dispatch for one step: returns (prediction, diagnostics)."""
+    """One guided step of cfg.variant: returns (prediction, diagnostics)."""
     p_channel, attr_channel = prompts
     g = cfg.guidance
-    variant = cfg.variant
-
-    if variant is Variant.PLAIN_CFG:
-        e_u = backend.epsilon(x, t, UNCOND)
-        e_t = backend.epsilon(x, t, p_channel)
-        delta = cfg_update(e_u, e_t, g.w)
-        return target_prediction(e_u, delta), _zero_diag()
-
-    if variant is Variant.NEGATIVE_PROMPT:
-        # standard negative-prompt CFG with the attractor in the negative slot
-        e_a = backend.epsilon(x, t, attr_channel)
-        e_t = backend.epsilon(x, t, p_channel)
-        delta = cfg_update(e_a, e_t, g.w)
-        return target_prediction(e_a, delta), _zero_diag()
-
-    e_u = backend.epsilon(x, t, UNCOND)
+    parts = _VARIANT_PARTS[cfg.variant]
+    e_neg = backend.epsilon(x, t, attr_channel if parts.negative == ATTRACTOR else UNCOND)
     e_t = backend.epsilon(x, t, p_channel)
-    if variant is Variant.NO_ATTRACTOR_PROMPT:
-        e_a = e_t  # probe branch conditioned on the target prompt itself
-    else:
-        e_a = backend.epsilon(x, t, attr_channel)
-
-    delta_ref = cfg_update(e_u, e_t, g.w)
-    drift = attractor_drift_expanded(e_u, e_t, e_a, g.w, g.w_attr)
-    if variant is Variant.NO_SCHEDULE:
-        alpha_t = 1.0
-    else:
-        alpha_t = schedule_alpha(pos, g)
+    delta_ref = cfg_update(e_neg, e_t, g.w)
+    if parts.probe is None:
+        # no probe branch: the diagnostics of a zero drift
+        diag = RepulsionDiagnostics(s_t=0.0, n_t=g.eps_stab, alpha_t=parts.alpha,
+                                    lambda_t=0.0, collinearity_residual=0.0)
+        return target_prediction(e_neg, delta_ref), diag
+    e_a = e_t if parts.probe == TARGET else backend.epsilon(x, t, attr_channel)
+    drift = attractor_drift_expanded(e_neg, e_t, e_a, g.w, g.w_attr)
+    alpha_t = schedule_alpha(pos, g) if parts.alpha is None else parts.alpha
     diag = repulsion_coefficient(drift, delta_ref, alpha_t, g)
-    if variant is Variant.NO_REPULSION and diag.lambda_t != 0.0:
-        diag = RepulsionDiagnostics(s_t=diag.s_t, n_t=diag.n_t, alpha_t=diag.alpha_t,
-                                    lambda_t=0.0,
-                                    collinearity_residual=diag.collinearity_residual)
+    if not parts.repel:
+        diag = replace(diag, lambda_t=0.0)
     delta_star = corrected_update(delta_ref, diag.lambda_t, drift)
-    eps_star = NoisePrediction(values=e_u.values + delta_star.values, shape=e_u.shape)
+    eps_star = NoisePrediction(values=e_neg.values + delta_star.values, shape=e_neg.shape)
     return eps_star, diag
 
 
@@ -172,9 +166,8 @@ def run_sampling(backend, prompts: tuple[str, str], cfg: SamplerConfig,
                  trajectory_id: str = "0") -> tuple[np.ndarray, TrajectoryTrace]:
     """Run one trajectory from pure noise down to the clean step.
 
-    The backend supplies all branches per step (the attractor branch is
-    skipped for plain CFG). Any backend failure aborts the trajectory with
-    the step index attached.
+    The backend supplies the branches the variant uses at each step. Any
+    backend failure aborts the trajectory with the step index attached.
     """
     sched: NoiseScheduleSpec = backend.schedule
     if sched.T != cfg.T:

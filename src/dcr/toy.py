@@ -15,7 +15,7 @@ shrink near the clean end).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -310,10 +310,7 @@ def save_scenario(scenario: BiasScenario, path) -> None:
         "steps": scenario.steps,
     }
     if scenario.guidance is not None:
-        g = scenario.guidance
-        doc["guidance"] = {"w": g.w, "w_attr": g.w_attr, "eta": g.eta,
-                           "gamma": g.gamma, "r_s": g.r_s, "r_e": g.r_e,
-                           "eps_stab": g.eps_stab}
+        doc["guidance"] = asdict(scenario.guidance)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
@@ -342,8 +339,6 @@ def load_scenario(path) -> BiasScenario:
 class ToyDenoiser:
     """Denoiser backend over a BiasScenario: exact, stateless, and safe to
     call from concurrently running trajectories."""
-
-    concurrent_safe = True
 
     def __init__(self, scenario: BiasScenario, sched: NoiseScheduleSpec | None = None):
         self.scenario = scenario

@@ -102,6 +102,28 @@ class TestSweep:
         plain_rows = read_csv(out_plain / "ablate_report.csv")
         assert rows[0]["collapse_fraction"] == plain_rows[0]["collapse_fraction"]
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_unswept_axes_honour_flags_and_config(self, tmp_path, source):
+        settings = {"w": 3.5, "w_attr": 1.0, "gamma": 5.0, "r_s": 0.3, "r_e": 0.6}
+        if source == "flags":
+            given = ["--w", "3.5", "--w-attr", "1.0", "--gamma", "5",
+                     "--interval", "0.3:0.6"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(settings))
+            given = ["--config", str(config)]
+        out = tmp_path / "s"
+        assert run("sweep", "--axis", "eta", "--values", "0.5", *given,
+                   "--n", "4", *FAST, "--out", str(out)) == 0
+        sampler = json.loads((out / "manifest.json").read_text())["sampler"]
+        assert sampler["variant"] == "full-dcr"
+        assert sampler["guidance"] == settings | {"eta": 0.5, "eps_stab": 1e-8}
+        out_ablate = tmp_path / "a"
+        assert run("ablate", "--variants", "full-dcr", *given, "--eta", "0.5",
+                   "--n", "4", *FAST, "--out", str(out_ablate)) == 0
+        ablate = json.loads((out_ablate / "manifest.json").read_text())["sampler"]
+        assert ablate == sampler
+
     def test_interval_sweep_named_configurations(self, tmp_path):
         out = tmp_path / "iv"
         assert run("sweep", "--axis", "interval", "--values", "0.2:0.8,0.5:1.0",

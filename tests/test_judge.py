@@ -6,7 +6,7 @@ import pytest
 from dcr.errors import (ConfigurationError, JudgeParseError, TransportError,
                         ValidationError, VerdictError)
 from dcr.judge import (EncodedFrame, JudgeClientConfig, JudgeRequest, RUBRICS,
-                       build_rubric_message, judge, judge_batch, parse_verdict,
+                       build_rubric_message, judge, parse_verdict,
                        serialize_payload, uniform_sample)
 
 
@@ -138,22 +138,6 @@ class TestJudge:
         cfg = JudgeClientConfig()
         with pytest.raises(ConfigurationError):
             judge(request(), cfg)
-
-
-class TestBatch:
-    def test_order_preserved_and_failures_in_place(self):
-        def transport(payload):
-            if "fail-me" in payload["instruction"]:
-                return "garbled"
-            return "score: 5, collapsed: false"
-
-        reqs = [request(), JudgeRequest(prompt_p="fail-me", factors=("a",),
-                                        attractor="b", frames=(frame(),)),
-                request()]
-        out = judge_batch(reqs, config(transport, max_concurrency=2))
-        assert out[0].score == 5
-        assert isinstance(out[1], VerdictError)
-        assert out[2].score == 5
 
 
 class TestUniformSample:
