@@ -154,7 +154,7 @@ def _guided_step(backend, x, t, pos, prompts, cfg: SamplerConfig
     drift = attractor_drift_expanded(e_neg, e_t, e_a, g.w, g.w_attr)
     alpha_t = schedule_alpha(pos, g) if parts.alpha is None else parts.alpha
     diag = repulsion_coefficient(drift, delta_ref, alpha_t, g)
-    if not parts.repel:
+    if not parts.repel and diag.lambda_t != 0.0:
         diag = replace(diag, lambda_t=0.0)
     delta_star = corrected_update(delta_ref, diag.lambda_t, drift)
     eps_star = NoisePrediction(values=e_neg.values + delta_star.values, shape=e_neg.shape)
