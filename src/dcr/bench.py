@@ -294,6 +294,7 @@ class HttpTextClient:
         body = post_json(self.endpoint, {"instruction": instruction,
                                          "temperature": temperature, "n": n},
                          self.api_key_env, self.timeout_s)
-        if "completion" not in body:
+        completion = body.get("completion")
+        if not isinstance(completion, str):
             raise TransportError(f"malformed text model response: {body!r}")
-        return body["completion"]
+        return completion

@@ -302,3 +302,62 @@ def dcr_guided_prediction(eps_uncond: NoisePrediction, eps_text: NoisePrediction
     delta_star = corrected_update(delta_ref, diag.lambda_t, drift)
     eps_star = NoisePrediction(values=eps_uncond.values + delta_star.values, shape=shape)
     return eps_star, diag
+
+
+@dataclass(frozen=True)
+class GuidedRows:
+    """The DCR step of N stacked latents: ``eps_star`` (N, D) and the
+    per-row diagnostics (N,) that RepulsionDiagnostics holds for one row."""
+
+    eps_star: np.ndarray
+    s_t: np.ndarray
+    n_t: np.ndarray
+    lambda_t: np.ndarray
+    residual: np.ndarray
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Stacked matmul rounds each row exactly as the 1-D ``a @ b`` of the
+    # scalar functions; einsum does not.
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray,
+                    eps_attr: np.ndarray | None, alpha_t: float,
+                    cfg: GuidanceConfig, repel: bool = True) -> GuidedRows:
+    """Row-wise DCR step over (N, D) branch outputs, bitwise equal per row to
+    the scalar pipeline (cfg_update, attractor_drift_expanded,
+    repulsion_coefficient, corrected_update) at the same alpha_t.
+
+    ``eps_neg`` is the CFG negative branch. Without a probe branch
+    (``eps_attr`` None) the step is plain CFG with the diagnostics of a zero
+    drift (n_t = eps_stab). With ``repel`` False the diagnostics are kept but
+    lambda_t is zeroed and not applied. Inputs are not checked for
+    finiteness: the caller validates the backend outputs.
+    """
+    if not (0.0 <= alpha_t <= 1.0):
+        raise ValidationError(f"alpha_t must lie in [0,1], got {alpha_t}")
+    if eps_neg.ndim != 2 or eps_text.shape != eps_neg.shape or (
+            eps_attr is not None and eps_attr.shape != eps_neg.shape):
+        raise ShapeMismatchError("branch outputs must share one (N, D) shape")
+    delta_ref = cfg.w * (eps_text - eps_neg)
+    n = eps_neg.shape[0]
+    if eps_attr is None:
+        return GuidedRows(eps_neg + delta_ref, np.zeros(n), np.full(n, cfg.eps_stab),
+                          np.zeros(n), np.zeros(n))
+    drift = cfg.w_attr * (eps_attr - eps_neg) - cfg.w * (eps_text - eps_neg)
+    s_t = _row_dot(drift, delta_ref)
+    na2 = _row_dot(drift, drift)
+    n_t = na2 + cfg.eps_stab
+    # max(s_t, 0.0) as the scalar form evaluates it (np.maximum differs on -0.0)
+    lambda_t = alpha_t * cfg.eta * np.where(0.0 > s_t, 0.0, s_t) / n_t
+    if not repel:
+        lambda_t = np.where(lambda_t == 0.0, lambda_t, 0.0)
+    nd2 = _row_dot(delta_ref, delta_ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orth = drift - (s_t / nd2)[:, None] * delta_ref
+        residual = np.minimum(np.sqrt(_row_dot(orth, orth)) / np.sqrt(na2), 1.0)
+    residual = np.where(na2 == 0.0, 0.0, np.where(nd2 == 0.0, 1.0, residual))
+    delta_star = np.where((lambda_t == 0.0)[:, None], delta_ref,
+                          delta_ref - lambda_t[:, None] * drift)
+    return GuidedRows(eps_neg + delta_star, s_t, n_t, lambda_t, residual)

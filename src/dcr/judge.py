@@ -206,9 +206,10 @@ def _http_transport(config: JudgeClientConfig):
         if config.model:
             body["model"] = config.model
         doc = post_json(endpoint, body, config.api_key_env, config.timeout_s)
-        if "completion" not in doc:
+        completion = doc.get("completion")
+        if not isinstance(completion, str):
             raise TransportError(f"malformed judge response: {doc!r}")
-        return doc["completion"]
+        return completion
 
     return send
 

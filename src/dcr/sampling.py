@@ -1,5 +1,7 @@
 """Denoising loop: scheduler steps, variant dispatch, traces, batch runs.
 
+One loop serves every caller: it steps the trajectories of one item together
+as one (N, *latent_shape) array, and a single trajectory is its N=1 case.
 The loop makes T guidance evaluations at step indices i = 0..T-1 (noisiest
 first, t = T-1-i). The first T-1 evaluations each feed a scheduler
 transition; the last one, at t=0, contributes only its trace record so that
@@ -11,16 +13,18 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, TrajectoryError, ValidationError
-from .guidance import (GuidanceConfig, NoisePrediction, RepulsionDiagnostics,
-                       StepPosition, attractor_drift_expanded, cfg_update,
-                       corrected_update, repulsion_coefficient, schedule_alpha,
-                       target_prediction)
+from .guidance import (GuidanceConfig, StepPosition, dcr_guided_rows,
+                       schedule_alpha)
+# Not called here: perfbench/layers.py wraps these guidance functions under
+# their dcr.sampling names, so the names stay importable from this module.
+from .guidance import (attractor_drift_expanded, cfg_update,  # noqa: F401
+                       corrected_update, repulsion_coefficient, target_prediction)
 from .toy import ATTRACTOR, TARGET, UNCOND, NoiseScheduleSpec
 
 TRACE_SCHEMA = "dcr-trace@1"
@@ -75,21 +79,17 @@ class TrajectoryTrace:
     records: list[TraceRecord] = field(default_factory=list)
     final: np.ndarray | None = None
 
-    def validate(self, T: int) -> None:
-        if len(self.records) != T:
-            raise ValidationError(
-                f"trace must hold exactly {T} records, got {len(self.records)}")
-        if self.final is None:
-            raise ValidationError("trace is missing the final sample")
 
-
-def scheduler_step(eps_star: NoisePrediction, t: int, x_t: np.ndarray,
+def scheduler_step(eps: np.ndarray, t: int, x_t: np.ndarray,
                    sched: NoiseScheduleSpec, kind: SchedulerKind,
-                   rng: np.random.Generator) -> np.ndarray:
-    """One reverse transition x_t -> x_{t-1}.
+                   noise: np.ndarray | None = None) -> np.ndarray:
+    """One reverse transition x_t -> x_{t-1}, elementwise, so x_t may stack
+    any number of latents along leading axes; ``eps`` is the guided
+    prediction with x_t's size.
 
     Ancestral: posterior mean from the prediction plus scheduled Gaussian
-    noise, zero noise on the final t=1 -> 0 transition. Deterministic:
+    noise, where ``noise`` is a standard-normal draw of x_t's shape; the
+    final t=1 -> 0 transition adds none and takes no draw. Deterministic:
     x0_hat = (x_t - sqrt(1-ab_t)*eps)/sqrt(ab_t), then
     x_{t-1} = sqrt(ab_{t-1})*x0_hat + sqrt(1-ab_{t-1})*eps.
     """
@@ -98,9 +98,7 @@ def scheduler_step(eps_star: NoisePrediction, t: int, x_t: np.ndarray,
     if t >= sched.T:
         raise ValidationError(f"t={t} out of range for T={sched.T}")
     x = np.asarray(x_t, dtype=np.float64)
-    eps = eps_star.values.reshape(x.shape)
-    if not np.all(np.isfinite(eps)):
-        raise ValidationError("non-finite prediction passed to scheduler_step")
+    eps = np.asarray(eps, dtype=np.float64).reshape(x.shape)
     ab_t = sched.alpha_bar[t]
     ab_prev = sched.alpha_bar[t - 1]
     kind = SchedulerKind(kind)
@@ -112,8 +110,11 @@ def scheduler_step(eps_star: NoisePrediction, t: int, x_t: np.ndarray,
     mean = (x - beta_t / np.sqrt(1.0 - ab_t) * eps) / np.sqrt(alpha_t)
     if t == 1:
         return mean
+    if noise is None or np.shape(noise) != x.shape:
+        raise ValidationError(
+            f"ancestral step at t={t} needs a noise draw of shape {x.shape}")
     var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
-    return mean + np.sqrt(var) * rng.standard_normal(x.shape)
+    return mean + np.sqrt(var) * noise
 
 
 @dataclass(frozen=True)
@@ -136,71 +137,126 @@ _VARIANT_PARTS = {
 }
 
 
-def _guided_step(backend, x, t, pos, prompts, cfg: SamplerConfig
-                 ) -> tuple[NoisePrediction, RepulsionDiagnostics]:
-    """One guided step of cfg.variant: returns (prediction, diagnostics)."""
-    p_channel, attr_channel = prompts
-    g = cfg.guidance
-    parts = _VARIANT_PARTS[cfg.variant]
-    e_neg = backend.epsilon(x, t, attr_channel if parts.negative == ATTRACTOR else UNCOND)
-    e_t = backend.epsilon(x, t, p_channel)
-    delta_ref = cfg_update(e_neg, e_t, g.w)
-    if parts.probe is None:
-        # no probe branch: the diagnostics of a zero drift
-        diag = RepulsionDiagnostics(s_t=0.0, n_t=g.eps_stab, alpha_t=parts.alpha,
-                                    lambda_t=0.0, collinearity_residual=0.0)
-        return target_prediction(e_neg, delta_ref), diag
-    e_a = e_t if parts.probe == TARGET else backend.epsilon(x, t, attr_channel)
-    drift = attractor_drift_expanded(e_neg, e_t, e_a, g.w, g.w_attr)
-    alpha_t = schedule_alpha(pos, g) if parts.alpha is None else parts.alpha
-    diag = repulsion_coefficient(drift, delta_ref, alpha_t, g)
-    if not parts.repel and diag.lambda_t != 0.0:
-        diag = replace(diag, lambda_t=0.0)
-    delta_star = corrected_update(delta_ref, diag.lambda_t, drift)
-    eps_star = NoisePrediction(values=e_neg.values + delta_star.values, shape=e_neg.shape)
-    return eps_star, diag
+def _branch_rows(backend, x: np.ndarray, t: int, channels
+                 ) -> tuple[list[np.ndarray], dict[int, Exception]]:
+    """Each channel's prediction at the rows of x as an (m, D) array, and
+    the rows whose backend call failed, with the exception.
+
+    One call per channel takes all rows. If any of them raises, the step is
+    retried row by row at latent_shape, so only the rows that fail alone
+    leave the batch.
+    """
+    m, size = x.shape[0], x[0].size
+    try:
+        return [backend.epsilon(x, t, ch).values.reshape(m, size)
+                for ch in channels], {}
+    except Exception:  # any failure: retried row by row below
+        pass
+    out = [np.empty((m, size)) for _ in channels]
+    failed: dict[int, Exception] = {}
+    for j in range(m):
+        try:
+            for k, ch in enumerate(channels):
+                out[k][j] = backend.epsilon(x[j], t, ch).values.reshape(size)
+        except Exception as exc:  # fails this row only; reported in its result
+            failed[j] = exc
+    return out, failed
 
 
-def run_sampling(backend, prompts: tuple[str, str], cfg: SamplerConfig,
-                 rng: np.random.Generator | None = None,
-                 trajectory_id: str = "0") -> tuple[np.ndarray, TrajectoryTrace]:
-    """Run one trajectory from pure noise down to the clean step.
+def _sample_rows(backend, prompts: tuple[str, str], cfg: SamplerConfig,
+                 rngs, trajectory_ids) -> list[TrajectoryTrace | TrajectoryError]:
+    """The sampling loop: steps the live rows of one item together as one
+    (N, *latent_shape) array and returns, per row, its trace or its error.
 
-    The backend supplies the branches the variant uses at each step. Any
-    backend failure aborts the trajectory with the step index attached.
+    Row r draws from rngs[r] what a lone trajectory draws, in the same
+    order: one standard_normal((T-1, *latent_shape)) draw under the
+    ancestral scheduler (the initial latent, then the noise of every
+    transition but the last, bitwise equal to drawing them one by one), or
+    the initial latent alone under the deterministic one. A row whose
+    backend call raises (non-finite output included, which NoisePrediction
+    rejects) or whose latent goes non-finite leaves the batch with a
+    TrajectoryError at that step; the other rows go on.
     """
     sched: NoiseScheduleSpec = backend.schedule
     if sched.T != cfg.T:
         raise ConfigurationError(
             f"sampler T={cfg.T} does not match backend schedule T={sched.T}")
+    T, n = cfg.T, len(rngs)
+    ancestral = cfg.scheduler_kind is SchedulerKind.ANCESTRAL_DDPM
+    draw_shape = (T - 1 if ancestral else 1, *backend.latent_shape)
+    draws = np.stack([rng.standard_normal(draw_shape) for rng in rngs])
+    x = draws[:, 0].copy()
+    parts = _VARIANT_PARTS[cfg.variant]
+    p_channel, attr_channel = prompts
+    channels = [attr_channel if parts.negative == ATTRACTOR else UNCOND, p_channel]
+    if parts.probe == ATTRACTOR:
+        channels.append(attr_channel)
+    probe = {None: None, TARGET: 1, ATTRACTOR: 2}[parts.probe]  # index in channels
+    # per step and row: x_mean, x_rms, alpha_t, lambda_t, s_t, residual
+    cols = np.zeros((T, n, 6))
+    errors: dict[int, TrajectoryError] = {}
+    live = np.arange(n)
+    for i in range(T):
+        if not live.size:
+            break
+        t = T - 1 - i
+        xl = x[live]
+        branches, failed = _branch_rows(backend, xl, t, channels)
+        if failed:
+            for j, exc in failed.items():
+                err = TrajectoryError(f"backend failure: {exc}", step=i)
+                err.__cause__ = exc
+                errors[int(live[j])] = err
+            keep = np.ones(len(live), dtype=bool)
+            keep[list(failed)] = False
+            live, xl, branches = live[keep], xl[keep], [b[keep] for b in branches]
+            if not live.size:
+                break
+        e_a = None if probe is None else branches[probe]
+        alpha_t = schedule_alpha(StepPosition(index=i, total=T), cfg.guidance) \
+            if parts.alpha is None else parts.alpha
+        step = dcr_guided_rows(branches[0], branches[1], e_a, alpha_t, cfg.guidance,
+                               repel=parts.repel)
+        flat = xl.reshape(len(live), -1)
+        cols[i, live] = np.stack(
+            [flat.mean(axis=1), np.sqrt(np.mean(flat * flat, axis=1)),
+             np.full(len(live), alpha_t), step.lambda_t, step.s_t, step.residual],
+            axis=1)
+        if t >= 1:
+            noise = draws[live, i + 1] if ancestral and t > 1 else None
+            xl = scheduler_step(step.eps_star, t, xl, sched, cfg.scheduler_kind, noise)
+            ok = np.isfinite(xl.reshape(len(live), -1)).all(axis=1)
+            for r in live[~ok].tolist():
+                errors[r] = TrajectoryError("non-finite latent", step=i)
+            live = live[ok]
+            x[live] = xl[ok]
+    out: list[TrajectoryTrace | TrajectoryError] = []
+    for r in range(n):
+        if r in errors:
+            out.append(errors[r])
+            continue
+        records = [TraceRecord(i, T - 1 - i, *vals)
+                   for i, vals in enumerate(cols[:, r].tolist())]
+        out.append(TrajectoryTrace(trajectory_ids[r], records, x[r].copy()))
+    return out
+
+
+def run_sampling(backend, prompts: tuple[str, str], cfg: SamplerConfig,
+                 rng: np.random.Generator | None = None,
+                 trajectory_id: str = "0") -> tuple[np.ndarray, TrajectoryTrace]:
+    """Run one trajectory from pure noise down to the clean step: the
+    one-row case of the sampling loop.
+
+    The backend supplies the branches the variant uses at each step. A
+    backend failure or a non-finite latent raises TrajectoryError with the
+    step index attached.
+    """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal(backend.latent_shape)
-    trace = TrajectoryTrace(trajectory_id=trajectory_id)
-    T = cfg.T
-    for i in range(T):
-        t = T - 1 - i
-        pos = StepPosition(index=i, total=T)
-        try:
-            eps_star, diag = _guided_step(backend, x, t, pos, prompts, cfg)
-        except TrajectoryError:
-            raise
-        except Exception as exc:
-            raise TrajectoryError(f"backend failure: {exc}", step=i) from exc
-        flat = x.reshape(-1)
-        trace.records.append(TraceRecord(
-            step=i, t=t,
-            x_mean=float(flat.mean()),
-            x_rms=float(np.sqrt(np.mean(flat * flat))),
-            alpha_t=diag.alpha_t, lambda_t=diag.lambda_t,
-            s_t=diag.s_t, residual=diag.collinearity_residual))
-        if t >= 1:
-            x = scheduler_step(eps_star, t, x, sched, cfg.scheduler_kind, rng)
-            if not np.all(np.isfinite(x)):
-                raise TrajectoryError("non-finite latent", step=i)
-    trace.final = x.copy()
-    trace.validate(T)
-    return x, trace
+    [out] = _sample_rows(backend, prompts, cfg, [rng], [trajectory_id])
+    if isinstance(out, TrajectoryError):
+        raise out
+    return out.final.copy(), out
 
 
 @dataclass(frozen=True)
@@ -228,24 +284,25 @@ def derive_seed(base_seed: int, item_id: str, replicate: int) -> int:
 
 def run_batch(backend, items, cfg: SamplerConfig, n_per_item: int
               ) -> list[BatchResult]:
-    """Run n_per_item trajectories per item; per-trajectory failures are
-    collected instead of aborting the batch."""
+    """Run n_per_item trajectories per item, the item's rows as one batch
+    seeded by derive_seed; per-trajectory failures are collected instead of
+    aborting the batch."""
     if n_per_item < 1:
         raise ValidationError(f"n_per_item must be >= 1, got {n_per_item}")
     results: list[BatchResult] = []
     for item in items:
-        for rep in range(n_per_item):
-            seed = derive_seed(cfg.seed, item.item_id, rep)
-            rng = np.random.default_rng(seed)
-            tid = f"{item.item_id}/{rep}"
-            try:
-                final, trace = run_sampling(
-                    backend, (item.prompt_channel, item.attractor_channel),
-                    cfg, rng=rng, trajectory_id=tid)
-                results.append(BatchResult(item.item_id, rep, final, trace))
-            except TrajectoryError as exc:
+        reps = range(n_per_item)
+        outs = _sample_rows(
+            backend, (item.prompt_channel, item.attractor_channel), cfg,
+            [np.random.default_rng(derive_seed(cfg.seed, item.item_id, rep))
+             for rep in reps],
+            [f"{item.item_id}/{rep}" for rep in reps])
+        for rep, out in zip(reps, outs):
+            if isinstance(out, TrajectoryError):
                 results.append(BatchResult(item.item_id, rep, None, None,
-                                           error=str(exc)))
+                                           error=str(out)))
+            else:
+                results.append(BatchResult(item.item_id, rep, out.final.copy(), out))
     return results
 
 

@@ -337,8 +337,13 @@ def load_scenario(path) -> BiasScenario:
 
 
 class ToyDenoiser:
-    """Denoiser backend over a BiasScenario: exact, stateless, and safe to
-    call from concurrently running trajectories."""
+    """Denoiser backend over a BiasScenario: exact and stateless.
+
+    ``epsilon(x_t, t, channel_label)`` takes one latent of ``latent_shape``
+    or a batch of shape (N, *latent_shape) and returns the prediction of the
+    same shape; each row of a batch equals the call on that row alone,
+    bitwise.
+    """
 
     def __init__(self, scenario: BiasScenario, sched: NoiseScheduleSpec | None = None):
         self.scenario = scenario

@@ -184,8 +184,8 @@ def test_criterion_3_gate_equivalences():
                 ref = _plain_prediction(be, x, t, g.w)
                 bit_c &= star.values.tobytes() == ref.values.tobytes()
             if t >= 1:
-                x = scheduler_step(star, t, x, be.schedule,
-                                   SchedulerKind.DETERMINISTIC_DDIM, rng)
+                x = scheduler_step(star.values, t, x, be.schedule,
+                                   SchedulerKind.DETERMINISTIC_DDIM)
     elapsed = time.time() - t0
     _report(3, "gate equivalences",
             bit_a and bit_b and bit_c and elapsed < 30.0,
@@ -238,8 +238,8 @@ def test_criterion_4_toy_denoiser_oracle():
     x = rng_ks.standard_normal((5000, 2))
     for t in range(T - 1, 0, -1):
         eps = epsilon_prediction(x, t, sc.channel(TARGET), sc, sched200)
-        x = scheduler_step(eps, t, x, sched200,
-                           SchedulerKind.DETERMINISTIC_DDIM, rng_ks)
+        x = scheduler_step(eps.values, t, x, sched200,
+                           SchedulerKind.DETERMINISTIC_DDIM)
     direct = sample_channel(sc, TARGET, 5000, np.random.default_rng(12))
     p_values = [stats.ks_2samp(x[:, j], direct[:, j]).pvalue for j in range(2)]
     elapsed = time.time() - t0

@@ -3,7 +3,9 @@ import json
 from pathlib import Path
 
 import pytest
+from faults import NaNRows
 
+import dcr.cli
 from dcr.cli import main
 
 
@@ -47,6 +49,17 @@ class TestSample:
             rows = read_csv(out / "samples.csv")
             outs[variant] = [(r["x0"], r["x1"], r["mode"]) for r in rows]
         assert outs["plain-cfg"] == outs["no-repulsion"]
+
+    def test_strict_exits_2_when_a_trajectory_fails(self, tmp_path, monkeypatch):
+        # replicate 1 of 4 gets a NaN prediction from step 3 on
+        monkeypatch.setattr(dcr.cli, "ToyDenoiser",
+                            lambda scenario, sched: NaNRows(scenario, sched, {1}, 3))
+        args = ["sample", "--n", "4", "--seed", "1", *FAST]
+        assert run(*args, "--out", str(tmp_path / "lax")) == 0
+        out = tmp_path / "strict"
+        assert run(*args, "--strict", "--out", str(out)) == 2
+        assert json.loads((out / "manifest.json").read_text())["failures"] == 1
+        assert [r["replicate"] for r in read_csv(out / "samples.csv")] == ["0", "2", "3"]
 
     def test_scenario_file_roundtrip(self, tmp_path):
         from dcr.toy import default_scenario, save_scenario

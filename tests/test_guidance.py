@@ -1,11 +1,16 @@
+import dataclasses
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcr.errors import ShapeMismatchError, ValidationError
 from dcr.guidance import (GuidanceConfig, GuidanceUpdate, NoisePrediction,
                           StepPosition, attractor_drift, attractor_drift_expanded,
                           cfg_update, collinearity_residual, corrected_update,
-                          dcr_guided_prediction, probe_prediction,
+                          dcr_guided_prediction, dcr_guided_rows, probe_prediction,
                           repulsion_coefficient, schedule_alpha, target_prediction)
 from oracles import scalar_chain, scalar_scale_diff
 
@@ -327,3 +332,106 @@ class TestInvariants:
         a_other = NP(t.values + rng.standard_normal(8))
         drift2 = attractor_drift_expanded(u, t, a_other, w=4.0, w_attr=1.0)
         assert collinearity_residual(drift2, delta) > 0.0
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def guided_rows_case(draw):
+    """(N, D) branch outputs with exact ties mixed in (a zero CFG update, a
+    probe equal to the target, a repeated row), a guidance config and alpha_t."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    values = hnp.arrays(np.float64, (n, d),
+                        elements=st.floats(-100.0, 100.0, allow_subnormal=False))
+    e_neg, e_text, e_attr = draw(values), draw(values), draw(values)
+    tie = draw(st.sampled_from(["none", "text=neg", "attr=text", "attr=neg"]))
+    if tie == "text=neg":
+        e_text = e_neg.copy()
+    elif tie == "attr=text":
+        e_attr = e_text.copy()
+    elif tie == "attr=neg":
+        e_attr = e_neg.copy()
+    w = draw(st.floats(0.1, 8.0))
+    g = cfg(w=w, w_attr=draw(st.floats(0.0, w, exclude_max=True)),
+            eta=draw(st.sampled_from([0.0, 1.0, 64.0]) | st.floats(0.0, 100.0)),
+            gamma=draw(st.floats(0.5, 4.0)))
+    return e_neg, e_text, e_attr, g, draw(st.floats(0.0, 1.0))
+
+
+class TestGuidedRows:
+    """``dcr_guided_rows``, the row-wise DCR step the sampling loop runs,
+    checked row by row against the scalar functions, which stay the public
+    reference. The step removes from the CFG update its positive projection
+    on the attractor drift; APG (Sadat et al. 2024, arXiv:2410.02416)
+    analyses guidance corrections of this projection form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(guided_rows_case(), st.booleans())
+    def test_rows_equal_scalar_pipeline(self, case, repel):
+        e_neg, e_text, e_attr, g, alpha = case
+        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel)
+        for r in range(e_neg.shape[0]):
+            u, t, a = NP(e_neg[r]), NP(e_text[r]), NP(e_attr[r])
+            delta_ref = cfg_update(u, t, g.w)
+            drift = attractor_drift_expanded(u, t, a, g.w, g.w_attr)
+            diag = repulsion_coefficient(drift, delta_ref, alpha, g)
+            lam = diag.lambda_t if repel or diag.lambda_t == 0.0 else 0.0
+            star = u.values + corrected_update(delta_ref, lam, drift).values
+            assert rows.eps_star[r].tobytes() == star.tobytes()
+            assert _bits(rows.s_t[r]) == _bits(diag.s_t)
+            assert _bits(rows.n_t[r]) == _bits(diag.n_t)
+            assert _bits(rows.lambda_t[r]) == _bits(lam)
+            assert _bits(rows.residual[r]) == _bits(diag.collinearity_residual)
+
+    @settings(max_examples=150, deadline=None)
+    @given(guided_rows_case(), st.integers(2, 60), st.data())
+    def test_rows_equal_dcr_guided_prediction(self, case, total, data):
+        e_neg, e_text, e_attr, g, _ = case
+        pos = StepPosition(data.draw(st.integers(0, total - 1)), total)
+        alpha = schedule_alpha(pos, g)
+        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g)
+        for r in range(e_neg.shape[0]):
+            star, diag = dcr_guided_prediction(NP(e_neg[r]), NP(e_text[r]),
+                                               NP(e_attr[r]), pos, g)
+            assert rows.eps_star[r].tobytes() == star.values.tobytes()
+            got = (rows.s_t[r], rows.n_t[r], alpha, rows.lambda_t[r], rows.residual[r])
+            want = (diag.s_t, diag.n_t, diag.alpha_t, diag.lambda_t,
+                    diag.collinearity_residual)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(guided_rows_case())
+    def test_no_probe_rows_equal_plain_cfg(self, case):
+        e_neg, e_text, _, g, alpha = case
+        rows = dcr_guided_rows(e_neg, e_text, None, alpha, g)
+        for r in range(e_neg.shape[0]):
+            u = NP(e_neg[r])
+            plain = target_prediction(u, cfg_update(u, NP(e_text[r]), g.w))
+            assert rows.eps_star[r].tobytes() == plain.values.tobytes()
+        assert np.all(rows.s_t == 0.0) and np.all(rows.lambda_t == 0.0)
+        assert np.all(rows.n_t == g.eps_stab) and np.all(rows.residual == 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(guided_rows_case(), st.sampled_from(["alpha", "eta", "repel"]))
+    def test_lambda_zero_is_bitwise_passthrough(self, case, gate):
+        e_neg, e_text, e_attr, g, alpha = case
+        if gate == "alpha":
+            alpha = 0.0
+        elif gate == "eta":
+            g = dataclasses.replace(g, eta=0.0)
+        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g,
+                               repel=gate != "repel")
+        plain = dcr_guided_rows(e_neg, e_text, None, alpha, g)
+        assert np.all(rows.lambda_t == 0.0)
+        assert rows.eps_star.tobytes() == plain.eps_star.tobytes()
+
+    def test_rejects_bad_alpha_and_shapes(self):
+        z = np.zeros((2, 3))
+        with pytest.raises(ValidationError):
+            dcr_guided_rows(z, z, z, 1.5, cfg())
+        with pytest.raises(ShapeMismatchError):
+            dcr_guided_rows(z, np.zeros((2, 2)), z, 0.5, cfg())
+        with pytest.raises(ShapeMismatchError):
+            dcr_guided_rows(np.zeros(3), np.zeros(3), None, 0.5, cfg())

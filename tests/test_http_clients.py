@@ -10,7 +10,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+import dcr.judge
 from dcr.bench import HttpTextClient
+from dcr.cli import main
 from dcr.errors import MetricError, TransportError
 from dcr.judge import (EncodedFrame, JudgeClientConfig, JudgeRequest,
                        build_rubric_message, judge)
@@ -135,7 +137,8 @@ def test_server_error_raises_client_error_type(server, name):
 
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
-@pytest.mark.parametrize("raw", [b"not json", b'{"unexpected": 1}'])
+@pytest.mark.parametrize("raw", [b"not json", b'{"unexpected": 1}',
+                                 b'{"completion": 5}', b'{"completion": null}'])
 def test_malformed_body_raises_client_error_type(server, name, raw):
     _, call, _, _, _, error = CLIENTS[name]
     server.respond(raw=raw)
@@ -147,3 +150,17 @@ def test_caption_client_rejects_empty_caption(server):
     server.respond({"caption": ""})
     with pytest.raises(MetricError, match="empty caption"):
         ExternalCaptionClient(endpoint=server.url).caption("frame-7")
+
+
+def test_bench_counts_a_non_string_judge_completion_as_missing(server, monkeypatch,
+                                                               tmp_path):
+    # the judge retries a malformed response as a transport failure
+    monkeypatch.setattr(dcr.judge.time, "sleep", lambda s: None)
+    server.respond({"completion": 5})
+    monkeypatch.setenv("DCR_JUDGE_ENDPOINT", server.url)
+    out = tmp_path / "bench"
+    assert main(["bench", "--with-judge", "--n-per-item", "1", "--seed", "2",
+                 "--steps", "4", "--out", str(out)]) == 0
+    doc = json.loads((out / "bench_report.json").read_text())
+    assert "judge verdicts missing for 16 items" in doc["notes"]
+    assert len(server.requests) == 16 * 4

@@ -1,14 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from faults import NaNRows
 
 from dcr.errors import ConfigurationError, TrajectoryError, ValidationError
 from dcr.guidance import GuidanceConfig, NoisePrediction
 from dcr.sampling import (TRACE_FIELDS, BatchItem, SamplerConfig, SchedulerKind,
                           Variant, derive_seed, read_traces_jsonl, run_batch,
                           run_sampling, scheduler_step, write_traces_jsonl)
-from dcr.toy import (ATTRACTOR, TARGET, UNCOND, NoiseScheduleSpec, ToyDenoiser,
+from dcr.toy import (ATTRACTOR, TARGET, NoiseScheduleSpec, ToyDenoiser,
                      cosine_schedule, default_scenario)
 
 NP = NoisePrediction.from_array
@@ -33,9 +35,8 @@ class TestSchedulerStep:
         # with zero prediction, x_{t-1} = x_t * sqrt(ab_prev/ab_t)
         sched = NoiseScheduleSpec(T=2, alpha_bar=np.array([0.6, 0.6 - 1e-12]))
         x = np.array([2.0, -1.0])
-        out = scheduler_step(NP(np.zeros(2)), 1, x, sched,
-                             SchedulerKind.DETERMINISTIC_DDIM,
-                             np.random.default_rng(0))
+        out = scheduler_step(np.zeros(2), 1, x, sched,
+                             SchedulerKind.DETERMINISTIC_DDIM)
         want = x * np.sqrt(sched.alpha_bar[0] / sched.alpha_bar[1])
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
@@ -51,8 +52,8 @@ class TestSchedulerStep:
             t = T - 1
             x = np.sqrt(sched.alpha_bar[t]) * x0 + np.sqrt(1 - sched.alpha_bar[t]) * z
             while t >= 1:
-                x = scheduler_step(NP(z), t, x, sched,
-                                   SchedulerKind.DETERMINISTIC_DDIM, rng)
+                x = scheduler_step(z, t, x, sched,
+                                   SchedulerKind.DETERMINISTIC_DDIM)
                 t -= 1
             on_path = (np.sqrt(sched.alpha_bar[0]) * x0
                        + np.sqrt(1 - sched.alpha_bar[0]) * z)
@@ -64,25 +65,25 @@ class TestSchedulerStep:
     def test_ancestral_reproducible_and_no_noise_at_final_step(self):
         sched = cosine_schedule(10)
         x = np.array([0.3, 0.4])
-        eps = NP([0.1, -0.2])
+        eps = np.array([0.1, -0.2])
         a = scheduler_step(eps, 5, x, sched, SchedulerKind.ANCESTRAL_DDPM,
-                           np.random.default_rng(1))
+                           np.random.default_rng(1).standard_normal(2))
         b = scheduler_step(eps, 5, x, sched, SchedulerKind.ANCESTRAL_DDPM,
-                           np.random.default_rng(1))
+                           np.random.default_rng(1).standard_normal(2))
         assert np.array_equal(a, b)
-        # the t=1 -> 0 transition draws no noise: rng state irrelevant
+        # the t=1 -> 0 transition adds no noise: the draw is irrelevant
         c = scheduler_step(eps, 1, x, sched, SchedulerKind.ANCESTRAL_DDPM,
-                           np.random.default_rng(123))
-        d = scheduler_step(eps, 1, x, sched, SchedulerKind.ANCESTRAL_DDPM,
-                           np.random.default_rng(999))
+                           np.random.default_rng(123).standard_normal(2))
+        d = scheduler_step(eps, 1, x, sched, SchedulerKind.ANCESTRAL_DDPM)
         assert np.array_equal(c, d)
+        with pytest.raises(ValidationError):
+            scheduler_step(eps, 5, x, sched, SchedulerKind.ANCESTRAL_DDPM)
 
     def test_t_zero_invalid(self):
         sched = cosine_schedule(10)
         with pytest.raises(ValidationError):
-            scheduler_step(NP([0.0, 0.0]), 0, np.zeros(2), sched,
-                           SchedulerKind.DETERMINISTIC_DDIM,
-                           np.random.default_rng(0))
+            scheduler_step(np.zeros(2), 0, np.zeros(2), sched,
+                           SchedulerKind.DETERMINISTIC_DDIM)
 
 
 class TestRunSampling:
@@ -171,15 +172,27 @@ class TestRunSampling:
         assert err.value.step >= 1
 
 
+def record_bytes(trace) -> bytes:
+    return np.array([dataclasses.astuple(rec) for rec in trace.records],
+                    dtype=np.float64).tobytes()
+
+
 class TestRunBatch:
-    def test_n1_reproduces_run_sampling(self):
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    @pytest.mark.parametrize("n_per_item", [1, 5])
+    def test_n1_reproduces_run_sampling(self, n_per_item, scheduler):
+        # each replicate of a batch equals its lone run, bitwise
         be, _ = backend()
-        cfg = small_cfg(seed=11)
-        [res] = run_batch(be, [BatchItem("item-a")], cfg, 1)
-        rng = np.random.default_rng(derive_seed(11, "item-a", 0))
-        x, _ = run_sampling(be, (TARGET, ATTRACTOR), cfg, rng=rng,
-                            trajectory_id="item-a/0")
-        assert res.final.tobytes() == x.tobytes()
+        cfg = small_cfg(seed=11, scheduler=scheduler)
+        results = run_batch(be, [BatchItem("item-a")], cfg, n_per_item)
+        assert [r.replicate for r in results] == list(range(n_per_item))
+        for res in results:
+            rng = np.random.default_rng(derive_seed(11, "item-a", res.replicate))
+            x, trace = run_sampling(be, (TARGET, ATTRACTOR), cfg, rng=rng,
+                                    trajectory_id=f"item-a/{res.replicate}")
+            assert res.final.tobytes() == x.tobytes()
+            assert res.trace.trajectory_id == trace.trajectory_id
+            assert record_bytes(res.trace) == record_bytes(trace)
 
     def test_order_independence(self):
         be, _ = backend()
@@ -201,7 +214,10 @@ class TestRunBatch:
         results = run_batch(be, items, cfg, 1)
         assert len(results) == 400
 
-    def test_failures_do_not_abort_batch(self):
+    @pytest.mark.parametrize("n_per_item", [1, 3])
+    def test_failures_do_not_abort_batch(self, n_per_item):
+        # Flaky accepts one latent only: every batched call raises and each
+        # step is retried row by row
         class Flaky:
             schedule = cosine_schedule(6)
             latent_shape = (2,)
@@ -212,12 +228,52 @@ class TestRunBatch:
                 return NP(np.zeros(2))
 
         cfg = small_cfg(T=6, variant=Variant.PLAIN_CFG)
-        results = run_batch(Flaky(), [BatchItem(f"x{k}") for k in range(10)], cfg, 1)
-        assert len(results) == 10
+        results = run_batch(Flaky(), [BatchItem(f"x{k}") for k in range(10)], cfg,
+                            n_per_item)
+        assert len(results) == 10 * n_per_item
         errs = [r for r in results if r.error is not None]
         oks = [r for r in results if r.error is None]
         assert errs and oks
-        assert all("step" in r.error for r in errs)
+        assert all("backend failure: no (step" in r.error for r in errs)
+        assert all(r.final is None and r.trace is None for r in errs)
+        assert all(len(r.trace.records) == 6 for r in oks)
+
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    def test_non_finite_rows_fail_alone(self, scheduler):
+        T, k, bad = 12, 4, {1, 3}
+        cfg = small_cfg(T=T, scheduler=scheduler)
+        be, sc = backend(T)
+        clean = run_batch(be, [BatchItem("nan")], cfg, 5)
+        got = run_batch(NaNRows(sc, cosine_schedule(T), bad, k),
+                        [BatchItem("nan")], cfg, 5)
+        for res, ref in zip(got, clean):
+            if res.replicate in bad:
+                assert res.final is None
+                assert res.error.startswith("backend failure: ")
+                assert res.error.endswith(f"(step {k})")
+            else:
+                assert res.error is None
+                assert res.final.tobytes() == ref.final.tobytes()
+                assert record_bytes(res.trace) == record_bytes(ref.trace)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_latent_fails_its_row(self):
+        # at t=5, rows with x[0] > 0 get a finite prediction that overflows
+        # the scheduler update
+        class Huge(ToyDenoiser):
+            def epsilon(self, x_t, t, channel_label):
+                eps = super().epsilon(x_t, t, channel_label).reshape()
+                if t == 5:
+                    eps = np.where(np.asarray(x_t)[..., :1] > 0, 1e308, eps)
+                return NP(eps)
+
+        T = 8
+        cfg = small_cfg(T=T, variant=Variant.PLAIN_CFG)
+        sc = default_scenario()
+        results = run_batch(Huge(sc, cosine_schedule(T)), [BatchItem("h")], cfg, 6)
+        errs = [r for r in results if r.error is not None]
+        assert errs and len(errs) < 6
+        assert all(r.error == "non-finite latent (step 2)" for r in errs)
 
 
 class TestTraceExport:
@@ -302,33 +358,7 @@ class TestGuidedStep:
         be = CountingBackend(default_scenario(), cosine_schedule(T))
         run_sampling(be, (TARGET, ATTRACTOR), small_cfg(variant, T=T))
         assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
-
-    def test_full_dcr_step_equals_reference_pipeline(self):
-        from dcr.guidance import StepPosition, dcr_guided_prediction
-        from dcr.sampling import _guided_step
-
-        class Fixed:
-            def __init__(self, preds):
-                self.preds = preds
-
-            def epsilon(self, x_t, t, channel_label):
-                return self.preds[channel_label]
-
-        rng = np.random.default_rng(17)
-        cfg = small_cfg("full-dcr")
-        g = cfg.guidance
-        fired = 0
-        for _ in range(200):
-            preds = {ch: NP(rng.standard_normal(3))
-                     for ch in (UNCOND, TARGET, ATTRACTOR)}
-            pos = StepPosition(index=int(rng.integers(cfg.T)), total=cfg.T)
-            x = rng.standard_normal(3)
-            got, diag = _guided_step(Fixed(preds), x, cfg.T - 1 - pos.index, pos,
-                                     (TARGET, ATTRACTOR), cfg)
-            want, want_diag = dcr_guided_prediction(
-                preds[UNCOND], preds[TARGET], preds[ATTRACTOR], pos, g)
-            assert got.values.tobytes() == want.values.tobytes()
-            assert got.shape == want.shape
-            assert diag == want_diag
-            fired += diag.lambda_t > 0.0
-        assert fired >= 10
+        # a batch makes the same calls: each takes all rows of the item
+        be.calls = {}
+        run_batch(be, [BatchItem("calls")], small_cfg(variant, T=T), 4)
+        assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
