@@ -30,7 +30,7 @@ from .metrics import (ItemRow, aggregate_report, report_to_csv, report_to_json,
 from .sampling import (BatchItem, SamplerConfig, SchedulerKind, Variant,
                        run_batch, write_traces_jsonl)
 from .toy import (ATTRACTOR, TARGET, BiasScenario, ToyDenoiser, cosine_schedule,
-                  default_scenario, load_scenario, mode_assignment)
+                  default_scenario, load_scenario, mode_assignment, scenario_doc)
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the documented contract
@@ -54,15 +54,6 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _setting(name, flag_value, cfg_file: dict, default):
-    """flags > config file > default (environment only feeds endpoints)."""
-    if flag_value is not None:
-        return flag_value
-    if name in cfg_file:
-        return cfg_file[name]
-    return default
-
-
 def _resolve_scenario(arg: str | None) -> BiasScenario:
     if arg in (None, "default"):
         return default_scenario()
@@ -78,36 +69,35 @@ def _parse_interval(text: str) -> tuple[float, float]:
             f"interval must look like '0.2:0.8', got {text!r}") from None
 
 
-def _resolve_guidance(args, cfg_file: dict, scenario: BiasScenario) -> GuidanceConfig:
+def _sampler_config(args, cfg_file, scenario, variant) -> SamplerConfig:
+    """flags > config file > scenario preset > ``GuidanceConfig`` defaults
+    (the environment only feeds endpoints)."""
     if scenario.guidance is not None:
-        base = dataclasses.asdict(scenario.guidance)
+        settings = dataclasses.asdict(scenario.guidance)
     else:
-        base = {f.name: None if f.default is dataclasses.MISSING else f.default
-                for f in dataclasses.fields(GuidanceConfig)}
-    w = _setting("w", args.w, cfg_file, base["w"])
-    if w is None:
+        settings = {f.name: None if f.default is dataclasses.MISSING else f.default
+                    for f in dataclasses.fields(GuidanceConfig)}
+    settings |= {"steps": scenario.steps, "seed": 0,
+                 "scheduler": SchedulerKind.ANCESTRAL_DDPM.value}
+    settings |= {k: v for k, v in cfg_file.items() if k in settings}
+    settings |= {k: v for k in ("w", "w_attr", "eta", "gamma", "steps", "seed",
+                                "scheduler") if (v := getattr(args, k)) is not None}
+    if settings["w"] is None:
         raise ConfigurationError(
             "guidance scale w is required (no default): pass --w or use a "
             "scenario with a guidance preset")
-    interval = args.interval
-    if interval is not None:
-        r_s, r_e = _parse_interval(interval)
-    else:
-        r_s = _setting("r_s", None, cfg_file, base["r_s"])
-        r_e = _setting("r_e", None, cfg_file, base["r_e"])
-    return GuidanceConfig(
-        w=float(w),
-        w_attr=float(_setting("w_attr", args.w_attr, cfg_file, base["w_attr"])),
-        eta=float(_setting("eta", args.eta, cfg_file, base["eta"])),
-        gamma=float(_setting("gamma", args.gamma, cfg_file, base["gamma"])),
-        r_s=float(r_s), r_e=float(r_e),
-        eps_stab=float(_setting("eps_stab", None, cfg_file, base["eps_stab"])),
-    )
+    if args.interval is not None:
+        settings["r_s"], settings["r_e"] = _parse_interval(args.interval)
+    T, seed, scheduler = (settings.pop(k) for k in ("steps", "seed", "scheduler"))
+    guidance = GuidanceConfig(**{k: float(v) for k, v in settings.items()})
+    return SamplerConfig(T=int(T), guidance=guidance, variant=Variant(variant),
+                         scheduler_kind=SchedulerKind(scheduler), seed=int(seed))
 
 
-def _manifest(command: str, args_dict: dict, sampler_cfg: SamplerConfig | None,
-              scenario: BiasScenario | None, extra: dict | None = None) -> dict:
-    args_dict = {k: v for k, v in args_dict.items()
+def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
+                    cfg: SamplerConfig, scenario: BiasScenario, extra: dict) -> str:
+    """Write ``manifest.json`` and return the name the artifacts refer to."""
+    args_dict = {k: v for k, v in (vars(args) | {"config_file": cfg_file}).items()
                  if k != "func" and isinstance(v, (str, int, float, bool, dict,
                                                    list, type(None)))}
     doc = {
@@ -121,47 +111,12 @@ def _manifest(command: str, args_dict: dict, sampler_cfg: SamplerConfig | None,
             "embeddings": os.environ.get("DCR_EMBED_ENDPOINT"),
             "text": os.environ.get("DCR_TEXT_ENDPOINT"),
         },
-    }
-    if sampler_cfg is not None:
-        doc["sampler"] = {
-            "T": sampler_cfg.T,
-            "scheduler_kind": sampler_cfg.scheduler_kind.value,
-            "seed": sampler_cfg.seed,
-            "variant": sampler_cfg.variant.value,
-            "guidance": dataclasses.asdict(sampler_cfg.guidance),
-        }
-    if scenario is not None:
-        doc["scenario"] = {
-            "means": scenario.base.means.tolist(),
-            "weights": scenario.base.weights.tolist(),
-            "sigma0": scenario.base.sigma0,
-            "pi_major": scenario.pi_major,
-            "leakage_beta": scenario.leakage_beta,
-            "dominant_index": scenario.dominant_index,
-            "rare_index": scenario.rare_index,
-            "steps": scenario.steps,
-        }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _write_manifest(outdir: Path, doc: dict) -> str:
+        "sampler": dataclasses.asdict(cfg),
+        "scenario": scenario_doc(scenario),
+    } | extra
     path = outdir / "manifest.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return path.name
-
-
-def _sampler_config(args, cfg_file, scenario, variant) -> SamplerConfig:
-    guidance = _resolve_guidance(args, cfg_file, scenario)
-    return SamplerConfig(
-        T=int(_setting("steps", args.steps, cfg_file, scenario.steps)),
-        guidance=guidance,
-        variant=Variant(variant),
-        scheduler_kind=SchedulerKind(_setting("scheduler", args.scheduler, cfg_file,
-                                              SchedulerKind.ANCESTRAL_DDPM.value)),
-        seed=int(_setting("seed", args.seed, cfg_file, 0)),
-    )
 
 
 def _run_scenario_batch(scenario, cfg: SamplerConfig, n: int, item_id="scenario"):
@@ -177,9 +132,8 @@ def cmd_sample(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     results = _run_scenario_batch(scenario, cfg, args.n)
     failures = [r for r in results if r.error is not None]
-    manifest = _manifest("sample", vars(args) | {"config_file": cfg_file},
-                         cfg, scenario, {"n": args.n, "failures": len(failures)})
-    mref = _write_manifest(outdir, manifest)
+    mref = _write_manifest(outdir, "sample", args, cfg_file, cfg, scenario,
+                           {"n": args.n, "failures": len(failures)})
     write_traces_jsonl((r.trace for r in results if r.trace is not None),
                        outdir / "traces.jsonl", manifest_ref=mref)
     with (outdir / "samples.csv").open("w", encoding="utf-8", newline="") as fh:
@@ -205,21 +159,35 @@ def cmd_sample(args) -> int:
 ALL_VARIANTS = [v.value for v in Variant]
 
 
-def _collapse_row(variant: str, results, scenario) -> dict:
-    finals = [r.final for r in results if r.final is not None]
-    failures = sum(1 for r in results if r.error is not None)
-    frac = toy_collapse_fraction(finals, scenario)
-    lo, hi = wilson_interval(int(round(frac * len(finals))), len(finals))
-    return {"variant": variant, "n": len(finals), "failures": failures,
-            "collapse_fraction": frac, "wilson_lo": lo, "wilson_hi": hi}
-
-
-def _write_rows_csv(path: Path, rows: list[dict], manifest_ref: str) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest: {manifest_ref}\n")
+def _collapse_report(name: str, args, cfg_file: dict, scenario: BiasScenario,
+                     runs: list[tuple[dict, SamplerConfig]], manifest_extra: dict,
+                     report_extra: dict) -> list[dict]:
+    """Sample each ``(label, cfg)`` run, write the manifest (recording the
+    first run's sampler) and ``<name>_report.{csv,json}``, one row per run:
+    the label's columns, then n, failures and the collapse fraction with its
+    Wilson interval."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for label, cfg in runs:
+        results = _run_scenario_batch(scenario, cfg, args.n)
+        finals = [r.final for r in results if r.final is not None]
+        frac = toy_collapse_fraction(finals, scenario)
+        lo, hi = wilson_interval(int(round(frac * len(finals))), len(finals))
+        rows.append(label | {"n": len(finals),
+                             "failures": sum(1 for r in results if r.error is not None),
+                             "collapse_fraction": frac, "wilson_lo": lo, "wilson_hi": hi})
+    mref = _write_manifest(outdir, name, args, cfg_file, runs[0][1], scenario,
+                           manifest_extra)
+    with (outdir / f"{name}_report.csv").open("w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# manifest: {mref}\n")
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
+    (outdir / f"{name}_report.json").write_text(
+        json.dumps({"manifest": mref, "rows": rows} | report_extra, indent=2) + "\n",
+        encoding="utf-8")
+    return rows
 
 
 def cmd_ablate(args) -> int:
@@ -234,27 +202,15 @@ def cmd_ablate(args) -> int:
     for v in variants:
         if v not in ALL_VARIANTS:
             raise ConfigurationError(f"unknown variant '{v}' (choose from {ALL_VARIANTS})")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    cfg0 = None
-    for variant in variants:
-        cfg = _sampler_config(args, cfg_file, scenario, variant)
-        cfg0 = cfg0 or cfg
-        results = _run_scenario_batch(scenario, cfg, args.n)
-        rows.append(_collapse_row(variant, results, scenario))
-    manifest = _manifest("ablate", vars(args) | {"config_file": cfg_file},
-                         cfg0, scenario, {"variants": variants, "n": args.n})
-    mref = _write_manifest(outdir, manifest)
-    _write_rows_csv(outdir / "ablate_report.csv", rows, mref)
+    runs = [({"variant": v}, _sampler_config(args, cfg_file, scenario, v))
+            for v in variants]
     notes = []
     if not (os.environ.get("DCR_JUDGE_ENDPOINT")
             or os.environ.get("DCR_EMBED_ENDPOINT")):
         notes.append("no judge/embedding providers configured; "
                      "collapse fractions only")
-    (outdir / "ablate_report.json").write_text(
-        json.dumps({"manifest": mref, "rows": rows, "notes": notes}, indent=2) + "\n",
-        encoding="utf-8")
+    rows = _collapse_report("ablate", args, cfg_file, scenario, runs,
+                            {"variants": variants, "n": args.n}, {"notes": notes})
     for row in rows:
         print(f"{row['variant']}: collapse={row['collapse_fraction']:.4f} "
               f"[{row['wilson_lo']:.4f}, {row['wilson_hi']:.4f}]")
@@ -278,27 +234,16 @@ def cmd_sweep(args) -> int:
     # guidance, not the scenario preset
     dest = args.axis.replace("-", "_")
     reference = dataclasses.replace(scenario, guidance=None)
-    cfgs = [_sampler_config(argparse.Namespace(**(vars(args) | {dest: value})),
-                            cfg_file, reference, Variant.FULL_DCR)
-            for value in values]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for cfg in cfgs:
+    runs = []
+    for value in values:
+        cfg = _sampler_config(argparse.Namespace(**(vars(args) | {dest: value})),
+                              cfg_file, reference, Variant.FULL_DCR)
         g = cfg.guidance
-        value = f"{g.r_s}:{g.r_e}" if dest == "interval" else getattr(g, dest)
-        row = _collapse_row("full-dcr", _run_scenario_batch(scenario, cfg, args.n),
-                            scenario)
-        rows.append({"axis": args.axis, "value": value}
-                    | {k: v for k, v in row.items() if k != "variant"})
-    manifest = _manifest("sweep", vars(args) | {"config_file": cfg_file}, cfgs[0],
-                         scenario, {"axis": args.axis, "values": values,
-                                    "w": cfgs[0].guidance.w})
-    mref = _write_manifest(outdir, manifest)
-    _write_rows_csv(outdir / "sweep_report.csv", rows, mref)
-    (outdir / "sweep_report.json").write_text(
-        json.dumps({"manifest": mref, "rows": rows}, indent=2) + "\n",
-        encoding="utf-8")
+        resolved = f"{g.r_s}:{g.r_e}" if dest == "interval" else getattr(g, dest)
+        runs.append(({"axis": args.axis, "value": resolved}, cfg))
+    rows = _collapse_report("sweep", args, cfg_file, scenario, runs,
+                            {"axis": args.axis, "values": values,
+                             "w": runs[0][1].guidance.w}, {})
     for row in rows:
         print(f"{row['axis']}={row['value']}: collapse={row['collapse_fraction']:.4f}")
     return 0
@@ -390,10 +335,9 @@ def cmd_bench(args) -> int:
     report = aggregate_report(rows, by_category=True, method=cfg.variant.value)
     if judge_failures:
         report.notes.append(f"judge verdicts missing for {judge_failures} items")
-    manifest = _manifest("bench", vars(args) | {"config_file": cfg_file}, cfg,
-                         scenario, {"suite_items": len(suite.items),
-                                    "n_per_item": args.n_per_item})
-    mref = _write_manifest(outdir, manifest)
+    mref = _write_manifest(outdir, "bench", args, cfg_file, cfg, scenario,
+                           {"suite_items": len(suite.items),
+                            "n_per_item": args.n_per_item})
     csv_text = report_to_csv(report)
     (outdir / "bench_report.csv").write_text(
         f"# manifest: {mref}\n" + csv_text, encoding="utf-8")

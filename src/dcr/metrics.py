@@ -108,7 +108,7 @@ class ExternalEmbeddingClient:
             body = post_json(self.endpoint, {"kind": kind, "content": content},
                              self.api_key_env, self.timeout_s)
             return np.asarray(body["embedding"], dtype=np.float64)
-        except (TransportError, ValueError, KeyError) as exc:
+        except (TransportError, ValueError, KeyError, TypeError) as exc:
             raise MetricError(f"embedding request failed: {exc}") from exc
 
     def embed_text(self, text: str) -> np.ndarray:
@@ -153,6 +153,8 @@ class ExternalCaptionClient:
                              self.timeout_s)["caption"]
         except (TransportError, KeyError) as exc:
             raise MetricError(f"caption request failed: {exc}") from exc
+        if not isinstance(text, str):
+            raise MetricError(f"caption service returned a non-string caption: {text!r}")
         if not text:
             raise MetricError("caption service returned an empty caption")
         return text

@@ -294,7 +294,8 @@ def mode_assignment(x0: np.ndarray, scenario: BiasScenario) -> np.ndarray | int:
     return int(idx) if single else idx
 
 
-def save_scenario(scenario: BiasScenario, path) -> None:
+def scenario_doc(scenario: BiasScenario) -> dict:
+    """The scenario as the JSON object ``load_scenario`` reads."""
     doc = {
         "sigma0": scenario.base.sigma0,
         "means": scenario.base.means.tolist(),
@@ -311,7 +312,12 @@ def save_scenario(scenario: BiasScenario, path) -> None:
     }
     if scenario.guidance is not None:
         doc["guidance"] = asdict(scenario.guidance)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return doc
+
+
+def save_scenario(scenario: BiasScenario, path) -> None:
+    Path(path).write_text(json.dumps(scenario_doc(scenario), indent=2) + "\n",
+                          encoding="utf-8")
 
 
 def load_scenario(path) -> BiasScenario:

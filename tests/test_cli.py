@@ -68,6 +68,43 @@ class TestSample:
         assert run("sample", "--scenario", str(path), "--n", "2", *FAST,
                    "--out", str(tmp_path / "o")) == 0
 
+    def test_manifest_scenario_reloads_and_reproduces_the_run(self, tmp_path):
+        import dataclasses
+
+        import numpy as np
+
+        from dcr.toy import (TARGET, PromptChannel, default_scenario, load_scenario,
+                             save_scenario)
+        base = default_scenario()
+        scenario = dataclasses.replace(
+            base, leakage_beta=0.3,
+            channels=base.channels | {TARGET: PromptChannel(TARGET,
+                                                            np.array([0.3, 0.7, 0.0]))},
+            guidance=dataclasses.replace(base.guidance, eta=32.0), steps=40)
+        saved = tmp_path / "scenario.json"
+        save_scenario(scenario, saved)
+        argv = ["sample", "--n", "6", "--seed", "4", "--scheduler", "ancestral-ddpm"]
+        assert run(*argv, "--scenario", str(saved), "--out", str(tmp_path / "a")) == 0
+        block = json.loads((tmp_path / "a" / "manifest.json").read_text())["scenario"]
+        from_manifest = tmp_path / "from-manifest.json"
+        from_manifest.write_text(json.dumps(block))
+        loaded = load_scenario(from_manifest)
+        for field in ("dominant_index", "rare_index", "pi_major", "leakage_beta",
+                      "guidance", "steps"):
+            assert getattr(loaded, field) == getattr(scenario, field), field
+        assert loaded.base.sigma0 == scenario.base.sigma0
+        assert np.array_equal(loaded.base.means, scenario.base.means)
+        assert np.array_equal(loaded.base.weights, scenario.base.weights)
+        assert loaded.channels.keys() == scenario.channels.keys()
+        for label, channel in scenario.channels.items():
+            got = loaded.channels[label].weights_override
+            want = channel.weights_override
+            assert (got is None and want is None) or np.array_equal(got, want), label
+        assert run(*argv, "--scenario", str(from_manifest),
+                   "--out", str(tmp_path / "b")) == 0
+        assert (tmp_path / "b" / "samples.csv").read_bytes() == \
+            (tmp_path / "a" / "samples.csv").read_bytes()
+
 
 class TestAblate:
     def test_full_report_has_six_rows(self, tmp_path):

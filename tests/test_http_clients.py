@@ -138,7 +138,8 @@ def test_server_error_raises_client_error_type(server, name):
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 @pytest.mark.parametrize("raw", [b"not json", b'{"unexpected": 1}',
-                                 b'{"completion": 5}', b'{"completion": null}'])
+                                 b'{"completion": 5}', b'{"completion": null}',
+                                 b'{"caption": 5}', b'{"embedding": {"a": 1}}'])
 def test_malformed_body_raises_client_error_type(server, name, raw):
     _, call, _, _, _, error = CLIENTS[name]
     server.respond(raw=raw)
