@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from faults import NaNRows
 
@@ -69,10 +71,6 @@ class TestSample:
                    "--out", str(tmp_path / "o")) == 0
 
     def test_manifest_scenario_reloads_and_reproduces_the_run(self, tmp_path):
-        import dataclasses
-
-        import numpy as np
-
         from dcr.toy import (TARGET, PromptChannel, default_scenario, load_scenario,
                              save_scenario)
         base = default_scenario()
