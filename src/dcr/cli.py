@@ -69,6 +69,35 @@ def _parse_interval(text: str) -> tuple[float, float]:
             f"interval must look like '0.2:0.8', got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """argparse type of --n and --n-per-item: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+SCHEDULERS = [k.value for k in SchedulerKind]
+
+
+def _config_value(key: str, value):
+    """A config-file setting, checked against the type its flag parses to."""
+    if key == "scheduler":
+        if value not in SCHEDULERS:
+            raise ConfigurationError(
+                f"config file: scheduler must be one of {SCHEDULERS}, got {value!r}")
+        return value
+    integer = key in ("steps", "seed")
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigurationError(
+            f"config file: {key} must be {'an integer' if integer else 'a number'}, "
+            f"got {value!r}")
+    return value
+
+
 def _sampler_config(args, cfg_file, scenario, variant) -> SamplerConfig:
     """flags > config file > scenario preset > ``GuidanceConfig`` defaults
     (the environment only feeds endpoints)."""
@@ -79,7 +108,7 @@ def _sampler_config(args, cfg_file, scenario, variant) -> SamplerConfig:
                     for f in dataclasses.fields(GuidanceConfig)}
     settings |= {"steps": scenario.steps, "seed": 0,
                  "scheduler": SchedulerKind.ANCESTRAL_DDPM.value}
-    settings |= {k: v for k, v in cfg_file.items() if k in settings}
+    settings |= {k: _config_value(k, v) for k, v in cfg_file.items() if k in settings}
     settings |= {k: v for k in ("w", "w_attr", "eta", "gamma", "steps", "seed",
                                 "scheduler") if (v := getattr(args, k)) is not None}
     if settings["w"] is None:
@@ -119,9 +148,12 @@ def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
     return path.name
 
 
-def _run_scenario_batch(scenario, cfg: SamplerConfig, n: int, item_id="scenario"):
+def _run_scenario_batch(scenario, cfg: SamplerConfig, n: int, variants=(None,)):
+    """n trajectories of the scenario per variant, as one batch with shared
+    seeds (None: cfg's variant)."""
     backend = ToyDenoiser(scenario, cosine_schedule(cfg.T))
-    return run_batch(backend, [BatchItem(item_id, TARGET, ATTRACTOR)], cfg, n)
+    return run_batch(backend, [BatchItem("scenario", TARGET, ATTRACTOR, v)
+                               for v in variants], cfg, n)
 
 
 def cmd_sample(args) -> int:
@@ -165,12 +197,22 @@ def _collapse_report(name: str, args, cfg_file: dict, scenario: BiasScenario,
     """Sample each ``(label, cfg)`` run, write the manifest (recording the
     first run's sampler) and ``<name>_report.{csv,json}``, one row per run:
     the label's columns, then n, failures and the collapse fraction with its
-    Wilson interval."""
+    Wilson interval. Runs whose configs differ only in the variant are
+    sampled as one batch."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    groups: dict[SamplerConfig, list[int]] = {}
+    for k, (_, cfg) in enumerate(runs):
+        groups.setdefault(dataclasses.replace(cfg, variant=Variant.FULL_DCR),
+                          []).append(k)
+    per_run = [None] * len(runs)
+    n = args.n
+    for cfg, ks in groups.items():
+        batch = _run_scenario_batch(scenario, cfg, n, [runs[k][1].variant for k in ks])
+        for j, k in enumerate(ks):
+            per_run[k] = batch[j * n:(j + 1) * n]
     rows = []
-    for label, cfg in runs:
-        results = _run_scenario_batch(scenario, cfg, args.n)
+    for (label, _), results in zip(runs, per_run):
         finals = [r.final for r in results if r.final is not None]
         frac = toy_collapse_fraction(finals, scenario)
         lo, hi = wilson_interval(int(round(frac * len(finals))), len(finals))
@@ -362,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--scheduler", default=None,
-                       choices=[k.value for k in SchedulerKind])
+                       choices=SCHEDULERS)
         p.add_argument("--w", type=float, default=None)
         p.add_argument("--w-attr", dest="w_attr", type=float, default=None)
         p.add_argument("--eta", type=float, default=None)
@@ -375,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a batch of trajectories")
     add_common(p)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_count, default=100)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_sample)
 
@@ -383,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, with_variant=False)
     p.add_argument("--variants", default=None,
                    help=f"comma list from {ALL_VARIANTS} (default: all)")
-    p.add_argument("--n", type=int, default=500)
+    p.add_argument("--n", type=_count, default=500)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="sweep one guidance axis")
@@ -391,14 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True,
                    help="comma list, e.g. '0,0.5,1' or '0.2:0.8,0.5:1.0'")
-    p.add_argument("--n", type=int, default=500)
+    p.add_argument("--n", type=_count, default=500)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="evaluate a prompt suite on the toy backend")
     add_common(p)
     p.add_argument("--suite", default=None, help="suite JSON (default: fixture suite)")
     p.add_argument("--canonical", action="store_true")
-    p.add_argument("--n-per-item", dest="n_per_item", type=int, default=8)
+    p.add_argument("--n-per-item", dest="n_per_item", type=_count, default=8)
     p.add_argument("--with-judge", dest="with_judge", action="store_true")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -18,6 +18,7 @@ is bit-identical to the plain CFG update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import ShapeMismatchError, ValidationError
 
 def _as_flat64(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("latent values must be finite (no NaN/Inf)")
     return arr
 
@@ -44,7 +45,7 @@ class NoisePrediction:
         shape = tuple(int(d) for d in self.shape)
         if any(d <= 0 for d in shape):
             raise ValidationError(f"shape dimensions must be positive: {shape}")
-        if int(np.prod(shape)) != self.values.size:
+        if math.prod(shape) != self.values.size:
             raise ShapeMismatchError(
                 f"shape {shape} does not match {self.values.size} values")
         object.__setattr__(self, "shape", shape)
@@ -69,7 +70,7 @@ class GuidanceUpdate:
     def __post_init__(self):
         object.__setattr__(self, "values", _as_flat64(self.values))
         shape = tuple(int(d) for d in self.shape)
-        if int(np.prod(shape)) != self.values.size:
+        if math.prod(shape) != self.values.size:
             raise ShapeMismatchError(
                 f"shape {shape} does not match {self.values.size} values")
         object.__setattr__(self, "shape", shape)
@@ -322,26 +323,39 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _per_row(value, n: int, name: str) -> np.ndarray:
+    arr = np.asarray(value)
+    if arr.shape not in ((), (n,)):
+        raise ShapeMismatchError(f"{name} must be a scalar or of shape ({n},), "
+                                 f"got {arr.shape}")
+    return arr
+
+
 def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray,
-                    eps_attr: np.ndarray | None, alpha_t: float,
-                    cfg: GuidanceConfig, repel: bool = True) -> GuidedRows:
+                    eps_attr: np.ndarray | None, alpha_t, cfg: GuidanceConfig,
+                    repel=True, probe=True) -> GuidedRows:
     """Row-wise DCR step over (N, D) branch outputs, bitwise equal per row to
     the scalar pipeline (cfg_update, attractor_drift_expanded,
     repulsion_coefficient, corrected_update) at the same alpha_t.
 
-    ``eps_neg`` is the CFG negative branch. Without a probe branch
-    (``eps_attr`` None) the step is plain CFG with the diagnostics of a zero
-    drift (n_t = eps_stab). With ``repel`` False the diagnostics are kept but
-    lambda_t is zeroed and not applied. Inputs are not checked for
-    finiteness: the caller validates the backend outputs.
+    ``eps_neg`` is the CFG negative branch. ``alpha_t``, ``repel`` and
+    ``probe`` are scalars or per-row (N,) arrays, so rows of different
+    variants can share one call. Rows without a probe branch (``probe``
+    False, or ``eps_attr`` None for all rows) take the plain CFG step with
+    the diagnostics of a zero drift (n_t = eps_stab); their ``eps_attr``
+    rows are ignored but must be finite. Rows with ``repel`` False keep the
+    diagnostics but have lambda_t zeroed and not applied. Inputs are not
+    checked for finiteness: the caller validates the backend outputs.
     """
-    if not (0.0 <= alpha_t <= 1.0):
-        raise ValidationError(f"alpha_t must lie in [0,1], got {alpha_t}")
     if eps_neg.ndim != 2 or eps_text.shape != eps_neg.shape or (
             eps_attr is not None and eps_attr.shape != eps_neg.shape):
         raise ShapeMismatchError("branch outputs must share one (N, D) shape")
-    delta_ref = cfg.w * (eps_text - eps_neg)
     n = eps_neg.shape[0]
+    alpha_t = _per_row(alpha_t, n, "alpha_t")
+    if not ((0.0 <= alpha_t) & (alpha_t <= 1.0)).all():
+        raise ValidationError(f"alpha_t must lie in [0,1], got {alpha_t}")
+    repel, probe = _per_row(repel, n, "repel"), _per_row(probe, n, "probe")
+    delta_ref = cfg.w * (eps_text - eps_neg)
     if eps_attr is None:
         return GuidedRows(eps_neg + delta_ref, np.zeros(n), np.full(n, cfg.eps_stab),
                           np.zeros(n), np.zeros(n))
@@ -351,13 +365,17 @@ def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray,
     n_t = na2 + cfg.eps_stab
     # max(s_t, 0.0) as the scalar form evaluates it (np.maximum differs on -0.0)
     lambda_t = alpha_t * cfg.eta * np.where(0.0 > s_t, 0.0, s_t) / n_t
-    if not repel:
-        lambda_t = np.where(lambda_t == 0.0, lambda_t, 0.0)
+    if not repel.all():
+        lambda_t = np.where(repel | (lambda_t == 0.0), lambda_t, 0.0)
     nd2 = _row_dot(delta_ref, delta_ref)
     with np.errstate(divide="ignore", invalid="ignore"):
         orth = drift - (s_t / nd2)[:, None] * delta_ref
         residual = np.minimum(np.sqrt(_row_dot(orth, orth)) / np.sqrt(na2), 1.0)
     residual = np.where(na2 == 0.0, 0.0, np.where(nd2 == 0.0, 1.0, residual))
+    if not probe.all():
+        s_t, n_t = np.where(probe, s_t, 0.0), np.where(probe, n_t, cfg.eps_stab)
+        lambda_t = np.where(probe, lambda_t, 0.0)
+        residual = np.where(probe, residual, 0.0)
     delta_star = np.where((lambda_t == 0.0)[:, None], delta_ref,
                           delta_ref - lambda_t[:, None] * drift)
     return GuidedRows(eps_neg + delta_star, s_t, n_t, lambda_t, residual)

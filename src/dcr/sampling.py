@@ -1,7 +1,8 @@
 """Denoising loop: scheduler steps, variant dispatch, traces, batch runs.
 
-One loop serves every caller: it steps the trajectories of one item together
-as one (N, *latent_shape) array, and a single trajectory is its N=1 case.
+One loop serves every caller: it steps all trajectories of a run together as
+one (N, *latent_shape) array, each row carrying its own item channels and its
+own variant, and a single trajectory is its N=1 case.
 The loop makes T guidance evaluations at step indices i = 0..T-1 (noisiest
 first, t = T-1-i). The first T-1 evaluations each feed a scheduler
 transition; the last one, at t=0, contributes only its trace record so that
@@ -13,8 +14,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,10 +76,32 @@ class TraceRecord:
     residual: float
 
 
+class TraceRecords(Sequence):
+    """One trajectory's per-step records, built on access from its batch's
+    (T, N, 6) diagnostics columns, so a batch holds one array rather than T
+    record objects per trajectory."""
+
+    __slots__ = ("_cols", "_row")
+
+    def __init__(self, cols: np.ndarray, row: int):
+        self._cols, self._row = cols, row
+
+    def __len__(self) -> int:
+        return self._cols.shape[0]
+
+    def __iter__(self):
+        T = len(self)
+        for i, vals in enumerate(self._cols[:, self._row].tolist()):
+            yield TraceRecord(i, T - 1 - i, *vals)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+
 @dataclass
 class TrajectoryTrace:
     trajectory_id: str
-    records: list[TraceRecord] = field(default_factory=list)
+    records: Sequence[TraceRecord] = field(default_factory=list)
     final: np.ndarray | None = None
 
 
@@ -137,36 +162,83 @@ _VARIANT_PARTS = {
 }
 
 
-def _branch_rows(backend, x: np.ndarray, t: int, channels
-                 ) -> tuple[list[np.ndarray], dict[int, Exception]]:
-    """Each channel's prediction at the rows of x as an (m, D) array, and
-    the rows whose backend call failed, with the exception.
+@dataclass(frozen=True)
+class BatchItem:
+    """One prompt of a batch: its channels, and the variant its rows run
+    (None: the sampler config's variant)."""
 
-    One call per channel takes all rows. If any of them raises, the step is
+    item_id: str
+    prompt_channel: str = TARGET
+    attractor_channel: str = ATTRACTOR
+    variant: Variant | None = None
+
+    def __post_init__(self):
+        if self.variant is not None:
+            object.__setattr__(self, "variant", Variant(self.variant))
+
+
+class _Live(NamedTuple):
+    """The rows still in the batch; every array is indexed by live row."""
+
+    ids: np.ndarray     # the row's index in the batch
+    x: np.ndarray       # its latent
+    code: np.ndarray    # (m, 3): label index of its negative, text and probe branch
+    needs: np.ndarray   # (m, n_labels): whether it needs each label's prediction
+    alpha: np.ndarray   # its variant's fixed alpha_t; NaN where schedule_alpha applies
+    repel: np.ndarray
+    probe: np.ndarray
+    draws: np.ndarray   # its standard-normal draws
+
+    def keep(self, mask: np.ndarray) -> "_Live":
+        return _Live(*(a[mask] for a in self))
+
+
+def _branch_rows(backend, x: np.ndarray, t: int, labels: list[str],
+                 needs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Each channel's prediction at the rows of x that need it, as an
+    (n_labels, m, D) array (rows that do not need a channel are left unset),
+    and the rows whose backend call failed, with the exception.
+
+    ``needs[j, k]`` says whether row j needs channel labels[k]. One call per
+    channel takes all rows that need it. If any call raises, the step is
     retried row by row at latent_shape, so only the rows that fail alone
     leave the batch.
     """
     m, size = x.shape[0], x[0].size
+    preds = np.empty((len(labels), m, size))
     try:
-        return [backend.epsilon(x, t, ch).values.reshape(m, size)
-                for ch in channels], {}
+        for k, label in enumerate(labels):
+            rows = needs[:, k]
+            if rows.all():
+                preds[k] = backend.epsilon(x, t, label).values.reshape(m, size)
+            elif rows.any():
+                xk = x[rows]
+                preds[k, rows] = backend.epsilon(xk, t, label).values.reshape(
+                    len(xk), size)
+        return preds, {}
     except Exception:  # any failure: retried row by row below
         pass
-    out = [np.empty((m, size)) for _ in channels]
     failed: dict[int, Exception] = {}
     for j in range(m):
         try:
-            for k, ch in enumerate(channels):
-                out[k][j] = backend.epsilon(x[j], t, ch).values.reshape(size)
+            for k, label in enumerate(labels):
+                if needs[j, k]:
+                    preds[k, j] = backend.epsilon(x[j], t, label).values.reshape(size)
         except Exception as exc:  # fails this row only; reported in its result
             failed[j] = exc
-    return out, failed
+    return preds, failed
 
 
-def _sample_rows(backend, prompts: tuple[str, str], cfg: SamplerConfig,
+def _sample_rows(backend, items: list[BatchItem], cfg: SamplerConfig,
                  rngs, trajectory_ids) -> list[TrajectoryTrace | TrajectoryError]:
-    """The sampling loop: steps the live rows of one item together as one
+    """The sampling loop: steps the live rows together as one
     (N, *latent_shape) array and returns, per row, its trace or its error.
+
+    Row r runs items[r]'s channels under its variant (cfg.variant when the
+    item names none); the rows share cfg's T, scheduler and guidance. Each
+    step calls the backend once per channel, on the live rows that need it,
+    and builds every row's negative, text and probe branches from those
+    calls, so a row's result is bitwise that of a batch of its own.
 
     Row r draws from rngs[r] what a lone trajectory draws, in the same
     order: one standard_normal((T-1, *latent_shape)) draw under the
@@ -185,59 +257,70 @@ def _sample_rows(backend, prompts: tuple[str, str], cfg: SamplerConfig,
     ancestral = cfg.scheduler_kind is SchedulerKind.ANCESTRAL_DDPM
     draw_shape = (T - 1 if ancestral else 1, *backend.latent_shape)
     draws = np.stack([rng.standard_normal(draw_shape) for rng in rngs])
-    x = draws[:, 0].copy()
-    parts = _VARIANT_PARTS[cfg.variant]
-    p_channel, attr_channel = prompts
-    channels = [attr_channel if parts.negative == ATTRACTOR else UNCOND, p_channel]
-    if parts.probe == ATTRACTOR:
-        channels.append(attr_channel)
-    probe = {None: None, TARGET: 1, ATTRACTOR: 2}[parts.probe]  # index in channels
+    parts = [_VARIANT_PARTS[item.variant or cfg.variant] for item in items]
+    # per row, the channel of its negative, text and probe branch; a row
+    # without a probe reads its text channel there, which the step ignores
+    branch_labels = [
+        (item.attractor_channel if p.negative == ATTRACTOR else UNCOND,
+         item.prompt_channel,
+         item.attractor_channel if p.probe == ATTRACTOR else item.prompt_channel)
+        for item, p in zip(items, parts)]
+    labels = list(dict.fromkeys(label for row in branch_labels for label in row))
+    code = np.array([[labels.index(label) for label in row] for row in branch_labels])
+    probe = np.array([p.probe is not None for p in parts])
+    rows = np.arange(n)
+    needs = np.zeros((n, len(labels)), dtype=bool)
+    needs[rows, code[:, 0]] = needs[rows, code[:, 1]] = True
+    needs[rows[probe], code[probe, 2]] = True
+    live = _Live(rows, draws[:, 0].copy(), code, needs,
+                 np.array([np.nan if p.alpha is None else p.alpha for p in parts]),
+                 np.array([p.repel for p in parts]), probe, draws)
     # per step and row: x_mean, x_rms, alpha_t, lambda_t, s_t, residual
     cols = np.zeros((T, n, 6))
     errors: dict[int, TrajectoryError] = {}
-    live = np.arange(n)
     for i in range(T):
-        if not live.size:
+        if not live.ids.size:
             break
         t = T - 1 - i
-        xl = x[live]
-        branches, failed = _branch_rows(backend, xl, t, channels)
+        preds, failed = _branch_rows(backend, live.x, t, labels, live.needs)
         if failed:
             for j, exc in failed.items():
                 err = TrajectoryError(f"backend failure: {exc}", step=i)
                 err.__cause__ = exc
-                errors[int(live[j])] = err
-            keep = np.ones(len(live), dtype=bool)
+                errors[int(live.ids[j])] = err
+            keep = np.ones(live.ids.size, dtype=bool)
             keep[list(failed)] = False
-            live, xl, branches = live[keep], xl[keep], [b[keep] for b in branches]
-            if not live.size:
+            live, preds = live.keep(keep), preds[:, keep]
+            if not live.ids.size:
                 break
-        e_a = None if probe is None else branches[probe]
-        alpha_t = schedule_alpha(StepPosition(index=i, total=T), cfg.guidance) \
-            if parts.alpha is None else parts.alpha
-        step = dcr_guided_rows(branches[0], branches[1], e_a, alpha_t, cfg.guidance,
-                               repel=parts.repel)
-        flat = xl.reshape(len(live), -1)
-        cols[i, live] = np.stack(
+        m = live.ids.size
+        e_neg, e_text, e_attr = preds[live.code.T, np.arange(m)]
+        alpha_t = np.where(np.isnan(live.alpha),
+                           schedule_alpha(StepPosition(index=i, total=T), cfg.guidance),
+                           live.alpha)
+        step = dcr_guided_rows(e_neg, e_text, e_attr, alpha_t, cfg.guidance,
+                               repel=live.repel, probe=live.probe)
+        flat = live.x.reshape(m, -1)
+        cols[i, live.ids] = np.stack(
             [flat.mean(axis=1), np.sqrt(np.mean(flat * flat, axis=1)),
-             np.full(len(live), alpha_t), step.lambda_t, step.s_t, step.residual],
-            axis=1)
+             alpha_t, step.lambda_t, step.s_t, step.residual], axis=1)
         if t >= 1:
-            noise = draws[live, i + 1] if ancestral and t > 1 else None
-            xl = scheduler_step(step.eps_star, t, xl, sched, cfg.scheduler_kind, noise)
-            ok = np.isfinite(xl.reshape(len(live), -1)).all(axis=1)
-            for r in live[~ok].tolist():
-                errors[r] = TrajectoryError("non-finite latent", step=i)
-            live = live[ok]
-            x[live] = xl[ok]
+            noise = live.draws[:, i + 1] if ancestral and t > 1 else None
+            live = live._replace(x=scheduler_step(step.eps_star, t, live.x, sched,
+                                                  cfg.scheduler_kind, noise))
+            ok = np.isfinite(live.x.reshape(m, -1)).all(axis=1)
+            if not ok.all():
+                for r in live.ids[~ok].tolist():
+                    errors[r] = TrajectoryError("non-finite latent", step=i)
+                live = live.keep(ok)
+    finals = dict(zip(live.ids.tolist(), live.x))
     out: list[TrajectoryTrace | TrajectoryError] = []
     for r in range(n):
         if r in errors:
             out.append(errors[r])
             continue
-        records = [TraceRecord(i, T - 1 - i, *vals)
-                   for i, vals in enumerate(cols[:, r].tolist())]
-        out.append(TrajectoryTrace(trajectory_ids[r], records, x[r].copy()))
+        out.append(TrajectoryTrace(trajectory_ids[r], TraceRecords(cols, r),
+                                   finals[r].copy()))
     return out
 
 
@@ -253,17 +336,11 @@ def run_sampling(backend, prompts: tuple[str, str], cfg: SamplerConfig,
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    [out] = _sample_rows(backend, prompts, cfg, [rng], [trajectory_id])
+    [out] = _sample_rows(backend, [BatchItem(trajectory_id, *prompts)], cfg, [rng],
+                         [trajectory_id])
     if isinstance(out, TrajectoryError):
         raise out
     return out.final.copy(), out
-
-
-@dataclass(frozen=True)
-class BatchItem:
-    item_id: str
-    prompt_channel: str = TARGET
-    attractor_channel: str = ATTRACTOR
 
 
 @dataclass
@@ -284,25 +361,26 @@ def derive_seed(base_seed: int, item_id: str, replicate: int) -> int:
 
 def run_batch(backend, items, cfg: SamplerConfig, n_per_item: int
               ) -> list[BatchResult]:
-    """Run n_per_item trajectories per item, the item's rows as one batch
-    seeded by derive_seed; per-trajectory failures are collected instead of
-    aborting the batch."""
+    """Run n_per_item trajectories per item, all rows of all items as one
+    batch, each seeded by derive_seed, so items of one id share seeds across
+    variants. Results come in item order, then replicate order;
+    per-trajectory failures are collected instead of aborting the batch."""
     if n_per_item < 1:
         raise ValidationError(f"n_per_item must be >= 1, got {n_per_item}")
+    rows = [(item, rep) for item in items for rep in range(n_per_item)]
+    if not rows:
+        return []
+    outs = _sample_rows(
+        backend, [item for item, _ in rows], cfg,
+        [np.random.default_rng(derive_seed(cfg.seed, item.item_id, rep))
+         for item, rep in rows],
+        [f"{item.item_id}/{rep}" for item, rep in rows])
     results: list[BatchResult] = []
-    for item in items:
-        reps = range(n_per_item)
-        outs = _sample_rows(
-            backend, (item.prompt_channel, item.attractor_channel), cfg,
-            [np.random.default_rng(derive_seed(cfg.seed, item.item_id, rep))
-             for rep in reps],
-            [f"{item.item_id}/{rep}" for rep in reps])
-        for rep, out in zip(reps, outs):
-            if isinstance(out, TrajectoryError):
-                results.append(BatchResult(item.item_id, rep, None, None,
-                                           error=str(out)))
-            else:
-                results.append(BatchResult(item.item_id, rep, out.final.copy(), out))
+    for (item, rep), out in zip(rows, outs):
+        if isinstance(out, TrajectoryError):
+            results.append(BatchResult(item.item_id, rep, None, None, error=str(out)))
+        else:
+            results.append(BatchResult(item.item_id, rep, out.final.copy(), out))
     return results
 
 

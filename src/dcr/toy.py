@@ -218,49 +218,76 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Posterior:
+    """The mixture posterior's per-step constants, precomputed for every t of
+    a schedule, and the one kernel that evaluates the posterior at x_t given
+    a channel's log weights."""
+
+    def __init__(self, base: MixtureSpec, sched: NoiseScheduleSpec):
+        ab = sched.alpha_bar
+        s2 = base.sigma0 ** 2
+        v = ab * s2 + (1.0 - ab)
+        self.means = base.means
+        self.sqrt_ab = np.sqrt(ab)
+        self.scaled_means = self.sqrt_ab[:, None, None] * base.means  # (T, K, d)
+        self.two_v = 2.0 * v
+        self.shrink = self.sqrt_ab * s2 / v
+        self.sqrt_one_minus_ab = np.sqrt(1.0 - ab)
+
+    def evaluate(self, x_t, t: int, log_w: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x_t as float64, the responsibilities r_k(x_t) (..., K) and the
+        posterior mean E[x0 | x_t] (..., d)."""
+        T, dim = self.sqrt_ab.size, self.means.shape[1]
+        if not (0 <= t < T):
+            raise ValidationError(f"t must lie in [0, {T - 1}], got {t}")
+        x = np.asarray(x_t, dtype=np.float64)
+        if x.shape[-1] != dim:
+            raise ValidationError(f"x_t last dimension must be {dim}")
+        diff = x[..., None, :] - self.scaled_means[t]  # (..., K, d)
+        logr = log_w - (diff * diff).sum(axis=-1) / self.two_v[t]
+        logr = logr - logr.max(axis=-1, keepdims=True)
+        r = np.exp(logr)
+        r = r / r.sum(axis=-1, keepdims=True)
+        mhat = self.means + self.shrink[t] * diff  # (..., K, d)
+        return x, r, (r[..., None] * mhat).sum(axis=-2)
+
+    def epsilon(self, x_t, t: int, log_w: np.ndarray) -> NoisePrediction:
+        """(x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab)."""
+        x, _, mean = self.evaluate(x_t, t, log_w)
+        if self.sqrt_one_minus_ab[t] == 0.0:
+            raise ValidationError("alpha_bar[t] == 1 leaves no noise to predict")
+        return NoisePrediction.from_array(
+            (x - self.sqrt_ab[t] * mean) / self.sqrt_one_minus_ab[t])
+
+
+def _channel_posterior(channel: PromptChannel, scenario: BiasScenario,
+                       sched: NoiseScheduleSpec) -> tuple[_Posterior, np.ndarray]:
+    return (_Posterior(scenario.base, sched),
+            _log_weights(channel.weights_for(scenario.base)))
+
+
 def responsibilities(x_t: np.ndarray, t: int, channel: PromptChannel,
                      scenario: BiasScenario, sched: NoiseScheduleSpec) -> np.ndarray:
     """Posterior component responsibilities r_k(x_t), shape (..., K).
     Computed in log space; sums to 1 along the last axis."""
-    x = np.asarray(x_t, dtype=np.float64)
-    if x.shape[-1] != scenario.dim:
-        raise ValidationError(f"x_t last dimension must be {scenario.dim}")
-    if not (0 <= t < sched.T):
-        raise ValidationError(f"t must lie in [0, {sched.T - 1}], got {t}")
-    ab = sched.alpha_bar[t]
-    v = ab * scenario.base.sigma0 ** 2 + (1.0 - ab)
-    w = channel.weights_for(scenario.base)
-    diff = x[..., None, :] - np.sqrt(ab) * scenario.base.means  # (..., K, d)
-    logr = _log_weights(w) - np.sum(diff * diff, axis=-1) / (2.0 * v)
-    logr = logr - logr.max(axis=-1, keepdims=True)
-    r = np.exp(logr)
-    return r / r.sum(axis=-1, keepdims=True)
+    post, log_w = _channel_posterior(channel, scenario, sched)
+    return post.evaluate(x_t, t, log_w)[1]
 
 
 def posterior_mean(x_t: np.ndarray, t: int, channel: PromptChannel,
                    scenario: BiasScenario, sched: NoiseScheduleSpec) -> np.ndarray:
     """Exact E[x0 | x_t] for the channel's mixture; shape matches x_t."""
-    x = np.asarray(x_t, dtype=np.float64)
-    r = responsibilities(x, t, channel, scenario, sched)
-    ab = sched.alpha_bar[t]
-    v = ab * scenario.base.sigma0 ** 2 + (1.0 - ab)
-    shrink = np.sqrt(ab) * scenario.base.sigma0 ** 2 / v
-    diff = x[..., None, :] - np.sqrt(ab) * scenario.base.means
-    mhat = scenario.base.means + shrink * diff                  # (..., K, d)
-    return np.sum(r[..., None] * mhat, axis=-2)
+    post, log_w = _channel_posterior(channel, scenario, sched)
+    return post.evaluate(x_t, t, log_w)[2]
 
 
 def epsilon_prediction(x_t: np.ndarray, t: int, channel: PromptChannel,
                        scenario: BiasScenario, sched: NoiseScheduleSpec
                        ) -> NoisePrediction:
     """Exact optimal noise prediction (x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab)."""
-    ab = sched.alpha_bar[t]
-    if ab >= 1.0:
-        raise ValidationError("alpha_bar[t] == 1 leaves no noise to predict")
-    x = np.asarray(x_t, dtype=np.float64)
-    pm = posterior_mean(x, t, channel, scenario, sched)
-    eps = (x - np.sqrt(ab) * pm) / np.sqrt(1.0 - ab)
-    return NoisePrediction.from_array(eps)
+    post, log_w = _channel_posterior(channel, scenario, sched)
+    return post.epsilon(x_t, t, log_w)
 
 
 def forward_noising(x0: np.ndarray, t: int, sched: NoiseScheduleSpec,
@@ -355,7 +382,12 @@ class ToyDenoiser:
         self.scenario = scenario
         self.schedule = sched if sched is not None else cosine_schedule(scenario.steps)
         self.latent_shape = (scenario.dim,)
+        self._posterior = _Posterior(scenario.base, self.schedule)
+        self._log_weights = {label: _log_weights(ch.weights_for(scenario.base))
+                             for label, ch in scenario.channels.items()}
 
     def epsilon(self, x_t: np.ndarray, t: int, channel_label: str) -> NoisePrediction:
-        channel = self.scenario.channel(channel_label)
-        return epsilon_prediction(x_t, t, channel, self.scenario, self.schedule)
+        log_w = self._log_weights.get(channel_label)
+        if log_w is None:
+            raise ValidationError(f"unknown channel label '{channel_label}'")
+        return self._posterior.epsilon(x_t, t, log_w)

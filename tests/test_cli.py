@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from faults import NaNRows
+from faults import CountingBackend, NaNRows
 
 import dcr.cli
 from dcr.cli import main
@@ -133,6 +133,19 @@ class TestAblate:
         assert run("ablate", "--variants", "full-dcr,wat", "--n", "4", "--out",
                    str(tmp_path / "w")) == 1
 
+    def test_one_backend_call_per_channel_and_step(self, tmp_path, monkeypatch):
+        # all six variants step as one batch: 3 calls per step, not 15
+        backends = []
+
+        def counting(scenario, sched):
+            backends.append(CountingBackend(scenario, sched))
+            return backends[-1]
+
+        monkeypatch.setattr(dcr.cli, "ToyDenoiser", counting)
+        assert run("ablate", "--n", "3", *FAST, "--out", str(tmp_path / "c")) == 0
+        assert [be.calls for be in backends] == [
+            {"uncond": 12, "target": 12, "attractor": 12}]
+
 
 class TestSweep:
     def test_eta_zero_row_equals_plain_cfg(self, tmp_path):
@@ -243,6 +256,30 @@ class TestConfigPrecedence:
     def test_unreadable_config_is_usage_error(self, tmp_path):
         assert run("sample", "--config", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("doc", [{"scheduler": "bogus"}, {"eta": "lots"},
+                                     {"seed": "x"}, {"steps": 50.7}, {"w": None},
+                                     {"seed": True}])
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run("sample", "--config", str(cfg), "--n", "1", "--out", str(out)) == 1
+        assert f"dcr: error: config file: {next(iter(doc))} must be" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "0"],
+    ["ablate", "--n", "0"],
+    ["sweep", "--axis", "eta", "--values", "1", "--w", "3.5", "--n", "-2"],
+    ["bench", "--n-per-item", "0"],
+])
+def test_count_below_one_is_rejected_before_the_output_directory(tmp_path, argv):
+    out = tmp_path / "never"
+    assert run(*argv, *FAST, "--out", str(out)) == 1
+    assert not out.exists()
 
 
 class TestBenchWithJudge:

@@ -3,7 +3,7 @@ import dataclasses
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcr.errors import ShapeMismatchError, ValidationError
@@ -341,18 +341,23 @@ def _bits(x) -> bytes:
 @st.composite
 def guided_rows_case(draw):
     """(N, D) branch outputs with exact ties mixed in (a zero CFG update, a
-    probe equal to the target, a repeated row), a guidance config and alpha_t."""
+    probe equal to the target, a repeated row) or an attractor branch far
+    along the CFG direction (so repulsion fires), a guidance config and
+    alpha_t."""
     n, d = draw(st.integers(1, 8)), draw(st.integers(1, 5))
     values = hnp.arrays(np.float64, (n, d),
                         elements=st.floats(-100.0, 100.0, allow_subnormal=False))
     e_neg, e_text, e_attr = draw(values), draw(values), draw(values)
-    tie = draw(st.sampled_from(["none", "text=neg", "attr=text", "attr=neg"]))
+    tie = draw(st.sampled_from(["none", "text=neg", "attr=text", "attr=neg",
+                                "attr=aligned"]))
     if tie == "text=neg":
         e_text = e_neg.copy()
     elif tie == "attr=text":
         e_attr = e_text.copy()
     elif tie == "attr=neg":
         e_attr = e_neg.copy()
+    elif tie == "attr=aligned":
+        e_attr = e_neg + draw(st.floats(2.0, 50.0)) * (e_text - e_neg) + 0.01 * e_attr
     w = draw(st.floats(0.1, 8.0))
     g = cfg(w=w, w_attr=draw(st.floats(0.0, w, exclude_max=True)),
             eta=draw(st.sampled_from([0.0, 1.0, 64.0]) | st.floats(0.0, 100.0)),
@@ -435,3 +440,101 @@ class TestGuidedRows:
             dcr_guided_rows(z, np.zeros((2, 2)), z, 0.5, cfg())
         with pytest.raises(ShapeMismatchError):
             dcr_guided_rows(np.zeros(3), np.zeros(3), None, 0.5, cfg())
+        with pytest.raises(ValidationError):
+            dcr_guided_rows(z, z, z, np.array([0.5, 1.5]), cfg())
+        with pytest.raises(ShapeMismatchError):
+            dcr_guided_rows(z, z, z, np.full(3, 0.5), cfg())
+        with pytest.raises(ShapeMismatchError):
+            dcr_guided_rows(z, z, z, 0.5, cfg(), repel=np.array([True]))
+        with pytest.raises(ShapeMismatchError):
+            dcr_guided_rows(z, z, z, 0.5, cfg(), probe=np.ones((2, 1), dtype=bool))
+
+
+@st.composite
+def repelling_case(draw):
+    """A guided_rows_case whose attractor branch lies far along the CFG
+    direction, with w_attr, eta and alpha_t large enough that repulsion
+    fires on most rows."""
+    e_neg, e_text, e_attr, g, _ = draw(guided_rows_case())
+    e_attr = e_neg + draw(st.floats(2.0, 50.0)) * (e_text - e_neg) + 0.01 * e_attr
+    g = dataclasses.replace(g, w_attr=draw(st.floats(g.w / 2, g.w, exclude_max=True)),
+                            eta=draw(st.floats(0.5, 100.0)))
+    return e_neg, e_text, e_attr, g, draw(st.floats(0.05, 1.0))
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt((a * a).sum(axis=1))
+
+
+class TestGuidedRowsProperties:
+    """Invariants of the row-wise step. The correction removes only the
+    positive projection of the CFG update on the drift, as in APG (Sadat et
+    al. 2024, arXiv:2410.02416), and the schedule confines it to an interval
+    of the trajectory, as limited-interval guidance (Kynkaanniemi et al.
+    2024, arXiv:2404.07724) does for CFG itself."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(guided_rows_case() | repelling_case(), st.data())
+    def test_per_row_arrays_equal_single_row_calls(self, case, data):
+        # rows of different variants share one call: each row is bitwise its
+        # own call with scalar alpha_t, repel and probe
+        e_neg, e_text, e_attr, g, _ = case
+        n = e_neg.shape[0]
+        alpha = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+        repel = data.draw(hnp.arrays(np.bool_, n))
+        probe = data.draw(hnp.arrays(np.bool_, n))
+        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel,
+                               probe=probe)
+        for r in range(n):
+            one = dcr_guided_rows(e_neg[r:r + 1], e_text[r:r + 1],
+                                  e_attr[r:r + 1] if probe[r] else None,
+                                  float(alpha[r]), g, repel=bool(repel[r]))
+            for name in ("eps_star", "s_t", "n_t", "lambda_t", "residual"):
+                assert getattr(rows, name)[r].tobytes() == \
+                    getattr(one, name)[0].tobytes(), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(guided_rows_case() | repelling_case(), st.booleans())
+    def test_correction_is_at_most_alpha_eta_times_the_cfg_update(self, case, repel):
+        # |delta* - delta_ref| = lambda |drift| <= alpha eta |delta_ref| by
+        # Cauchy-Schwarz; the slack covers rounding of the sums around it
+        e_neg, e_text, e_attr, g, alpha = case
+        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel)
+        plain = dcr_guided_rows(e_neg, e_text, None, alpha, g)
+        delta_ref = g.w * (e_text - e_neg)
+        bound = alpha * g.eta * _norms(delta_ref)
+        slack = 1e-12 * (_norms(e_neg) + _norms(delta_ref) + bound)
+        assert np.all(_norms(rows.eps_star - plain.eps_star) <= bound + slack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(guided_rows_case() | repelling_case())
+    def test_repulsion_lowers_the_alignment_with_the_drift(self, case):
+        # <delta*, drift> = s_t - lambda_t |drift|^2 < s_t whenever lambda_t > 0;
+        # checked where that decrease exceeds the rounding of the dot product
+        e_neg, e_text, e_attr, g, alpha = case
+        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g)
+        drift = g.w_attr * (e_attr - e_neg) - g.w * (e_text - e_neg)
+        after = ((rows.eps_star - e_neg) * drift).sum(axis=1)
+        decrease = rows.lambda_t * (drift * drift).sum(axis=1)
+        noise = 1e-12 * (_norms(rows.eps_star) + _norms(e_neg)) * _norms(drift)
+        fired = rows.lambda_t > 0.0
+        assert np.all(rows.s_t[fired] > 0.0)
+        assert np.all(after[fired] <= rows.s_t[fired] + noise[fired])
+        resolved = fired & (decrease > noise)
+        assert np.all(after[resolved] < rows.s_t[resolved])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 200), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.25, 4.0))
+    def test_schedule_is_monotone_on_the_interval_and_zero_outside(
+            self, total, a, b, gamma):
+        assume(a != b)
+        g = cfg(r_s=min(a, b), r_e=max(a, b), gamma=gamma)
+        steps = [StepPosition(i, total) for i in range(total)]
+        alphas = [schedule_alpha(pos, g) for pos in steps]
+        inside = [al for pos, al in zip(steps, alphas)
+                  if g.r_s <= pos.progress <= g.r_e]
+        assert all(0.0 <= al <= 1.0 for al in inside)
+        assert all(x <= y for x, y in zip(inside, inside[1:]))
+        assert all(al == 0.0 for pos, al in zip(steps, alphas)
+                   if not g.r_s <= pos.progress <= g.r_e)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from faults import NaNRows
+from faults import CountingBackend, NaNRows, NaNWhere
 
 from dcr.errors import ConfigurationError, TrajectoryError, ValidationError
 from dcr.guidance import GuidanceConfig, NoisePrediction
@@ -93,6 +93,17 @@ class TestRunSampling:
         _, trace = run_sampling(be, (TARGET, ATTRACTOR), cfg)
         assert len(trace.records) == cfg.T
         assert trace.final is not None
+
+    def test_records_index_like_a_list(self):
+        be, _ = backend()
+        _, trace = run_sampling(be, (TARGET, ATTRACTOR), small_cfg())
+        records = list(trace.records)
+        assert [rec.step for rec in records] == list(range(40))
+        assert [rec.t for rec in records] == list(range(39, -1, -1))
+        assert trace.records[0] == records[0] and trace.records[-1] == records[-1]
+        assert trace.records[3:7] == records[3:7]
+        with pytest.raises(IndexError):
+            trace.records[40]
 
     def test_ddim_final_is_pure_function_of_seed(self):
         be, _ = backend()
@@ -276,6 +287,70 @@ class TestRunBatch:
         assert all(r.error == "non-finite latent (step 2)" for r in errs)
 
 
+# Two items with different channel pairs, so the rows of one batch need
+# different channels in each branch.
+MIXED_ITEMS = (BatchItem("a", TARGET, ATTRACTOR), BatchItem("b", ATTRACTOR, TARGET))
+
+
+def mixed_batch(be, cfg, n_per_item):
+    """Every item under every variant as one batch, and each item-and-variant
+    batch alone, in the same order."""
+    items = [dataclasses.replace(item, variant=v) for item in MIXED_ITEMS
+             for v in Variant]
+    mixed = run_batch(be, items, cfg, n_per_item)
+    alone = [r for item in items
+             for r in run_batch(be, [dataclasses.replace(item, variant=None)],
+                                dataclasses.replace(cfg, variant=item.variant),
+                                n_per_item)]
+    return mixed, alone
+
+
+class TestMixedBatch:
+    """All items and variants of a run step as one batch; each row's result
+    is bitwise that of its own item-and-variant batch."""
+
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    def test_equals_each_item_and_variant_batch(self, scheduler):
+        # at seed 3 repulsion fires in both schedulers
+        sc = default_scenario()
+        cfg = SamplerConfig(T=sc.steps, guidance=sc.guidance, scheduler_kind=scheduler,
+                            seed=3)
+        mixed, alone = mixed_batch(ToyDenoiser(sc, cosine_schedule(cfg.T)), cfg, 3)
+        assert len(mixed) == len(alone) == 2 * len(Variant) * 3
+        for got, want in zip(mixed, alone):
+            assert (got.item_id, got.replicate) == (want.item_id, want.replicate)
+            assert got.final.tobytes() == want.final.tobytes()
+            assert got.trace.trajectory_id == want.trace.trajectory_id
+            assert record_bytes(got.trace) == record_bytes(want.trace)
+        # the repulsion path is exercised, not only plain CFG
+        assert any(rec.lambda_t > 0.0 for r in mixed for rec in r.trace.records)
+
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    def test_fault_fails_only_its_own_rows_at_the_same_step(self, scheduler):
+        T, k = 12, 4
+        sc = default_scenario()
+        cfg = small_cfg(T=T, seed=2, scheduler=scheduler)
+        mixed, alone = mixed_batch(NaNWhere(sc, cosine_schedule(T), k), cfg, 3)
+        errors = [r.error for r in mixed if r.error is not None]
+        assert errors and len(errors) < len(mixed)
+        assert all(e.startswith("backend failure: ") and e.endswith(f"(step {k})")
+                   for e in errors)
+        for got, want in zip(mixed, alone):
+            assert got.error == want.error
+            if want.error is None:
+                assert got.final.tobytes() == want.final.tobytes()
+                assert record_bytes(got.trace) == record_bytes(want.trace)
+
+    def test_item_variant_overrides_the_config(self):
+        be, _ = backend(T=8)
+        cfg = small_cfg(T=8, variant=Variant.FULL_DCR)
+        [item] = run_batch(be, [BatchItem("v", variant="plain-cfg")], cfg, 1)
+        [plain] = run_batch(be, [BatchItem("v")],
+                            small_cfg(T=8, variant=Variant.PLAIN_CFG), 1)
+        assert item.final.tobytes() == plain.final.tobytes()
+        assert record_bytes(item.trace) == record_bytes(plain.trace)
+
+
 class TestTraceExport:
     def test_roundtrip_and_field_order(self, tmp_path):
         be, _ = backend(T=6)
@@ -330,16 +405,6 @@ class TestCollapseInvariant:
         assert hits > 0
 
 
-class CountingBackend(ToyDenoiser):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.calls = {}
-
-    def epsilon(self, x_t, t, channel_label):
-        self.calls[channel_label] = self.calls.get(channel_label, 0) + 1
-        return super().epsilon(x_t, t, channel_label)
-
-
 class TestGuidedStep:
     # channel evaluations per step; the attractor branch is skipped where the
     # variant has no use for it
@@ -362,3 +427,12 @@ class TestGuidedStep:
         be.calls = {}
         run_batch(be, [BatchItem("calls")], small_cfg(variant, T=T), 4)
         assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
+
+    def test_all_variants_in_one_batch_call_each_channel_once_per_step(self):
+        # the ablation shape: six variants of one item; per-variant batches
+        # would make 15 calls per step
+        T = 12
+        be = CountingBackend(default_scenario(), cosine_schedule(T))
+        run_batch(be, [BatchItem("calls", variant=v) for v in Variant],
+                  small_cfg(T=T), 4)
+        assert be.calls == {"uncond": T, "target": T, "attractor": T}
