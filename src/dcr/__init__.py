@@ -9,7 +9,7 @@ from .guidance import (GuidanceConfig, GuidanceUpdate, NoisePrediction,
                        dcr_guided_rows,
                        probe_prediction, repulsion_coefficient, schedule_alpha,
                        target_prediction)
-from .sampling import (BatchItem, SamplerConfig, SchedulerKind, TrajectoryTrace,
+from .sampling import (Batch, BatchItem, SamplerConfig, SchedulerKind, TrajectoryTrace,
                        Variant, run_batch, run_sampling, scheduler_step)
 from .toy import (ATTRACTOR, TARGET, UNCOND, BiasScenario, MixtureSpec,
                   NoiseScheduleSpec, PromptChannel, ToyDenoiser, cosine_schedule,

@@ -11,6 +11,7 @@ endpoints and keys. Exit codes: 0 success, 1 usage/configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -123,9 +124,44 @@ def _sampler_config(args, cfg_file, scenario, variant) -> SamplerConfig:
                          scheduler_kind=SchedulerKind(scheduler), seed=int(seed))
 
 
+# Every artifact names the manifest, which is written last: its presence
+# means the run's artifacts are complete.
+MANIFEST = "manifest.json"
+
+
+def _out_dir(args) -> Path:
+    """The output directory, without an earlier run's manifest."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / MANIFEST).unlink(missing_ok=True)
+    return outdir
+
+
+@contextlib.contextmanager
+def _artifact(path: Path):
+    """A temporary path beside ``path``, moved onto it if the block succeeds
+    and removed if it raises, so an artifact is whole or absent."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _artifact(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with _artifact(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# manifest: {MANIFEST}\n")
+        csv.writer(fh).writerows([header, *rows])
+
+
 def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
-                    cfg: SamplerConfig, scenario: BiasScenario, extra: dict) -> str:
-    """Write ``manifest.json`` and return the name the artifacts refer to."""
+                    cfg: SamplerConfig, scenario: BiasScenario, extra: dict) -> None:
     args_dict = {k: v for k, v in (vars(args) | {"config_file": cfg_file}).items()
                  if k != "func" and isinstance(v, (str, int, float, bool, dict,
                                                    list, type(None)))}
@@ -143,9 +179,7 @@ def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
         "sampler": dataclasses.asdict(cfg),
         "scenario": scenario_doc(scenario),
     } | extra
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return path.name
+    _write_text(outdir / MANIFEST, json.dumps(doc, indent=2) + "\n")
 
 
 def _run_scenario_batch(scenario, cfg: SamplerConfig, n: int, variants=(None,)):
@@ -160,29 +194,23 @@ def cmd_sample(args) -> int:
     cfg_file = _load_config_file(args.config)
     scenario = _resolve_scenario(args.scenario)
     cfg = _sampler_config(args, cfg_file, scenario, args.variant)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    results = _run_scenario_batch(scenario, cfg, args.n)
-    failures = [r for r in results if r.error is not None]
-    mref = _write_manifest(outdir, "sample", args, cfg_file, cfg, scenario,
-                           {"n": args.n, "failures": len(failures)})
-    write_traces_jsonl((r.trace for r in results if r.trace is not None),
-                       outdir / "traces.jsonl", manifest_ref=mref)
-    with (outdir / "samples.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest: {mref}\n")
-        writer = csv.writer(fh)
-        dim = scenario.dim
-        writer.writerow(["trajectory_id", "replicate"]
-                        + [f"x{i}" for i in range(dim)] + ["mode", "collapsed"])
-        for r in results:
-            if r.final is None:
-                continue
-            mode = mode_assignment(r.final, scenario)
-            writer.writerow([f"{r.item_id}/{r.replicate}", r.replicate]
-                            + [repr(float(v)) for v in r.final]
-                            + [mode, mode == scenario.dominant_index])
-    print(f"wrote {len(results) - len(failures)} trajectories to {outdir} "
-          f"({len(failures)} failures)")
+    outdir = _out_dir(args)
+    batch = _run_scenario_batch(scenario, cfg, args.n)
+    good = np.flatnonzero(batch.ok).tolist()
+    failures = len(batch) - len(good)
+    with _artifact(outdir / "traces.jsonl") as tmp:
+        write_traces_jsonl((batch[r].trace for r in good), tmp, manifest_ref=MANIFEST)
+    finals = batch.finals[good]
+    modes = mode_assignment(finals, scenario).tolist()
+    _write_csv(outdir / "samples.csv",
+               ["trajectory_id", "replicate"]
+               + [f"x{i}" for i in range(scenario.dim)] + ["mode", "collapsed"],
+               ([batch.trajectory_ids[r], batch.keys[r][1]] + [repr(v) for v in x]
+                + [mode, mode == scenario.dominant_index]
+                for r, x, mode in zip(good, finals.tolist(), modes)))
+    _write_manifest(outdir, "sample", args, cfg_file, cfg, scenario,
+                    {"n": args.n, "failures": failures})
+    print(f"wrote {len(good)} trajectories to {outdir} ({failures} failures)")
     if failures and args.strict:
         return 2
     return 0
@@ -199,36 +227,30 @@ def _collapse_report(name: str, args, cfg_file: dict, scenario: BiasScenario,
     the label's columns, then n, failures and the collapse fraction with its
     Wilson interval. Runs whose configs differ only in the variant are
     sampled as one batch."""
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args)
     groups: dict[SamplerConfig, list[int]] = {}
     for k, (_, cfg) in enumerate(runs):
         groups.setdefault(dataclasses.replace(cfg, variant=Variant.FULL_DCR),
                           []).append(k)
-    per_run = [None] * len(runs)
+    rows = [None] * len(runs)
     n = args.n
     for cfg, ks in groups.items():
         batch = _run_scenario_batch(scenario, cfg, n, [runs[k][1].variant for k in ks])
+        ok = batch.ok
         for j, k in enumerate(ks):
-            per_run[k] = batch[j * n:(j + 1) * n]
-    rows = []
-    for (label, _), results in zip(runs, per_run):
-        finals = [r.final for r in results if r.final is not None]
-        frac = toy_collapse_fraction(finals, scenario)
-        lo, hi = wilson_interval(int(round(frac * len(finals))), len(finals))
-        rows.append(label | {"n": len(finals),
-                             "failures": sum(1 for r in results if r.error is not None),
-                             "collapse_fraction": frac, "wilson_lo": lo, "wilson_hi": hi})
-    mref = _write_manifest(outdir, name, args, cfg_file, runs[0][1], scenario,
-                           manifest_extra)
-    with (outdir / f"{name}_report.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest: {mref}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    (outdir / f"{name}_report.json").write_text(
-        json.dumps({"manifest": mref, "rows": rows} | report_extra, indent=2) + "\n",
-        encoding="utf-8")
+            span = slice(j * n, (j + 1) * n)
+            finals = batch.finals[span][ok[span]]
+            frac = toy_collapse_fraction(finals, scenario)
+            lo, hi = wilson_interval(int(round(frac * len(finals))), len(finals))
+            rows[k] = runs[k][0] | {"n": len(finals), "failures": n - len(finals),
+                                    "collapse_fraction": frac, "wilson_lo": lo,
+                                    "wilson_hi": hi}
+    _write_csv(outdir / f"{name}_report.csv", list(rows[0]),
+               (row.values() for row in rows))
+    _write_text(outdir / f"{name}_report.json",
+                json.dumps({"manifest": MANIFEST, "rows": rows} | report_extra,
+                           indent=2) + "\n")
+    _write_manifest(outdir, name, args, cfg_file, runs[0][1], scenario, manifest_extra)
     return rows
 
 
@@ -334,8 +356,7 @@ def cmd_bench(args) -> int:
         suite.validate_canonical()
     scenario = _resolve_scenario(args.scenario)
     cfg = _sampler_config(args, cfg_file, scenario, args.variant)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args)
     items = [BatchItem(item.id, TARGET, ATTRACTOR) for item in suite.items]
     results = run_batch(ToyDenoiser(scenario, cosine_schedule(cfg.T)), items,
                         cfg, args.n_per_item)
@@ -377,16 +398,13 @@ def cmd_bench(args) -> int:
     report = aggregate_report(rows, by_category=True, method=cfg.variant.value)
     if judge_failures:
         report.notes.append(f"judge verdicts missing for {judge_failures} items")
-    mref = _write_manifest(outdir, "bench", args, cfg_file, cfg, scenario,
-                           {"suite_items": len(suite.items),
-                            "n_per_item": args.n_per_item})
-    csv_text = report_to_csv(report)
-    (outdir / "bench_report.csv").write_text(
-        f"# manifest: {mref}\n" + csv_text, encoding="utf-8")
+    _write_text(outdir / "bench_report.csv",
+                f"# manifest: {MANIFEST}\n" + report_to_csv(report))
     doc = json.loads(report_to_json(report))
-    doc["manifest"] = mref
-    (outdir / "bench_report.json").write_text(json.dumps(doc, indent=2) + "\n",
-                                              encoding="utf-8")
+    doc["manifest"] = MANIFEST
+    _write_text(outdir / "bench_report.json", json.dumps(doc, indent=2) + "\n")
+    _write_manifest(outdir, "bench", args, cfg_file, cfg, scenario,
+                    {"suite_items": len(suite.items), "n_per_item": args.n_per_item})
     print(f"evaluated {len(rows)} trajectories over {len(suite.items)} items; "
           f"cvr={report.overall.mean.get('cvr', float('nan')):.4f}")
     return 0

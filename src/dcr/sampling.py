@@ -15,7 +15,7 @@ import enum
 import hashlib
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -89,19 +89,25 @@ class TraceRecords(Sequence):
     def __len__(self) -> int:
         return self._cols.shape[0]
 
-    def __iter__(self):
-        T = len(self)
-        for i, vals in enumerate(self._cols[:, self._row].tolist()):
-            yield TraceRecord(i, T - 1 - i, *vals)
-
     def __getitem__(self, index):
-        return list(self)[index]
+        steps, vals = range(len(self))[index], self._cols[index, self._row].tolist()
+        if isinstance(steps, int):
+            return TraceRecord(steps, len(self) - 1 - steps, *vals)
+        return [TraceRecord(i, len(self) - 1 - i, *v) for i, v in zip(steps, vals)]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def exported(self) -> np.ndarray:
+        """(T, 4): the alpha_t, lambda_t, s_t and residual columns that
+        dcr-trace@1 exports, one row per step."""
+        return self._cols[:, self._row, 2:]
 
 
 @dataclass
 class TrajectoryTrace:
     trajectory_id: str
-    records: Sequence[TraceRecord] = field(default_factory=list)
+    records: TraceRecords
     final: np.ndarray | None = None
 
 
@@ -229,13 +235,14 @@ def _branch_rows(backend, x: np.ndarray, t: int, labels: list[str],
     return preds, failed
 
 
-def _sample_rows(backend, items: list[BatchItem], cfg: SamplerConfig,
-                 rngs, trajectory_ids) -> list[TrajectoryTrace | TrajectoryError]:
+def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
+                 rngs, trajectory_ids) -> "Batch":
     """The sampling loop: steps the live rows together as one
-    (N, *latent_shape) array and returns, per row, its trace or its error.
+    (N, *latent_shape) array and returns their results as one columnar Batch.
 
-    Row r runs items[r]'s channels under its variant (cfg.variant when the
-    item names none); the rows share cfg's T, scheduler and guidance. Each
+    Row r is replicate rows[r][1] of item rows[r][0] and runs the item's
+    channels under its variant (cfg.variant when the item names none); the
+    rows share cfg's T, scheduler and guidance. Each
     step calls the backend once per channel, on the live rows that need it,
     and builds every row's negative, text and probe branches from those
     calls, so a row's result is bitwise that of a batch of its own.
@@ -257,6 +264,7 @@ def _sample_rows(backend, items: list[BatchItem], cfg: SamplerConfig,
     ancestral = cfg.scheduler_kind is SchedulerKind.ANCESTRAL_DDPM
     draw_shape = (T - 1 if ancestral else 1, *backend.latent_shape)
     draws = np.stack([rng.standard_normal(draw_shape) for rng in rngs])
+    items = [item for item, _ in rows]
     parts = [_VARIANT_PARTS[item.variant or cfg.variant] for item in items]
     # per row, the channel of its negative, text and probe branch; a row
     # without a probe reads its text channel there, which the step ignores
@@ -268,11 +276,11 @@ def _sample_rows(backend, items: list[BatchItem], cfg: SamplerConfig,
     labels = list(dict.fromkeys(label for row in branch_labels for label in row))
     code = np.array([[labels.index(label) for label in row] for row in branch_labels])
     probe = np.array([p.probe is not None for p in parts])
-    rows = np.arange(n)
+    ids = np.arange(n)
     needs = np.zeros((n, len(labels)), dtype=bool)
-    needs[rows, code[:, 0]] = needs[rows, code[:, 1]] = True
-    needs[rows[probe], code[probe, 2]] = True
-    live = _Live(rows, draws[:, 0].copy(), code, needs,
+    needs[ids, code[:, 0]] = needs[ids, code[:, 1]] = True
+    needs[ids[probe], code[probe, 2]] = True
+    live = _Live(ids, draws[:, 0].copy(), code, needs,
                  np.array([np.nan if p.alpha is None else p.alpha for p in parts]),
                  np.array([p.repel for p in parts]), probe, draws)
     # per step and row: x_mean, x_rms, alpha_t, lambda_t, s_t, residual
@@ -313,15 +321,10 @@ def _sample_rows(backend, items: list[BatchItem], cfg: SamplerConfig,
                 for r in live.ids[~ok].tolist():
                     errors[r] = TrajectoryError("non-finite latent", step=i)
                 live = live.keep(ok)
-    finals = dict(zip(live.ids.tolist(), live.x))
-    out: list[TrajectoryTrace | TrajectoryError] = []
-    for r in range(n):
-        if r in errors:
-            out.append(errors[r])
-            continue
-        out.append(TrajectoryTrace(trajectory_ids[r], TraceRecords(cols, r),
-                                   finals[r].copy()))
-    return out
+    finals = np.full((n, *backend.latent_shape), np.nan)
+    finals[live.ids] = live.x
+    return Batch([(item.item_id, rep) for item, rep in rows], list(trajectory_ids),
+                 finals, errors, cols)
 
 
 def run_sampling(backend, prompts: tuple[str, str], cfg: SamplerConfig,
@@ -336,11 +339,12 @@ def run_sampling(backend, prompts: tuple[str, str], cfg: SamplerConfig,
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    [out] = _sample_rows(backend, [BatchItem(trajectory_id, *prompts)], cfg, [rng],
-                         [trajectory_id])
-    if isinstance(out, TrajectoryError):
-        raise out
-    return out.final.copy(), out
+    batch = _sample_rows(backend, [(BatchItem(trajectory_id, *prompts), 0)], cfg,
+                         [rng], [trajectory_id])
+    if batch.errors:
+        raise batch.errors[0]
+    [out] = batch
+    return out.final.copy(), out.trace
 
 
 @dataclass
@@ -352,6 +356,38 @@ class BatchResult:
     error: str | None = None
 
 
+class Batch(Sequence):
+    """A batch's results as columns: row r is replicate keys[r][1] of item
+    keys[r][0], traced as trajectory_ids[r], with its final latent finals[r]
+    (NaN if it failed), its errors[r] if it failed and its (T, 6)
+    diagnostics[:, r]; the arrays are read-only. Row views (BatchResult) are
+    built on access."""
+
+    def __init__(self, keys: list[tuple[str, int]], trajectory_ids: list[str],
+                 finals: np.ndarray, errors: dict[int, TrajectoryError],
+                 diagnostics: np.ndarray):
+        self.keys, self.trajectory_ids, self.errors = keys, trajectory_ids, errors
+        self.finals, self.diagnostics = finals, diagnostics
+        finals.flags.writeable = diagnostics.flags.writeable = False
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Per row, whether it ran to the clean step."""
+        return ~np.isin(np.arange(len(self)), list(self.errors))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index: int) -> BatchResult:
+        r = range(len(self))[index]
+        item_id, rep = self.keys[r]
+        if r in self.errors:
+            return BatchResult(item_id, rep, None, None, error=str(self.errors[r]))
+        final = self.finals[r]
+        return BatchResult(item_id, rep, final, TrajectoryTrace(
+            self.trajectory_ids[r], TraceRecords(self.diagnostics, r), final))
+
+
 def derive_seed(base_seed: int, item_id: str, replicate: int) -> int:
     """Deterministic per-trajectory seed, independent of execution order."""
     digest = hashlib.blake2b(f"{item_id}|{replicate}".encode("utf-8"),
@@ -359,29 +395,22 @@ def derive_seed(base_seed: int, item_id: str, replicate: int) -> int:
     return (int(base_seed) ^ int.from_bytes(digest, "big")) & (2 ** 63 - 1)
 
 
-def run_batch(backend, items, cfg: SamplerConfig, n_per_item: int
-              ) -> list[BatchResult]:
+def run_batch(backend, items, cfg: SamplerConfig, n_per_item: int) -> Batch:
     """Run n_per_item trajectories per item, all rows of all items as one
     batch, each seeded by derive_seed, so items of one id share seeds across
-    variants. Results come in item order, then replicate order;
+    variants. Rows come in item order, then replicate order;
     per-trajectory failures are collected instead of aborting the batch."""
     if n_per_item < 1:
         raise ValidationError(f"n_per_item must be >= 1, got {n_per_item}")
     rows = [(item, rep) for item in items for rep in range(n_per_item)]
     if not rows:
-        return []
-    outs = _sample_rows(
-        backend, [item for item, _ in rows], cfg,
+        return Batch([], [], np.empty((0, *backend.latent_shape)), {},
+                     np.empty((cfg.T, 0, 6)))
+    return _sample_rows(
+        backend, rows, cfg,
         [np.random.default_rng(derive_seed(cfg.seed, item.item_id, rep))
          for item, rep in rows],
         [f"{item.item_id}/{rep}" for item, rep in rows])
-    results: list[BatchResult] = []
-    for (item, rep), out in zip(rows, outs):
-        if isinstance(out, TrajectoryError):
-            results.append(BatchResult(item.item_id, rep, None, None, error=str(out)))
-        else:
-            results.append(BatchResult(item.item_id, rep, out.final.copy(), out))
-    return results
 
 
 def write_traces_jsonl(traces, path, manifest_ref: str | None = None) -> None:
@@ -390,24 +419,39 @@ def write_traces_jsonl(traces, path, manifest_ref: str | None = None) -> None:
     Line 1 is a header record {"schema", "manifest"}. Then, per trace, one
     record per step with fields in the documented order
     (trajectory_id, step, alpha_t, lambda_t, s_t, residual) followed by a
-    final-sample record {"trajectory_id", "final"}.
+    final-sample record {"trajectory_id", "final"}. Step records are
+    formatted from the diagnostics columns as json.dumps spells them; a
+    column bitwise equal to the previous trace's (alpha_t, mostly) is
+    formatted once.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {"schema": TRACE_SCHEMA, "manifest": manifest_ref}
-        fh.write(json.dumps(header) + "\n")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"schema": TRACE_SCHEMA, "manifest": manifest_ref}) + "\n")
+        last = [(b"", [])] * 4  # per column: the previous trace's bytes and text
         for trace in traces:
-            for rec in trace.records:
-                row = {"trajectory_id": trace.trajectory_id, "step": rec.step,
-                       "alpha_t": rec.alpha_t, "lambda_t": rec.lambda_t,
-                       "s_t": rec.s_t, "residual": rec.residual}
-                fh.write(json.dumps(row) + "\n")
+            cols = trace.records.exported().T
+            spell = float.__repr__ if np.isfinite(cols).all() else json.dumps
+            for j, col in enumerate(cols):
+                if last[j][0] != (key := col.tobytes()):
+                    last[j] = key, list(map(spell, col.tolist()))
+            head = '{"trajectory_id": ' + json.dumps(trace.trajectory_id) + ', "step": '
+            fh.writelines(
+                f'{head}{i}, "alpha_t": {a}, "lambda_t": {lam}, "s_t": {s_t}, '
+                f'"residual": {res}}}\n'
+                for i, (a, lam, s_t, res) in enumerate(zip(*(text for _, text in last))))
             fh.write(json.dumps({"trajectory_id": trace.trajectory_id,
                                  "final": np.asarray(trace.final).tolist()}) + "\n")
 
 
 def read_traces_jsonl(path) -> tuple[dict, list[dict]]:
-    """Returns (header, records) for a trace file written by write_traces_jsonl."""
+    """Returns (header, records) for a trace file written by write_traces_jsonl;
+    ValidationError if it does not start with a dcr-trace@1 header."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = json.loads(lines[0])
-    return header, [json.loads(line) for line in lines[1:]]
+    try:
+        header = json.loads(lines[0]) if lines else None
+        if not isinstance(header, dict) or header.get("schema") != TRACE_SCHEMA:
+            first = lines[0][:80] if lines else ""
+            raise ValidationError(
+                f"trace file {path}: first line {first!r} is not a {TRACE_SCHEMA} header")
+        return header, json.loads("[" + ",".join(lines[1:]) + "]")
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"trace file {path}: not JSON lines: {exc}") from exc

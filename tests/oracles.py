@@ -11,6 +11,7 @@ Run as a script to regenerate the pinned plain-CFG collapse reference:
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -159,6 +160,30 @@ def weighted_posterior_mean_mc(x_t, ab, weights, n_samples, seed):
         var = sum((w * (x0[j] - est[j])) ** 2 for w, x0 in samples) / (den * den)
         se.append(math.sqrt(var))
     return est, se
+
+
+def write_traces_jsonl(traces, path, manifest_ref=None) -> None:
+    """Reference dcr-trace@1 writer: one json.dumps call per record, built
+    from the TraceRecord objects of each trace's records."""
+    with open(path, "w", encoding="utf-8") as fh:
+        header = {"schema": "dcr-trace@1", "manifest": manifest_ref}
+        fh.write(json.dumps(header) + "\n")
+        for trace in traces:
+            for rec in trace.records:
+                row = {"trajectory_id": trace.trajectory_id, "step": rec.step,
+                       "alpha_t": rec.alpha_t, "lambda_t": rec.lambda_t,
+                       "s_t": rec.s_t, "residual": rec.residual}
+                fh.write(json.dumps(row) + "\n")
+            fh.write(json.dumps({"trajectory_id": trace.trajectory_id,
+                                 "final": trace.final.tolist()}) + "\n")
+
+
+def read_traces_jsonl(path) -> tuple[dict, list[dict]]:
+    """Reference dcr-trace@1 reader: one json.loads call per line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = json.loads(lines[0])
+    return header, [json.loads(line) for line in lines[1:]]
 
 
 if __name__ == "__main__":

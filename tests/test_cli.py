@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,18 @@ class TestSample:
         assert run(*args, "--strict", "--out", str(out)) == 2
         assert json.loads((out / "manifest.json").read_text())["failures"] == 1
         assert [r["replicate"] for r in read_csv(out / "samples.csv")] == ["0", "2", "3"]
+
+    def test_modes_come_from_one_assignment_call(self, tmp_path, monkeypatch):
+        shapes = []
+        real = dcr.cli.mode_assignment
+
+        def counting(x, scenario):
+            shapes.append(np.shape(x))
+            return real(x, scenario)
+
+        monkeypatch.setattr(dcr.cli, "mode_assignment", counting)
+        assert run("sample", "--n", "6", *FAST, "--out", str(tmp_path / "m")) == 0
+        assert shapes == [(6, 2)]
 
     def test_scenario_file_roundtrip(self, tmp_path):
         from dcr.toy import default_scenario, save_scenario
@@ -315,3 +328,68 @@ class TestBenchWithJudge:
             assert len(audit) == 16  # one exchange per item
         finally:
             server.shutdown()
+
+
+# command argv and the artifacts it writes besides manifest.json
+ARTIFACTS = {
+    "sample": (["sample", "--n", "4"], ["traces.jsonl", "samples.csv"]),
+    "ablate": (["ablate", "--n", "3", "--variants", "full-dcr,plain-cfg"],
+               ["ablate_report.csv", "ablate_report.json"]),
+    "sweep": (["sweep", "--axis", "eta", "--values", "0,1", "--w", "3.5", "--n", "3"],
+              ["sweep_report.csv", "sweep_report.json"]),
+    "bench": (["bench", "--n-per-item", "1"], ["bench_report.csv", "bench_report.json"]),
+}
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_artifacts_are_moved_into_place_and_the_manifest_last(
+            self, tmp_path, monkeypatch, name):
+        argv, artifacts = ARTIFACTS[name]
+        moved = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            assert Path(src).parent == Path(dst).parent
+            moved.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(dcr.cli.os, "replace", replace)
+        out = tmp_path / name
+        assert run(*argv, *FAST, "--out", str(out)) == 0
+        assert sorted(moved[:-1]) == sorted(artifacts)
+        assert moved[-1] == "manifest.json"
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted([*artifacts, "manifest.json"])
+
+    def test_a_failing_trace_writer_leaves_no_manifest_and_no_partial_file(
+            self, tmp_path, monkeypatch, capsys):
+        real = dcr.cli.write_traces_jsonl
+        temp_paths = []
+
+        def failing(traces, path, manifest_ref=None):
+            temp_paths.append(Path(path))
+
+            def two_then_fail():
+                for k, trace in enumerate(traces):
+                    if k == 2:
+                        raise OSError("disk full")
+                    yield trace
+
+            real(two_then_fail(), path, manifest_ref=manifest_ref)
+
+        argv = ["sample", "--n", "4", "--seed", "1", *FAST]
+        earlier = tmp_path / "earlier"
+        assert run(*argv, "--out", str(earlier)) == 0
+        before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+        monkeypatch.setattr(dcr.cli, "write_traces_jsonl", failing)
+        fresh = tmp_path / "fresh"
+        assert run(*argv, "--out", str(fresh)) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert list(fresh.iterdir()) == []
+        # over an earlier run: its manifest goes, its artifacts stay whole
+        assert run(*argv, "--out", str(earlier)) == 1
+        after = {p.name: p.read_bytes() for p in earlier.iterdir()}
+        assert after == {k: v for k, v in before.items() if k != "manifest.json"}
+        assert [p.parent for p in temp_paths] == [fresh, earlier]
+        assert not any(p.exists() for p in temp_paths)

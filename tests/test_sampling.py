@@ -2,14 +2,17 @@ import dataclasses
 import json
 
 import numpy as np
+import oracles
 import pytest
 from faults import CountingBackend, NaNRows, NaNWhere
 
+import dcr.sampling
 from dcr.errors import ConfigurationError, TrajectoryError, ValidationError
 from dcr.guidance import GuidanceConfig, NoisePrediction
 from dcr.sampling import (TRACE_FIELDS, BatchItem, SamplerConfig, SchedulerKind,
-                          Variant, derive_seed, read_traces_jsonl, run_batch,
-                          run_sampling, scheduler_step, write_traces_jsonl)
+                          TraceRecords, TrajectoryTrace, Variant, derive_seed,
+                          read_traces_jsonl, run_batch, run_sampling, scheduler_step,
+                          write_traces_jsonl)
 from dcr.toy import (ATTRACTOR, TARGET, NoiseScheduleSpec, ToyDenoiser,
                      cosine_schedule, default_scenario)
 
@@ -104,6 +107,18 @@ class TestRunSampling:
         assert trace.records[3:7] == records[3:7]
         with pytest.raises(IndexError):
             trace.records[40]
+
+    def test_every_index_builds_the_record_list_indexing_gives(self):
+        be, _ = backend(T=9)
+        _, trace = run_sampling(be, (TARGET, ATTRACTOR), small_cfg(T=9))
+        records = list(trace.records)
+        for k in range(-9, 9):
+            assert trace.records[k] == records[k]
+        for k in (9, -10):
+            with pytest.raises(IndexError):
+                trace.records[k]
+        for sl in (slice(None), slice(2, 5), slice(None, None, -2), slice(7, 100)):
+            assert trace.records[sl] == records[sl]
 
     def test_ddim_final_is_pure_function_of_seed(self):
         be, _ = backend()
@@ -351,6 +366,98 @@ class TestMixedBatch:
         assert record_bytes(item.trace) == record_bytes(plain.trace)
 
 
+class TestBatchColumns:
+    def test_row_views_read_the_columns(self):
+        be, _ = backend(T=8)
+        cfg = small_cfg(T=8)
+        batch = run_batch(be, [BatchItem("a"), BatchItem("b")], cfg, 3)
+        assert len(batch) == 6 and batch.finals.shape == (6, 2)
+        assert batch.diagnostics.shape == (8, 6, 6)
+        assert batch.trajectory_ids == [f"{i}/{r}" for i in "ab" for r in range(3)]
+        assert batch.ok.all() and batch.errors == {}
+        # iterating twice gives the same rows; indexing as a list does
+        first, second = list(batch), list(batch)
+        assert [(r.item_id, r.replicate) for r in first] == \
+            [(r.item_id, r.replicate) for r in second] == batch.keys
+        for r, (one, two) in enumerate(zip(first, second)):
+            assert one.final.tobytes() == two.final.tobytes() == batch.finals[r].tobytes()
+            assert one.trace.trajectory_id == batch.trajectory_ids[r]
+            assert record_bytes(one.trace) == record_bytes(two.trace)
+        assert batch[-1].replicate == 2 and batch[-1].item_id == "b"
+        with pytest.raises(IndexError):
+            batch[6]
+        [only] = run_batch(be, [BatchItem("a")], cfg, 1)
+        assert only.final.tobytes() == batch[0].final.tobytes()
+
+    def test_a_row_cannot_write_into_the_batch(self):
+        be, _ = backend(T=8)
+        batch = run_batch(be, [BatchItem("a")], small_cfg(T=8), 2)
+        before = batch.finals.copy()
+        row = batch[0]
+        for array in (row.final, row.trace.final, batch.finals):
+            with pytest.raises(ValueError):
+                array[0] = 123.0
+        with pytest.raises(ValueError):
+            batch.diagnostics[0, 0, 0] = 1.0
+        assert batch.finals.tobytes() == before.tobytes()
+        assert batch[0].final.tobytes() == before[0].tobytes()
+        # run_sampling hands back a writable copy of its final latent
+        x, trace = run_sampling(be, (TARGET, ATTRACTOR), small_cfg(T=8))
+        kept = trace.final.copy()
+        x[0] = 123.0
+        assert trace.final.tobytes() == kept.tobytes()
+
+    def test_failed_rows_are_errors_and_nan_finals(self):
+        T, k, bad = 12, 4, {1, 3}
+        be, sc = backend(T)
+        batch = run_batch(NaNRows(sc, cosine_schedule(T), bad, k),
+                          [BatchItem("nan")], small_cfg(T=T), 5)
+        assert sorted(batch.errors) == sorted(bad)
+        assert batch.ok.tolist() == [r not in bad for r in range(5)]
+        assert all(batch.errors[r].step == k for r in bad)
+        assert np.isnan(batch.finals[sorted(bad)]).all()
+        assert np.isfinite(batch.finals[batch.ok]).all()
+        assert [r.error is not None for r in batch] == [r in bad for r in range(5)]
+
+
+# Diagnostics that json.dumps spells in every way it can: signed zero,
+# subnormals, the largest magnitudes, shortest-repr decimals, non-finite.
+SPECIAL = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+           -1.7976931348623157e308, float("inf"), float("-inf"), float("nan"), 0.1,
+           1e16, 1e-7, -123.456, 1 / 3]
+ODD_IDS = ['say "hi"', "back\\slash", "new\nline", "ñandú/日本/0",
+           "tab\tand\u2028sep", "plain/0"]
+
+
+def hand_built_traces(ids=ODD_IDS, T=5):
+    """Traces over hand-built (T, N, 6) columns holding every SPECIAL value."""
+    n = len(ids)
+    values = np.resize(np.array(SPECIAL), T * n * 6)
+    cols = values.reshape(T, n, 6)
+    finals = np.resize(np.array([0.5, -0.0, 1e-320, 7.25]), (n, 2))
+    return [TrajectoryTrace(tid, TraceRecords(cols, r), finals[r])
+            for r, tid in enumerate(ids)]
+
+
+def repeated_column_traces(T=4):
+    """Traces whose columns repeat the previous trace's, or equal it as floats
+    but not bitwise (0.0 and -0.0)."""
+    cols = np.zeros((T, 4, 6))
+    cols[:, 1, 2] = -0.0
+    cols[:, :, 3] = np.nan
+    cols[:, 3, 3] = np.inf
+    cols[:, :, 4] = np.arange(4) * 0.1
+    return [TrajectoryTrace(f"r{r}", TraceRecords(cols, r), np.zeros(2))
+            for r in range(4)]
+
+
+def real_traces(scheduler="deterministic-ddim", n=3):
+    be, _ = backend(T=12)
+    batch = run_batch(be, [BatchItem("a"), BatchItem("b", ATTRACTOR, TARGET)],
+                      small_cfg(T=12, scheduler=scheduler), n)
+    return [r.trace for r in batch]
+
+
 class TestTraceExport:
     def test_roundtrip_and_field_order(self, tmp_path):
         be, _ = backend(T=6)
@@ -374,6 +481,50 @@ class TestTraceExport:
         write_traces_jsonl([r.trace for r in results], p1, manifest_ref="m")
         write_traces_jsonl([r.trace for r in results], p2, manifest_ref="m")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("case", ["real-ddim", "real-ddpm", "special", "repeated",
+                                      "empty"])
+    def test_bytes_and_reading_equal_the_reference(self, tmp_path, case):
+        traces = {"real-ddim": lambda: real_traces(),
+                  "real-ddpm": lambda: real_traces("ancestral-ddpm"),
+                  "special": hand_built_traces,
+                  "repeated": repeated_column_traces,
+                  "empty": lambda: []}[case]()
+        ref = 'manifest "x"\\.json' if case == "special" else None
+        ours, theirs = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
+        write_traces_jsonl(traces, ours, manifest_ref=ref)
+        oracles.write_traces_jsonl(traces, theirs, manifest_ref=ref)
+        assert ours.read_bytes() == theirs.read_bytes()
+        if case == "special":
+            text = ours.read_text(encoding="utf-8")
+            assert all(s in text for s in ("NaN", "-Infinity", "-0.0", "5e-324"))
+        # repr, not ==, so NaN compares equal to NaN and -0.0 differs from 0.0
+        assert repr(read_traces_jsonl(ours)) == repr(oracles.read_traces_jsonl(ours))
+
+    def test_export_builds_no_trace_record(self, tmp_path, monkeypatch):
+        traces = real_traces()
+        want = tmp_path / "want.jsonl"
+        write_traces_jsonl(traces, want)
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("export built a TraceRecord")
+
+        monkeypatch.setattr(dcr.sampling, "TraceRecord", no_records)
+        got = tmp_path / "got.jsonl"
+        write_traces_jsonl(traces, got)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_empty_file_is_rejected_by_name(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with pytest.raises(ValidationError, match="empty.jsonl"):
+            read_traces_jsonl(path)
+
+    def test_foreign_schema_is_rejected_by_name(self, tmp_path):
+        path = tmp_path / "foreign.jsonl"
+        path.write_text(json.dumps({"schema": "other@9", "manifest": None}) + "\n")
+        with pytest.raises(ValidationError, match="foreign.jsonl"):
+            read_traces_jsonl(path)
 
 
 class TestSeeds:
