@@ -357,6 +357,8 @@ def cmd_bench(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     cfg = _sampler_config(args, cfg_file, scenario, args.variant)
     outdir = _out_dir(args)
+    audit_log = outdir / "judge_audit.jsonl"
+    audit_log.unlink(missing_ok=True)  # the judge appends; start this run's log empty
     items = [BatchItem(item.id, TARGET, ATTRACTOR) for item in suite.items]
     results = run_batch(ToyDenoiser(scenario, cosine_schedule(cfg.T)), items,
                         cfg, args.n_per_item)
@@ -365,7 +367,7 @@ def cmd_bench(args) -> int:
     judge_failures = 0
     if args.with_judge:
         from .judge import JudgeClientConfig
-        judge_cfg = JudgeClientConfig(audit_log=outdir / "judge_audit.jsonl")
+        judge_cfg = JudgeClientConfig(audit_log=audit_log)
     rows = []
     from .bench import eval_constraint
     from .errors import TransportError, VerdictError

@@ -14,6 +14,10 @@ fully flattened latent vector in float64. The per-step pipeline is
 
 Only positive alignment is penalized; with lambda == 0 the corrected update
 is bit-identical to the plain CFG update.
+
+Each equation is written once, over (N, D) rows or one (D,) latent: the
+sampling loop's ``dcr_guided_rows`` composes them, and the public functions
+on one latent add only the shape and range checks of their typed inputs.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ def _as_flat64(values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NoisePrediction:
-    """One denoiser branch output: a flattened latent-shaped noise vector."""
+class _FlatVector:
+    """Finite float64 values, flattened, with the positive latent shape they
+    came from."""
 
     values: np.ndarray
     shape: tuple[int, ...]
@@ -50,6 +55,11 @@ class NoisePrediction:
                 f"shape {shape} does not match {self.values.size} values")
         object.__setattr__(self, "shape", shape)
 
+
+@dataclass(frozen=True)
+class NoisePrediction(_FlatVector):
+    """One denoiser branch output: a flattened latent-shaped noise vector."""
+
     @classmethod
     def from_array(cls, arr) -> "NoisePrediction":
         a = np.asarray(arr, dtype=np.float64)
@@ -60,20 +70,9 @@ class NoisePrediction:
 
 
 @dataclass(frozen=True)
-class GuidanceUpdate:
+class GuidanceUpdate(_FlatVector):
     """A guidance correction vector with the same shape contract as the
     predictions it was built from."""
-
-    values: np.ndarray
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_flat64(self.values))
-        shape = tuple(int(d) for d in self.shape)
-        if math.prod(shape) != self.values.size:
-            raise ShapeMismatchError(
-                f"shape {shape} does not match {self.values.size} values")
-        object.__setattr__(self, "shape", shape)
 
 
 @dataclass(frozen=True)
@@ -165,13 +164,52 @@ def _require_same_shape(*objs) -> tuple[int, ...]:
     return shape
 
 
+# The DCR equations over (N, D) rows or one (D,) latent, with per-row results.
+def _cfg_delta(eps_neg: np.ndarray, eps_text: np.ndarray, w) -> np.ndarray:
+    return w * (eps_text - eps_neg)
+
+
+def _drift(eps_neg, eps_attr, delta_ref, w_attr) -> np.ndarray:
+    return w_attr * (eps_attr - eps_neg) - delta_ref
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Stacked matmul rounds each row exactly as the 1-D ``a @ b``; einsum does not.
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _projection(drift: np.ndarray, delta_ref: np.ndarray, alpha_t, cfg: GuidanceConfig):
+    """s_t, ||drift||^2, n_t and the rectified lambda_t."""
+    s_t = _row_dot(drift, delta_ref)
+    na2 = _row_dot(drift, drift)
+    n_t = na2 + cfg.eps_stab
+    # Python's max(s_t, 0.0), which keeps -0.0 (np.maximum does not)
+    lambda_t = alpha_t * cfg.eta * np.where(0.0 > s_t, 0.0, s_t) / n_t
+    return s_t, na2, n_t, lambda_t
+
+
+def _residual(drift: np.ndarray, delta_ref: np.ndarray, s_t, na2) -> np.ndarray:
+    nd2 = _row_dot(delta_ref, delta_ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orth = drift - (s_t / nd2)[..., None] * delta_ref
+        residual = np.minimum(np.sqrt(_row_dot(orth, orth)) / np.sqrt(na2), 1.0)
+    return np.where(na2 == 0.0, 0.0, np.where(nd2 == 0.0, 1.0, residual))
+
+
+def _correct(delta_ref: np.ndarray, lambda_t, drift: np.ndarray) -> np.ndarray:
+    """delta_ref - lambda_t * drift, and delta_ref bitwise where lambda_t == 0."""
+    lambda_t = np.asarray(lambda_t)
+    return np.where((lambda_t == 0.0)[..., None], delta_ref,
+                    delta_ref - lambda_t[..., None] * drift)
+
+
 def cfg_update(eps_uncond: NoisePrediction, eps_text: NoisePrediction,
                w: float) -> GuidanceUpdate:
     """Classifier-free guidance update w * (eps_text - eps_uncond)."""
     shape = _require_same_shape(eps_uncond, eps_text)
     if not (w > 0):
         raise ValidationError(f"w must be positive, got {w}")
-    return GuidanceUpdate(values=w * (eps_text.values - eps_uncond.values), shape=shape)
+    return GuidanceUpdate(_cfg_delta(eps_uncond.values, eps_text.values, w), shape)
 
 
 def target_prediction(eps_uncond: NoisePrediction,
@@ -212,9 +250,8 @@ def attractor_drift_expanded(eps_uncond: NoisePrediction, eps_text: NoisePredict
     """
     shape = _require_same_shape(eps_uncond, eps_text, eps_attr)
     u = eps_uncond.values
-    return GuidanceUpdate(
-        values=w_attr * (eps_attr.values - u) - w * (eps_text.values - u),
-        shape=shape)
+    delta_ref = _cfg_delta(u, eps_text.values, w)
+    return GuidanceUpdate(_drift(u, eps_attr.values, delta_ref, w_attr), shape)
 
 
 def schedule_alpha(pos: StepPosition, cfg: GuidanceConfig) -> float:
@@ -236,18 +273,8 @@ def collinearity_residual(drift: GuidanceUpdate, delta_ref: GuidanceUpdate) -> f
     by the drift norm; 0 when the drift vanishes, 1 when delta_ref vanishes
     while the drift does not."""
     _require_same_shape(drift, delta_ref)
-    a = drift.values
-    d = delta_ref.values
-    na2 = float(a @ a)
-    if na2 == 0.0:
-        return 0.0
-    nd2 = float(d @ d)
-    if nd2 == 0.0:
-        return 1.0
-    coef = float(a @ d) / nd2
-    orth = a - coef * d
-    res = float(np.sqrt(orth @ orth)) / float(np.sqrt(na2))
-    return min(res, 1.0)
+    a, d = drift.values, delta_ref.values
+    return float(_residual(a, d, _row_dot(a, d), _row_dot(a, a)))
 
 
 def repulsion_coefficient(drift: GuidanceUpdate, delta_ref: GuidanceUpdate,
@@ -260,18 +287,10 @@ def repulsion_coefficient(drift: GuidanceUpdate, delta_ref: GuidanceUpdate,
     _require_same_shape(drift, delta_ref)
     if not (0.0 <= alpha_t <= 1.0):
         raise ValidationError(f"alpha_t must lie in [0,1], got {alpha_t}")
-    a = drift.values
-    d = delta_ref.values
-    s_t = float(a @ d)
-    n_t = float(a @ a) + cfg.eps_stab
-    lambda_t = alpha_t * cfg.eta * max(s_t, 0.0) / n_t
-    return RepulsionDiagnostics(
-        s_t=s_t,
-        n_t=n_t,
-        alpha_t=alpha_t,
-        lambda_t=lambda_t,
-        collinearity_residual=collinearity_residual(drift, delta_ref),
-    )
+    a, d = drift.values, delta_ref.values
+    s_t, na2, n_t, lambda_t = _projection(a, d, alpha_t, cfg)
+    return RepulsionDiagnostics(float(s_t), float(n_t), alpha_t, float(lambda_t),
+                                float(_residual(a, d, s_t, na2)))
 
 
 def corrected_update(delta_ref: GuidanceUpdate, lambda_t: float,
@@ -280,9 +299,7 @@ def corrected_update(delta_ref: GuidanceUpdate, lambda_t: float,
     shape = _require_same_shape(delta_ref, drift)
     if lambda_t < 0:
         raise ValidationError(f"lambda_t must be non-negative, got {lambda_t}")
-    if lambda_t == 0.0:
-        return GuidanceUpdate(values=delta_ref.values.copy(), shape=shape)
-    return GuidanceUpdate(values=delta_ref.values - lambda_t * drift.values, shape=shape)
+    return GuidanceUpdate(_correct(delta_ref.values, lambda_t, drift.values), shape)
 
 
 def dcr_guided_prediction(eps_uncond: NoisePrediction, eps_text: NoisePrediction,
@@ -291,18 +308,18 @@ def dcr_guided_prediction(eps_uncond: NoisePrediction, eps_text: NoisePrediction
                           ) -> tuple[NoisePrediction, RepulsionDiagnostics]:
     """Full per-step pipeline; returns the corrected prediction and diagnostics.
 
+    The one-row case of ``dcr_guided_rows`` at ``schedule_alpha(pos, cfg)``.
     The drift is evaluated in the expanded two-branch form (identical to
     probe-minus-target up to rounding) so the diagnostics stay meaningful
     when the conditional branches nearly coincide.
     """
     shape = _require_same_shape(eps_uncond, eps_text, eps_attr)
-    delta_ref = cfg_update(eps_uncond, eps_text, cfg.w)
-    drift = attractor_drift_expanded(eps_uncond, eps_text, eps_attr, cfg.w, cfg.w_attr)
     alpha_t = schedule_alpha(pos, cfg)
-    diag = repulsion_coefficient(drift, delta_ref, alpha_t, cfg)
-    delta_star = corrected_update(delta_ref, diag.lambda_t, drift)
-    eps_star = NoisePrediction(values=eps_uncond.values + delta_star.values, shape=shape)
-    return eps_star, diag
+    rows = dcr_guided_rows(eps_uncond.values[None], eps_text.values[None],
+                           eps_attr.values[None], alpha_t, cfg)
+    return (NoisePrediction(rows.eps_star[0], shape),
+            RepulsionDiagnostics(float(rows.s_t[0]), float(rows.n_t[0]), alpha_t,
+                                 float(rows.lambda_t[0]), float(rows.residual[0])))
 
 
 @dataclass(frozen=True)
@@ -317,12 +334,6 @@ class GuidedRows:
     residual: np.ndarray
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Stacked matmul rounds each row exactly as the 1-D ``a @ b`` of the
-    # scalar functions; einsum does not.
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _per_row(value, n: int, name: str) -> np.ndarray:
     arr = np.asarray(value)
     if arr.shape not in ((), (n,)):
@@ -331,51 +342,35 @@ def _per_row(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray,
-                    eps_attr: np.ndarray | None, alpha_t, cfg: GuidanceConfig,
-                    repel=True, probe=True) -> GuidedRows:
-    """Row-wise DCR step over (N, D) branch outputs, bitwise equal per row to
-    the scalar pipeline (cfg_update, attractor_drift_expanded,
-    repulsion_coefficient, corrected_update) at the same alpha_t.
+def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray,
+                    alpha_t, cfg: GuidanceConfig, repel=True, probe=True) -> GuidedRows:
+    """The DCR step of ``dcr_guided_prediction`` over (N, D) branch outputs.
 
     ``eps_neg`` is the CFG negative branch. ``alpha_t``, ``repel`` and
     ``probe`` are scalars or per-row (N,) arrays, so rows of different
-    variants can share one call. Rows without a probe branch (``probe``
-    False, or ``eps_attr`` None for all rows) take the plain CFG step with
-    the diagnostics of a zero drift (n_t = eps_stab); their ``eps_attr``
-    rows are ignored but must be finite. Rows with ``repel`` False keep the
-    diagnostics but have lambda_t zeroed and not applied. Inputs are not
-    checked for finiteness: the caller validates the backend outputs.
+    variants can share one call. Rows with ``probe`` False take the plain
+    CFG step with the diagnostics of a zero drift (n_t = eps_stab); their
+    ``eps_attr`` rows are ignored but must be finite. Rows with ``repel``
+    False keep the diagnostics but have lambda_t zeroed and not applied.
+    Inputs are not checked for finiteness: the caller validates the backend
+    outputs.
     """
-    if eps_neg.ndim != 2 or eps_text.shape != eps_neg.shape or (
-            eps_attr is not None and eps_attr.shape != eps_neg.shape):
+    if eps_neg.ndim != 2 or not eps_neg.shape == eps_text.shape == eps_attr.shape:
         raise ShapeMismatchError("branch outputs must share one (N, D) shape")
     n = eps_neg.shape[0]
     alpha_t = _per_row(alpha_t, n, "alpha_t")
     if not ((0.0 <= alpha_t) & (alpha_t <= 1.0)).all():
         raise ValidationError(f"alpha_t must lie in [0,1], got {alpha_t}")
     repel, probe = _per_row(repel, n, "repel"), _per_row(probe, n, "probe")
-    delta_ref = cfg.w * (eps_text - eps_neg)
-    if eps_attr is None:
-        return GuidedRows(eps_neg + delta_ref, np.zeros(n), np.full(n, cfg.eps_stab),
-                          np.zeros(n), np.zeros(n))
-    drift = cfg.w_attr * (eps_attr - eps_neg) - cfg.w * (eps_text - eps_neg)
-    s_t = _row_dot(drift, delta_ref)
-    na2 = _row_dot(drift, drift)
-    n_t = na2 + cfg.eps_stab
-    # max(s_t, 0.0) as the scalar form evaluates it (np.maximum differs on -0.0)
-    lambda_t = alpha_t * cfg.eta * np.where(0.0 > s_t, 0.0, s_t) / n_t
+    delta_ref = _cfg_delta(eps_neg, eps_text, cfg.w)
+    drift = _drift(eps_neg, eps_attr, delta_ref, cfg.w_attr)
+    s_t, na2, n_t, lambda_t = _projection(drift, delta_ref, alpha_t, cfg)
     if not repel.all():
         lambda_t = np.where(repel | (lambda_t == 0.0), lambda_t, 0.0)
-    nd2 = _row_dot(delta_ref, delta_ref)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        orth = drift - (s_t / nd2)[:, None] * delta_ref
-        residual = np.minimum(np.sqrt(_row_dot(orth, orth)) / np.sqrt(na2), 1.0)
-    residual = np.where(na2 == 0.0, 0.0, np.where(nd2 == 0.0, 1.0, residual))
+    residual = _residual(drift, delta_ref, s_t, na2)
     if not probe.all():
         s_t, n_t = np.where(probe, s_t, 0.0), np.where(probe, n_t, cfg.eps_stab)
         lambda_t = np.where(probe, lambda_t, 0.0)
         residual = np.where(probe, residual, 0.0)
-    delta_star = np.where((lambda_t == 0.0)[:, None], delta_ref,
-                          delta_ref - lambda_t[:, None] * drift)
-    return GuidedRows(eps_neg + delta_star, s_t, n_t, lambda_t, residual)
+    return GuidedRows(eps_neg + _correct(delta_ref, lambda_t, drift), s_t, n_t,
+                      lambda_t, residual)

@@ -1,8 +1,11 @@
 """Independent reference implementations used to pin expected values.
 
-Everything here is deliberately written with plain Python floats, lists, and
-the ``random``/``math`` modules so it shares no code path with the package:
-these are the oracles the package is checked against, not wrappers around it.
+Everything here shares no code path with the package: these are the oracles
+the package is checked against, not wrappers around it. Most are written with
+plain Python floats, lists, and the ``random``/``math`` modules. The guided
+step references (``np_*``) use numpy 1-D arithmetic instead, one flattened
+latent at a time: the package's step is compared with them bitwise, and only
+the same float64 operations in the same order round the same way.
 
 Run as a script to regenerate the pinned plain-CFG collapse reference:
 
@@ -14,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 import random
+
+import numpy as np
 
 # The shipped default scenario, restated by hand.
 MEANS = [[3.8, 0.0], [-2.0, 1.5], [1.5, 0.0]]
@@ -65,6 +70,56 @@ def scalar_chain(eps_uncond, eps_text, eps_attr, w, w_attr, eta, gamma,
     delta_star = [d - lam * a for d, a in zip(delta_ref, drift)]
     eps_star = scalar_add(eps_uncond, delta_star)
     return eps_star, s, n, alpha, lam
+
+
+def np_cfg_update(u: np.ndarray, t: np.ndarray, w: float) -> np.ndarray:
+    return w * (t - u)
+
+
+def np_drift_expanded(u: np.ndarray, t: np.ndarray, a: np.ndarray, w: float,
+                      w_attr: float) -> np.ndarray:
+    return w_attr * (a - u) - w * (t - u)
+
+
+def np_residual(a: np.ndarray, d: np.ndarray) -> float:
+    """Collinearity residual of drift a against the CFG update d."""
+    na2 = float(a @ a)
+    if na2 == 0.0:
+        return 0.0
+    nd2 = float(d @ d)
+    if nd2 == 0.0:
+        return 1.0
+    coef = float(a @ d) / nd2
+    orth = a - coef * d
+    res = float(np.sqrt(orth @ orth)) / float(np.sqrt(na2))
+    return min(res, 1.0)
+
+
+def np_repulsion(a: np.ndarray, d: np.ndarray, alpha_t: float, eta: float,
+                 eps_stab: float) -> tuple[float, float, float]:
+    """(s_t, n_t, lambda_t) of drift a against the CFG update d."""
+    s_t = float(a @ d)
+    n_t = float(a @ a) + eps_stab
+    return s_t, n_t, alpha_t * eta * max(s_t, 0.0) / n_t
+
+
+def np_corrected_update(d: np.ndarray, lambda_t: float, a: np.ndarray) -> np.ndarray:
+    if lambda_t == 0.0:
+        return d.copy()
+    return d - lambda_t * a
+
+
+def np_guided_step(u, t, a, alpha_t, w, w_attr, eta, eps_stab, repel=True):
+    """The DCR step of one flattened latent with CFG negative branch u;
+    returns (eps_star, s_t, n_t, lambda_t, residual). With ``repel`` False
+    lambda_t is reported as 0 and not applied."""
+    delta_ref = np_cfg_update(u, t, w)
+    drift = np_drift_expanded(u, t, a, w, w_attr)
+    s_t, n_t, lam = np_repulsion(drift, delta_ref, alpha_t, eta, eps_stab)
+    if not repel and lam != 0.0:
+        lam = 0.0
+    eps_star = u + np_corrected_update(delta_ref, lam, drift)
+    return eps_star, s_t, n_t, lam, np_residual(drift, delta_ref)
 
 
 def _posterior_mean(x: list[float], ab: float, weights: list[float]) -> list[float]:

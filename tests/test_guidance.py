@@ -12,7 +12,8 @@ from dcr.guidance import (GuidanceConfig, GuidanceUpdate, NoisePrediction,
                           cfg_update, collinearity_residual, corrected_update,
                           dcr_guided_prediction, dcr_guided_rows, probe_prediction,
                           repulsion_coefficient, schedule_alpha, target_prediction)
-from oracles import scalar_chain, scalar_scale_diff
+from oracles import (np_cfg_update, np_corrected_update, np_drift_expanded,
+                     np_guided_step, scalar_chain, scalar_scale_diff)
 
 NP = NoisePrediction.from_array
 
@@ -365,12 +366,40 @@ def guided_rows_case(draw):
     return e_neg, e_text, e_attr, g, draw(st.floats(0.0, 1.0))
 
 
+def _oracle_step(u, t, a, g, alpha, repel=True):
+    return np_guided_step(u, t, a, alpha, g.w, g.w_attr, g.eta, g.eps_stab, repel)
+
+
+def _assert_scalar_functions_equal_oracle(u, t, a, g, pos):
+    """Each public function on one latent, bitwise against its numpy 1-D
+    reference in tests/oracles.py, at alpha_t = schedule_alpha(pos, g)."""
+    U, T, A, alpha = NP(u), NP(t), NP(a), schedule_alpha(pos, g)
+    delta_ref, drift = np_cfg_update(u, t, g.w), np_drift_expanded(u, t, a, g.w, g.w_attr)
+    assert cfg_update(U, T, g.w).values.tobytes() == delta_ref.tobytes()
+    got_drift = attractor_drift_expanded(U, T, A, g.w, g.w_attr)
+    assert got_drift.values.tobytes() == drift.tobytes()
+    star, s_t, n_t, lam, res = _oracle_step(u, t, a, g, alpha)
+    want = [_bits(v) for v in (s_t, n_t, lam, res)]
+    diag = repulsion_coefficient(G(drift), G(delta_ref), alpha, g)
+    assert [_bits(v) for v in (diag.s_t, diag.n_t, diag.lambda_t,
+                               diag.collinearity_residual)] == want
+    assert _bits(collinearity_residual(G(drift), G(delta_ref))) == _bits(res)
+    assert corrected_update(G(delta_ref), lam, G(drift)).values.tobytes() == \
+        np_corrected_update(delta_ref, lam, drift).tobytes()
+    got, diag = dcr_guided_prediction(U, T, A, pos, g)
+    assert got.values.tobytes() == star.tobytes()
+    assert [_bits(v) for v in (diag.s_t, diag.n_t, diag.lambda_t,
+                               diag.collinearity_residual)] == want
+    return lam
+
+
 class TestGuidedRows:
-    """``dcr_guided_rows``, the row-wise DCR step the sampling loop runs,
-    checked row by row against the scalar functions, which stay the public
-    reference. The step removes from the CFG update its positive projection
-    on the attractor drift; APG (Sadat et al. 2024, arXiv:2410.02416)
-    analyses guidance corrections of this projection form."""
+    """``dcr_guided_rows``, the row-wise DCR step the sampling loop runs and
+    the public scalar functions compute through, checked row by row against
+    the numpy 1-D reference step in tests/oracles.py. The step removes from
+    the CFG update its positive projection on the attractor drift; APG
+    (Sadat et al. 2024, arXiv:2410.02416) analyses guidance corrections of
+    this projection form."""
 
     @settings(max_examples=300, deadline=None)
     @given(guided_rows_case(), st.booleans())
@@ -378,17 +407,37 @@ class TestGuidedRows:
         e_neg, e_text, e_attr, g, alpha = case
         rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel)
         for r in range(e_neg.shape[0]):
-            u, t, a = NP(e_neg[r]), NP(e_text[r]), NP(e_attr[r])
-            delta_ref = cfg_update(u, t, g.w)
-            drift = attractor_drift_expanded(u, t, a, g.w, g.w_attr)
-            diag = repulsion_coefficient(drift, delta_ref, alpha, g)
-            lam = diag.lambda_t if repel or diag.lambda_t == 0.0 else 0.0
-            star = u.values + corrected_update(delta_ref, lam, drift).values
+            star, s_t, n_t, lam, res = _oracle_step(e_neg[r], e_text[r], e_attr[r],
+                                                    g, alpha, repel)
             assert rows.eps_star[r].tobytes() == star.tobytes()
-            assert _bits(rows.s_t[r]) == _bits(diag.s_t)
-            assert _bits(rows.n_t[r]) == _bits(diag.n_t)
+            assert _bits(rows.s_t[r]) == _bits(s_t)
+            assert _bits(rows.n_t[r]) == _bits(n_t)
             assert _bits(rows.lambda_t[r]) == _bits(lam)
-            assert _bits(rows.residual[r]) == _bits(diag.collinearity_residual)
+            assert _bits(rows.residual[r]) == _bits(res)
+
+    @settings(max_examples=300, deadline=None)
+    @given(guided_rows_case(), st.integers(2, 60), st.data())
+    def test_scalar_functions_equal_oracle(self, case, total, data):
+        e_neg, e_text, e_attr, g, _ = case
+        pos = StepPosition(data.draw(st.integers(0, total - 1)), total)
+        for r in range(e_neg.shape[0]):
+            _assert_scalar_functions_equal_oracle(e_neg[r], e_text[r], e_attr[r],
+                                                  g, pos)
+
+    @pytest.mark.parametrize("dim", [64, 1024, 4096])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_functions_equal_oracle_at_latent_sizes(self, dim, seed):
+        # at the sizes of real latents the stacked-matmul dot products must
+        # still round as the 1-D ones; even seeds put the attractor branch
+        # along the CFG direction, so repulsion fires
+        rng = np.random.default_rng(seed)
+        u, t, a = (rng.standard_normal(dim) for _ in range(3))
+        if seed % 2 == 0:
+            a = u + 4.0 * (t - u) + 0.1 * a
+        pos = StepPosition(int(rng.integers(20, 100)), 100)
+        g = cfg(eta=0.7, r_s=0.0, r_e=1.0)
+        lam = _assert_scalar_functions_equal_oracle(u, t, a, g, pos)
+        assert (lam > 0.0) == (seed % 2 == 0)
 
     @settings(max_examples=150, deadline=None)
     @given(guided_rows_case(), st.integers(2, 60), st.data())
@@ -409,12 +458,11 @@ class TestGuidedRows:
     @settings(max_examples=150, deadline=None)
     @given(guided_rows_case())
     def test_no_probe_rows_equal_plain_cfg(self, case):
-        e_neg, e_text, _, g, alpha = case
-        rows = dcr_guided_rows(e_neg, e_text, None, alpha, g)
+        e_neg, e_text, e_attr, g, alpha = case
+        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, probe=False)
         for r in range(e_neg.shape[0]):
-            u = NP(e_neg[r])
-            plain = target_prediction(u, cfg_update(u, NP(e_text[r]), g.w))
-            assert rows.eps_star[r].tobytes() == plain.values.tobytes()
+            plain = e_neg[r] + np_cfg_update(e_neg[r], e_text[r], g.w)
+            assert rows.eps_star[r].tobytes() == plain.tobytes()
         assert np.all(rows.s_t == 0.0) and np.all(rows.lambda_t == 0.0)
         assert np.all(rows.n_t == g.eps_stab) and np.all(rows.residual == 0.0)
 
@@ -428,7 +476,7 @@ class TestGuidedRows:
             g = dataclasses.replace(g, eta=0.0)
         rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g,
                                repel=gate != "repel")
-        plain = dcr_guided_rows(e_neg, e_text, None, alpha, g)
+        plain = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, probe=False)
         assert np.all(rows.lambda_t == 0.0)
         assert rows.eps_star.tobytes() == plain.eps_star.tobytes()
 
@@ -439,7 +487,7 @@ class TestGuidedRows:
         with pytest.raises(ShapeMismatchError):
             dcr_guided_rows(z, np.zeros((2, 2)), z, 0.5, cfg())
         with pytest.raises(ShapeMismatchError):
-            dcr_guided_rows(np.zeros(3), np.zeros(3), None, 0.5, cfg())
+            dcr_guided_rows(np.zeros(3), np.zeros(3), np.zeros(3), 0.5, cfg())
         with pytest.raises(ValidationError):
             dcr_guided_rows(z, z, z, np.array([0.5, 1.5]), cfg())
         with pytest.raises(ShapeMismatchError):
@@ -486,9 +534,9 @@ class TestGuidedRowsProperties:
         rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel,
                                probe=probe)
         for r in range(n):
-            one = dcr_guided_rows(e_neg[r:r + 1], e_text[r:r + 1],
-                                  e_attr[r:r + 1] if probe[r] else None,
-                                  float(alpha[r]), g, repel=bool(repel[r]))
+            one = dcr_guided_rows(e_neg[r:r + 1], e_text[r:r + 1], e_attr[r:r + 1],
+                                  float(alpha[r]), g, repel=bool(repel[r]),
+                                  probe=bool(probe[r]))
             for name in ("eps_star", "s_t", "n_t", "lambda_t", "residual"):
                 assert getattr(rows, name)[r].tobytes() == \
                     getattr(one, name)[0].tobytes(), name
@@ -500,7 +548,7 @@ class TestGuidedRowsProperties:
         # Cauchy-Schwarz; the slack covers rounding of the sums around it
         e_neg, e_text, e_attr, g, alpha = case
         rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel)
-        plain = dcr_guided_rows(e_neg, e_text, None, alpha, g)
+        plain = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, probe=False)
         delta_ref = g.w * (e_text - e_neg)
         bound = alpha * g.eta * _norms(delta_ref)
         slack = 1e-12 * (_norms(e_neg) + _norms(delta_ref) + bound)

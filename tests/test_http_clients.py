@@ -1,8 +1,9 @@
 """The four JSON-over-HTTP clients, exercised over the wire against a
 loopback ``http.server``: the body each one sends, the bearer header when its
-key variable is set, and the error type each raises on a server error or a
-malformed response."""
+key variable is set, the error type each raises on a server error or a
+malformed response, and recovery once the server answers again."""
 
+import functools
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -21,12 +22,14 @@ from dcr.metrics import ExternalCaptionClient, ExternalEmbeddingClient
 
 class Loopback:
     """One-thread HTTP server on 127.0.0.1 that records each request and
-    answers with the configured status and raw body."""
+    answers with the configured status and raw body, or with a 500 to the
+    next ``fail_next`` requests."""
 
     def __init__(self):
         self.requests: list[dict] = []
         self.status = 200
         self.reply = b"{}"
+        self.fail_next = 0
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -34,7 +37,9 @@ class Loopback:
                 body = self.rfile.read(int(self.headers["Content-Length"]))
                 stub.requests.append({"body": json.loads(body),
                                       "headers": dict(self.headers)})
-                self.send_response(stub.status)
+                status = 500 if stub.fail_next else stub.status
+                stub.fail_next = max(stub.fail_next - 1, 0)
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(stub.reply)))
                 self.end_headers()
@@ -76,31 +81,35 @@ def judge_request():
                         attractor="a tropical beach", frames=(frame,))
 
 
-def call_judge(url):
-    cfg = JudgeClientConfig(endpoint=url, model="m1", max_retries=0,
+def judge_client(url, max_retries=0):
+    cfg = JudgeClientConfig(endpoint=url, model="m1", max_retries=max_retries,
                             backoff_base_s=0.0)
-    return judge(judge_request(), cfg)
+    return functools.partial(judge, judge_request(), cfg)
 
 
-# Each client: (key variable, call against the url, body it must send,
-#               reply that succeeds, check of the result, error type)
+# Each client: (key variable, a call of one client object against the url,
+#               body it must send, reply that succeeds, check of the result,
+#               error type)
 CLIENTS = {
-    "judge": ("DCR_JUDGE_API_KEY", call_judge,
+    "judge": ("DCR_JUDGE_API_KEY", judge_client,
               build_rubric_message(judge_request()) | {"model": "m1"},
               {"completion": "ok\nscore: 4, collapsed: false"},
               lambda v: v.score == 4 and v.collapsed is False, TransportError),
     "text": ("DCR_TEXT_API_KEY",
-             lambda url: HttpTextClient(endpoint=url).complete("rewrite this"),
+             lambda url: functools.partial(HttpTextClient(endpoint=url).complete,
+                                           "rewrite this"),
              {"instruction": "rewrite this", "temperature": 0.0, "n": 1},
              {"completion": "a tropical beach"},
              lambda v: v == "a tropical beach", TransportError),
     "embedding": ("DCR_EMBED_API_KEY",
-                  lambda url: ExternalEmbeddingClient(endpoint=url).embed_text("hi"),
+                  lambda url: functools.partial(
+                      ExternalEmbeddingClient(endpoint=url).embed_text, "hi"),
                   {"kind": "text", "content": "hi"},
                   {"embedding": [0.5, -1.0, 2.0]},
                   lambda v: np.array_equal(v, [0.5, -1.0, 2.0]), MetricError),
     "caption": ("DCR_CAPTION_API_KEY",
-                lambda url: ExternalCaptionClient(endpoint=url).caption("frame-7"),
+                lambda url: functools.partial(
+                    ExternalCaptionClient(endpoint=url).caption, "frame-7"),
                 {"frame": "frame-7"},
                 {"caption": "a beach in snow"},
                 lambda v: v == "a beach in snow", MetricError),
@@ -109,9 +118,9 @@ CLIENTS = {
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 def test_sends_json_body_without_auth_by_default(server, name):
-    _, call, body, reply, check, _ = CLIENTS[name]
+    _, client, body, reply, check, _ = CLIENTS[name]
     server.respond(reply)
-    assert check(call(server.url))
+    assert check(client(server.url)())
     assert len(server.requests) == 1
     sent = server.requests[0]
     assert sent["body"] == body
@@ -121,19 +130,40 @@ def test_sends_json_body_without_auth_by_default(server, name):
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 def test_bearer_header_when_key_is_set(server, monkeypatch, name):
-    key_env, call, _, reply, check, _ = CLIENTS[name]
+    key_env, client, _, reply, check, _ = CLIENTS[name]
     monkeypatch.setenv(key_env, "sekrit")
     server.respond(reply)
-    assert check(call(server.url))
+    assert check(client(server.url)())
     assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
 
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 def test_server_error_raises_client_error_type(server, name):
-    _, call, _, reply, _, error = CLIENTS[name]
+    _, client, _, reply, _, error = CLIENTS[name]
     server.respond(reply, status=500)
     with pytest.raises(error):
-        call(server.url)
+        client(server.url)()
+
+
+@pytest.mark.parametrize("name", sorted(CLIENTS))
+def test_client_recovers_once_the_server_answers_again(server, name):
+    # the judge is called without retries here; the other clients have none
+    _, client, _, reply, check, error = CLIENTS[name]
+    call = client(server.url)
+    server.respond(reply, status=500)
+    with pytest.raises(error):
+        call()
+    server.respond(reply)
+    assert check(call())
+    assert len(server.requests) == 2
+
+
+def test_judge_retry_recovers_from_one_server_error_in_one_call(server):
+    _, _, _, reply, check, _ = CLIENTS["judge"]
+    server.respond(reply)
+    server.fail_next = 1
+    assert check(judge_client(server.url, max_retries=1)())
+    assert len(server.requests) == 2
 
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
@@ -141,10 +171,10 @@ def test_server_error_raises_client_error_type(server, name):
                                  b'{"completion": 5}', b'{"completion": null}',
                                  b'{"caption": 5}', b'{"embedding": {"a": 1}}'])
 def test_malformed_body_raises_client_error_type(server, name, raw):
-    _, call, _, _, _, error = CLIENTS[name]
+    _, client, _, _, _, error = CLIENTS[name]
     server.respond(raw=raw)
     with pytest.raises(error):
-        call(server.url)
+        client(server.url)()
 
 
 def test_caption_client_rejects_empty_caption(server):
@@ -165,3 +195,17 @@ def test_bench_counts_a_non_string_judge_completion_as_missing(server, monkeypat
     doc = json.loads((out / "bench_report.json").read_text())
     assert "judge verdicts missing for 16 items" in doc["notes"]
     assert len(server.requests) == 16 * 4
+
+
+def test_second_bench_run_starts_a_new_judge_audit_log(server, monkeypatch, tmp_path):
+    # the judge appends to its audit log, so a rerun into the same directory
+    # must not find the earlier run's exchanges there
+    _, _, _, reply, _, _ = CLIENTS["judge"]
+    server.respond(reply)
+    monkeypatch.setenv("DCR_JUDGE_ENDPOINT", server.url)
+    out = tmp_path / "bench"
+    for _ in range(2):
+        assert main(["bench", "--with-judge", "--n-per-item", "1", "--seed", "2",
+                     "--steps", "4", "--out", str(out)]) == 0
+    assert len(server.requests) == 2 * 16
+    assert len((out / "judge_audit.jsonl").read_text().splitlines()) == 16
