@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import enum
 import json
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import (ConfigurationError, PromptFormatError, SuiteFormatError,
-                     TransportError, ValidationError)
-from .judge import post_json
+                     ValidationError)
+from .judge import post_json, service_endpoint, string_field
 
 CANONICAL_PER_CATEGORY = 50
 CANONICAL_TOTAL = 400
@@ -277,24 +276,14 @@ class HttpTextClient:
     """Minimal JSON-over-HTTP text-model client.
 
     Wire contract: POST {"instruction": str, "temperature": 0.0, "n": 1}
-    to the endpoint; the response carries {"completion": str}. Endpoint and
-    credentials come from configuration or the environment, never from code.
+    to the endpoint; the response carries {"completion": str}. The endpoint
+    is ``endpoint=`` or the value of its ``dcr.judge.SERVICES`` variable.
     """
 
-    def __init__(self, endpoint: str | None = None, api_key_env: str = "DCR_TEXT_API_KEY",
-                 timeout_s: float = 30.0):
-        self.endpoint = endpoint or os.environ.get("DCR_TEXT_ENDPOINT")
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        if not self.endpoint:
-            raise ConfigurationError(
-                "text endpoint not configured (set DCR_TEXT_ENDPOINT or pass endpoint=)")
+    def __init__(self, endpoint: str | None = None):
+        self.endpoint = service_endpoint("text", endpoint)
 
     def complete(self, instruction: str, temperature: float = 0.0, n: int = 1) -> str:
-        body = post_json(self.endpoint, {"instruction": instruction,
-                                         "temperature": temperature, "n": n},
-                         self.api_key_env, self.timeout_s)
-        completion = body.get("completion")
-        if not isinstance(completion, str):
-            raise TransportError(f"malformed text model response: {body!r}")
-        return completion
+        body = post_json("text", self.endpoint, {"instruction": instruction,
+                                                 "temperature": temperature, "n": n})
+        return string_field("text", body, "completion")

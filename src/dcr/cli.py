@@ -11,6 +11,7 @@ endpoints and keys. Exit codes: 0 success, 1 usage/configuration error,
 from __future__ import annotations
 
 import argparse
+import base64
 import contextlib
 import csv
 import dataclasses
@@ -24,8 +25,11 @@ import numpy as np
 
 from . import __version__
 from .bench import BenchPrompt, load_fixture_suite, load_suite
-from .errors import ConfigurationError, SuiteFormatError, ValidationError
+from .errors import (ConfigurationError, SuiteFormatError, TransportError,
+                     ValidationError, VerdictError)
 from .guidance import GuidanceConfig
+from .judge import (SERVICES, EncodedFrame, JudgeClientConfig, JudgeRequest,
+                    service_endpoint)
 from .metrics import (ItemRow, aggregate_report, report_to_csv, report_to_json,
                       toy_collapse_fraction, wilson_interval)
 from .sampling import (BatchItem, SamplerConfig, SchedulerKind, Variant,
@@ -107,8 +111,8 @@ def _sampler_config(args, cfg_file, scenario, variant) -> SamplerConfig:
     else:
         settings = {f.name: None if f.default is dataclasses.MISSING else f.default
                     for f in dataclasses.fields(GuidanceConfig)}
-    settings |= {"steps": scenario.steps, "seed": 0,
-                 "scheduler": SchedulerKind.ANCESTRAL_DDPM.value}
+    settings |= {"steps": scenario.steps, "seed": SamplerConfig.seed,
+                 "scheduler": SamplerConfig.scheduler_kind.value}
     settings |= {k: _config_value(k, v) for k, v in cfg_file.items() if k in settings}
     settings |= {k: v for k in ("w", "w_attr", "eta", "gamma", "steps", "seed",
                                 "scheduler") if (v := getattr(args, k)) is not None}
@@ -171,11 +175,8 @@ def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
         "command": command,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "args": args_dict,
-        "endpoints": {
-            "judge": os.environ.get("DCR_JUDGE_ENDPOINT"),
-            "embeddings": os.environ.get("DCR_EMBED_ENDPOINT"),
-            "text": os.environ.get("DCR_TEXT_ENDPOINT"),
-        },
+        "endpoints": {name: os.environ.get(variable)
+                      for name, (variable, _, _) in SERVICES.items()},
         "sampler": dataclasses.asdict(cfg),
         "scenario": scenario_doc(scenario),
     } | extra
@@ -269,8 +270,7 @@ def cmd_ablate(args) -> int:
     runs = [({"variant": v}, _sampler_config(args, cfg_file, scenario, v))
             for v in variants]
     notes = []
-    if not (os.environ.get("DCR_JUDGE_ENDPOINT")
-            or os.environ.get("DCR_EMBED_ENDPOINT")):
+    if not any(os.environ.get(SERVICES[s][0]) for s in ("judge", "embeddings")):
         notes.append("no judge/embedding providers configured; "
                      "collapse fractions only")
     rows = _collapse_report("ablate", args, cfg_file, scenario, runs,
@@ -300,6 +300,11 @@ def cmd_sweep(args) -> int:
     reference = dataclasses.replace(scenario, guidance=None)
     runs = []
     for value in values:
+        try:
+            value = value if dest == "interval" else float(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"sweep value for {args.axis} must be a number, got {value!r}") from None
         cfg = _sampler_config(argparse.Namespace(**(vars(args) | {dest: value})),
                               cfg_file, reference, Variant.FULL_DCR)
         g = cfg.guidance
@@ -336,10 +341,7 @@ def _toy_extractors(item: BenchPrompt, scenario: BiasScenario):
     return {fc.name: make(fc) for fc in item.factors}
 
 
-def _latent_frame(latent) -> "EncodedFrame":
-    import base64
-
-    from .judge import EncodedFrame
+def _latent_frame(latent) -> EncodedFrame:
     payload = json.dumps([float(v) for v in np.asarray(latent).reshape(-1)])
     d = int(np.asarray(latent).size)
     return EncodedFrame(data_b64=base64.b64encode(payload.encode()).decode(),
@@ -348,8 +350,9 @@ def _latent_frame(latent) -> "EncodedFrame":
 
 def cmd_bench(args) -> int:
     cfg_file = _load_config_file(args.config)
-    if args.with_judge and not os.environ.get("DCR_JUDGE_ENDPOINT"):
-        raise ConfigurationError("--with-judge requires DCR_JUDGE_ENDPOINT to be set")
+    audit_log = Path(args.out) / "judge_audit.jsonl"
+    judge_cfg = JudgeClientConfig(endpoint=service_endpoint("judge"),
+                                  audit_log=audit_log) if args.with_judge else None
     suite = load_suite(args.suite, canonical=args.canonical) if args.suite \
         else load_fixture_suite()
     if args.canonical and not args.suite:
@@ -357,20 +360,16 @@ def cmd_bench(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     cfg = _sampler_config(args, cfg_file, scenario, args.variant)
     outdir = _out_dir(args)
-    audit_log = outdir / "judge_audit.jsonl"
     audit_log.unlink(missing_ok=True)  # the judge appends; start this run's log empty
     items = [BatchItem(item.id, TARGET, ATTRACTOR) for item in suite.items]
     results = run_batch(ToyDenoiser(scenario, cosine_schedule(cfg.T)), items,
                         cfg, args.n_per_item)
     by_id = {item.id: item for item in suite.items}
-    judge_cfg = None
     judge_failures = 0
-    if args.with_judge:
-        from .judge import JudgeClientConfig
-        judge_cfg = JudgeClientConfig(audit_log=audit_log)
     rows = []
+    # looked up per call, not at import, so that wrappers set on the modules apply
     from .bench import eval_constraint
-    from .errors import TransportError, VerdictError
+    from .judge import judge
     for r in results:
         if r.final is None:
             continue
@@ -380,7 +379,6 @@ def cmd_bench(args) -> int:
         judge_score = None
         collapsed = (mode == scenario.dominant_index) or outcome.collapsed
         if judge_cfg is not None:
-            from .judge import JudgeRequest, judge
             req = JudgeRequest(prompt_p=item.prompt,
                                factors=tuple(fc.name for fc in item.factors),
                                attractor=item.attractor_prompt,
@@ -431,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--interval", default=None, help="r_s:r_e")
         if with_variant:
-            p.add_argument("--variant", default=Variant.FULL_DCR.value,
+            p.add_argument("--variant", default=SamplerConfig.variant.value,
                            choices=ALL_VARIANTS)
         p.add_argument("--out", required=True)
 

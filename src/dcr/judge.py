@@ -1,5 +1,6 @@
-"""Client for an external multimodal judge, and ``post_json``, the one
-JSON-over-HTTP call that every external-service client in the package uses.
+"""Client for an external multimodal judge, and the ``SERVICES`` table with the
+endpoint lookup, JSON POST and reply check that every external-service client
+in the package uses.
 
 The judge receives the target prompt, its compositional factors, the
 attractor prompt, and uniformly sampled frames; it must answer with a strict
@@ -149,23 +150,14 @@ def parse_verdict(raw_response: str) -> JudgeVerdict:
 
 @dataclass
 class JudgeClientConfig:
-    endpoint: str | None = None
+    endpoint: str | None = None  # None: the judge's endpoint variable
     model: str = ""
-    api_key_env: str = "DCR_JUDGE_API_KEY"
-    timeout_s: float = 60.0
     max_retries: int = 3
     backoff_base_s: float = 0.25
     backoff_cap_s: float = 4.0
     audit_log: str | Path | None = None
     frames_per_request: int = DEFAULT_FRAMES_PER_REQUEST
     transport: object = None  # callable(payload dict) -> str; None = HTTP
-
-    def resolve_endpoint(self) -> str:
-        endpoint = self.endpoint or os.environ.get("DCR_JUDGE_ENDPOINT")
-        if not endpoint:
-            raise ConfigurationError(
-                "judge endpoint not configured (set DCR_JUDGE_ENDPOINT or endpoint=)")
-        return endpoint
 
 
 def build_request(prompt_p: str, factors, attractor: str, frames,
@@ -179,13 +171,35 @@ def build_request(prompt_p: str, factors, attractor: str, frames,
                         rubric_version=rubric_version)
 
 
-def post_json(endpoint: str, body: dict, api_key_env: str, timeout_s: float) -> dict:
-    """POST ``body`` as JSON and return the decoded JSON object. Sends a
-    bearer token when the ``api_key_env`` variable is set; any transport
-    failure, error status or non-object response raises TransportError."""
+# Each external service: the variables holding its endpoint and API key (set in
+# the environment, never in code) and its request timeout in seconds.
+SERVICES = {
+    "judge": ("DCR_JUDGE_ENDPOINT", "DCR_JUDGE_API_KEY", 60.0),
+    "embeddings": ("DCR_EMBED_ENDPOINT", "DCR_EMBED_API_KEY", 30.0),
+    "text": ("DCR_TEXT_ENDPOINT", "DCR_TEXT_API_KEY", 30.0),
+    "caption": ("DCR_CAPTION_ENDPOINT", "DCR_CAPTION_API_KEY", 30.0),
+}
+
+
+def service_endpoint(name: str, endpoint: str | None = None) -> str:
+    """``endpoint``, else the value of the service's endpoint variable;
+    ConfigurationError naming that variable when neither is set."""
+    variable = SERVICES[name][0]
+    endpoint = endpoint or os.environ.get(variable)
+    if not endpoint:
+        raise ConfigurationError(f"{name} endpoint not configured (set {variable})")
+    return endpoint
+
+
+def post_json(service: str, endpoint: str, body: dict) -> dict:
+    """POST ``body`` as JSON to a ``SERVICES`` entry's endpoint and return
+    the decoded JSON object. Sends a bearer token when the service's key
+    variable is set; any transport failure, error status or non-object
+    response raises TransportError."""
+    _, key_env, timeout_s = SERVICES[service]
     req = urllib.request.Request(endpoint, data=serialize_payload(body),
                                  headers={"Content-Type": "application/json"})
-    key = os.environ.get(api_key_env)
+    key = os.environ.get(key_env)
     if key:
         req.add_header("Authorization", f"Bearer {key}")
     try:
@@ -198,18 +212,22 @@ def post_json(endpoint: str, body: dict, api_key_env: str, timeout_s: float) -> 
     return doc
 
 
+def string_field(service: str, doc: dict, key: str) -> str:
+    """``doc[key]`` of a service's reply; TransportError unless it is a string."""
+    value = doc.get(key)
+    if not isinstance(value, str):
+        raise TransportError(f"malformed {service} response: {doc!r}")
+    return value
+
+
 def _http_transport(config: JudgeClientConfig):
-    endpoint = config.resolve_endpoint()
+    endpoint = service_endpoint("judge", config.endpoint)
 
     def send(payload: dict) -> str:
         body = dict(payload)
         if config.model:
             body["model"] = config.model
-        doc = post_json(endpoint, body, config.api_key_env, config.timeout_s)
-        completion = doc.get("completion")
-        if not isinstance(completion, str):
-            raise TransportError(f"malformed judge response: {doc!r}")
-        return completion
+        return string_field("judge", post_json("judge", endpoint, body), "completion")
 
     return send
 

@@ -14,13 +14,12 @@ import io
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, MetricError, TransportError, ValidationError
-from .judge import post_json
+from .errors import MetricError, TransportError, ValidationError
+from .judge import post_json, service_endpoint, string_field
 from .toy import BiasScenario, mode_assignment
 
 log = logging.getLogger(__name__)
@@ -92,21 +91,15 @@ class HashEmbeddingProvider:
 class ExternalEmbeddingClient:
     """JSON-over-HTTP embedding service client. Wire contract: POST
     {"kind": "text"|"frame", "content": str} -> {"embedding": [...]}.
-    Endpoint/credentials via configuration or environment."""
+    Endpoint via ``endpoint=`` or its ``dcr.judge.SERVICES`` variable."""
 
-    def __init__(self, endpoint: str | None = None,
-                 api_key_env: str = "DCR_EMBED_API_KEY", timeout_s: float = 30.0):
-        self.endpoint = endpoint or os.environ.get("DCR_EMBED_ENDPOINT")
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        if not self.endpoint:
-            raise ConfigurationError(
-                "embedding endpoint not configured (set DCR_EMBED_ENDPOINT)")
+    def __init__(self, endpoint: str | None = None):
+        self.endpoint = service_endpoint("embeddings", endpoint)
 
     def _post(self, kind: str, content: str) -> np.ndarray:
         try:
-            body = post_json(self.endpoint, {"kind": kind, "content": content},
-                             self.api_key_env, self.timeout_s)
+            body = post_json("embeddings", self.endpoint,
+                             {"kind": kind, "content": content})
             return np.asarray(body["embedding"], dtype=np.float64)
         except (TransportError, ValueError, KeyError, TypeError) as exc:
             raise MetricError(f"embedding request failed: {exc}") from exc
@@ -134,27 +127,19 @@ class CallableCaptionProvider:
 
 class ExternalCaptionClient:
     """JSON-over-HTTP captioning service client. Wire contract: POST
-    {"frame": str} -> {"caption": str}. Endpoint/credentials via
-    configuration or environment."""
+    {"frame": str} -> {"caption": str}. Endpoint via ``endpoint=`` or its
+    ``dcr.judge.SERVICES`` variable."""
 
-    def __init__(self, endpoint: str | None = None,
-                 api_key_env: str = "DCR_CAPTION_API_KEY", timeout_s: float = 30.0):
-        self.endpoint = endpoint or os.environ.get("DCR_CAPTION_ENDPOINT")
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        if not self.endpoint:
-            raise ConfigurationError(
-                "caption endpoint not configured (set DCR_CAPTION_ENDPOINT)")
+    def __init__(self, endpoint: str | None = None):
+        self.endpoint = service_endpoint("caption", endpoint)
 
     def caption(self, frame) -> str:
         content = frame if isinstance(frame, str) else repr(frame)
         try:
-            text = post_json(self.endpoint, {"frame": content}, self.api_key_env,
-                             self.timeout_s)["caption"]
-        except (TransportError, KeyError) as exc:
+            body = post_json("caption", self.endpoint, {"frame": content})
+            text = string_field("caption", body, "caption")
+        except TransportError as exc:
             raise MetricError(f"caption request failed: {exc}") from exc
-        if not isinstance(text, str):
-            raise MetricError(f"caption service returned a non-string caption: {text!r}")
         if not text:
             raise MetricError("caption service returned an empty caption")
         return text

@@ -348,25 +348,30 @@ def save_scenario(scenario: BiasScenario, path) -> None:
 
 
 def load_scenario(path) -> BiasScenario:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    base = MixtureSpec(means=np.array(doc["means"], dtype=np.float64),
-                       weights=np.array(doc["weights"], dtype=np.float64),
-                       sigma0=float(doc["sigma0"]))
-    channels = {
-        label: PromptChannel(label, None if ov is None else np.array(ov, dtype=np.float64))
-        for label, ov in doc["channels"].items()
-    }
-    guidance = None
-    if "guidance" in doc:
-        guidance = GuidanceConfig(**doc["guidance"])
-    return BiasScenario(base=base,
-                        dominant_index=int(doc["dominant_index"]),
-                        rare_index=int(doc["rare_index"]),
-                        pi_major=float(doc["pi_major"]),
-                        leakage_beta=float(doc["leakage_beta"]),
-                        channels=channels,
-                        guidance=guidance,
-                        steps=int(doc.get("steps", 100)))
+    """ValidationError names the file when it is not JSON, lacks a key or
+    holds a value of the wrong type."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        base = MixtureSpec(means=np.array(doc["means"], dtype=np.float64),
+                           weights=np.array(doc["weights"], dtype=np.float64),
+                           sigma0=float(doc["sigma0"]))
+        channels = {
+            label: PromptChannel(label, None if ov is None else np.array(ov, dtype=np.float64))
+            for label, ov in doc["channels"].items()
+        }
+        guidance = GuidanceConfig(**doc["guidance"]) if "guidance" in doc else None
+        return BiasScenario(base=base,
+                            dominant_index=int(doc["dominant_index"]),
+                            rare_index=int(doc["rare_index"]),
+                            pi_major=float(doc["pi_major"]),
+                            leakage_beta=float(doc["leakage_beta"]),
+                            channels=channels,
+                            guidance=guidance,
+                            steps=int(doc.get("steps", BiasScenario.steps)))
+    except KeyError as exc:
+        raise ValidationError(f"scenario file {path}: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"scenario file {path}: {exc}") from None
 
 
 class ToyDenoiser:

@@ -10,6 +10,7 @@ from faults import CountingBackend, NaNRows
 
 import dcr.cli
 from dcr.cli import main
+from dcr.toy import default_scenario, scenario_doc
 
 
 def run(*argv):
@@ -82,6 +83,34 @@ class TestSample:
         save_scenario(default_scenario(), path)
         assert run("sample", "--scenario", str(path), "--n", "2", *FAST,
                    "--out", str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize("text, detail", [
+        ("{}", "missing key 'means'"),
+        ("not json", "Expecting value"),
+        (json.dumps(scenario_doc(default_scenario()) | {"sigma0": "wide"}),
+         "could not convert string to float"),
+    ], ids=["empty-object", "not-json", "non-numeric"])
+    def test_malformed_scenario_file_is_usage_error(self, tmp_path, capsys, text,
+                                                    detail):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert run("sample", "--scenario", str(path), "--n", "1", *FAST,
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"dcr: error: scenario file {path}: " in err and detail in err
+        assert not out.exists()
+
+    def test_manifest_records_every_service_endpoint(self, tmp_path, monkeypatch):
+        variables = {"judge": "DCR_JUDGE_ENDPOINT", "embeddings": "DCR_EMBED_ENDPOINT",
+                     "text": "DCR_TEXT_ENDPOINT", "caption": "DCR_CAPTION_ENDPOINT"}
+        for name, variable in variables.items():
+            monkeypatch.setenv(variable, f"http://127.0.0.1:9/{name}")
+        out = tmp_path / "o"
+        assert run("sample", "--n", "1", *FAST, "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["endpoints"] == {name: f"http://127.0.0.1:9/{name}"
+                                         for name in variables}
 
     def test_manifest_scenario_reloads_and_reproduces_the_run(self, tmp_path):
         from dcr.toy import (TARGET, PromptChannel, default_scenario, load_scenario,
@@ -214,6 +243,15 @@ class TestSweep:
     def test_invalid_axis_is_usage_error(self, tmp_path):
         assert run("sweep", "--axis", "banana", "--values", "1", "--w", "3.5",
                    "--out", str(tmp_path / "x")) == 1
+
+    @pytest.mark.parametrize("axis", ["eta", "w-attr"])
+    def test_non_numeric_value_is_usage_error(self, tmp_path, capsys, axis):
+        out = tmp_path / "x"
+        assert run("sweep", "--axis", axis, "--values", "1,abc", "--w", "3.5",
+                   "--out", str(out)) == 1
+        assert f"dcr: error: sweep value for {axis} must be a number, got 'abc'" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_w_required(self, tmp_path):
         assert run("sweep", "--axis", "eta", "--values", "1", "--out",

@@ -14,7 +14,7 @@ import pytest
 import dcr.judge
 from dcr.bench import HttpTextClient
 from dcr.cli import main
-from dcr.errors import MetricError, TransportError
+from dcr.errors import ConfigurationError, MetricError, TransportError
 from dcr.judge import (EncodedFrame, JudgeClientConfig, JudgeRequest,
                        build_rubric_message, judge)
 from dcr.metrics import ExternalCaptionClient, ExternalEmbeddingClient
@@ -50,7 +50,8 @@ class Loopback:
 
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.server.server_port}/"
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01}, daemon=True)
 
     def respond(self, doc=None, status=200, raw=None):
         self.status = status
@@ -114,6 +115,19 @@ CLIENTS = {
                 {"caption": "a beach in snow"},
                 lambda v: v == "a beach in snow", MetricError),
 }
+
+
+ENDPOINT_VARIABLES = {"judge": "DCR_JUDGE_ENDPOINT", "text": "DCR_TEXT_ENDPOINT",
+                      "embedding": "DCR_EMBED_ENDPOINT",
+                      "caption": "DCR_CAPTION_ENDPOINT"}
+
+
+@pytest.mark.parametrize("name", sorted(CLIENTS))
+def test_missing_endpoint_names_its_variable(monkeypatch, name):
+    variable = ENDPOINT_VARIABLES[name]
+    monkeypatch.delenv(variable, raising=False)
+    with pytest.raises(ConfigurationError, match=variable):
+        CLIENTS[name][1](None)()
 
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
