@@ -222,3 +222,64 @@ class TestAggregateReport:
         assert any(line.startswith("full-dcr,ENV") for line in lines)
         doc = report_to_json(rep)
         assert '"method": "full-dcr"' in doc
+
+    def test_every_column_aggregates_over_its_present_values(self):
+        # each metric field is set on some rows and None on others; a
+        # column's mean and sample SD run over its present values only
+        rows = [
+            ItemRow(item_id="a", category="ENV", clip_score=0.2,
+                    caption_alignment=0.5, judge_score=5, collapsed=False),
+            ItemRow(item_id="b", category="ENV", clip_score=0.4, clip_attr=0.1,
+                    collapsed=True),
+            ItemRow(item_id="c", category="MAT", clip_attr=0.3,
+                    caption_alignment=0.7, judge_score=3),
+            ItemRow(item_id="d", category="MAT", clip_score=0.6, judge_score=1,
+                    collapsed=True),
+        ]
+        rep = aggregate_report(rows, by_category=True, method="m")
+        expected = {  # column: (mean, sample SD) over its present values
+            "clip_score": (0.4, 0.2),                         # 0.2, 0.4, 0.6
+            "clip_attr": (0.2, math.sqrt(0.02)),              # 0.1, 0.3
+            "caption_alignment": (0.6, math.sqrt(0.02)),      # 0.5, 0.7
+            "ccs": (3.0, 2.0),                                # 5, 3, 1
+            "cvr": (2.0 / 3.0, math.sqrt(1.0 / 3.0)),         # 0, 1, 1
+        }
+        assert rep.overall.n == 4
+        assert set(rep.overall.mean) == set(rep.overall.sd) == set(expected)
+        for column, (mean, sd) in expected.items():
+            assert rep.overall.mean[column] == pytest.approx(mean, abs=1e-12), column
+            assert rep.overall.sd[column] == pytest.approx(sd, abs=1e-12), column
+        env, mat = rep.by_category["ENV"], rep.by_category["MAT"]
+        assert (env.n, mat.n) == (2, 2)
+        # ENV: clip_score 0.2, 0.4; clip_attr 0.1; caption 0.5; ccs 5; cvr 0, 1
+        assert env.mean == pytest.approx({"clip_score": 0.3, "clip_attr": 0.1,
+                                          "caption_alignment": 0.5, "ccs": 5.0,
+                                          "cvr": 0.5}, abs=1e-12)
+        assert env.sd == pytest.approx({"clip_score": math.sqrt(0.02),
+                                        "clip_attr": 0.0, "caption_alignment": 0.0,
+                                        "ccs": 0.0, "cvr": math.sqrt(0.5)},
+                                       abs=1e-12)
+        # MAT: clip_score 0.6; clip_attr 0.3; caption 0.7; ccs 3, 1; cvr 1
+        assert mat.mean == pytest.approx({"clip_score": 0.6, "clip_attr": 0.3,
+                                          "caption_alignment": 0.7, "ccs": 2.0,
+                                          "cvr": 1.0}, abs=1e-12)
+        assert mat.sd == pytest.approx({"clip_score": 0.0, "clip_attr": 0.0,
+                                        "caption_alignment": 0.0,
+                                        "ccs": math.sqrt(2.0), "cvr": 0.0},
+                                       abs=1e-12)
+        lines = report_to_csv(rep).strip().splitlines()
+        assert lines[0] == ("method,group,n,clip_score,clip_score_sd,clip_attr,"
+                            "clip_attr_sd,caption_alignment,caption_alignment_sd,"
+                            "ccs,ccs_sd,cvr,cvr_sd")
+        assert lines[1] == ("m,overall,4,0.400000,0.200000,0.200000,0.141421,"
+                            "0.600000,0.141421,3.000000,2.000000,0.666667,0.577350")
+
+    def test_a_column_no_row_sets_is_absent(self):
+        rows = [ItemRow(item_id="a", category="ENV", clip_attr=0.25),
+                ItemRow(item_id="b", category="ENV", clip_attr=0.75)]
+        rep = aggregate_report(rows, method="m")
+        assert rep.overall.mean == {"clip_attr": 0.5}
+        assert rep.overall.sd == pytest.approx({"clip_attr": math.sqrt(0.125)},
+                                               abs=1e-12)
+        row = report_to_csv(rep).strip().splitlines()[1]
+        assert row == "m,overall,2,,,0.500000,0.353553,,,,,,"
