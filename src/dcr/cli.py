@@ -28,7 +28,7 @@ from .bench import BenchPrompt, load_fixture_suite, load_suite
 from .errors import (ConfigurationError, SuiteFormatError, TransportError,
                      ValidationError, VerdictError)
 from .guidance import GuidanceConfig
-from .judge import (SERVICES, EncodedFrame, JudgeClientConfig, JudgeRequest,
+from .judge import (SERVICES, EncodedFrame, JudgeClientConfig, build_request,
                     service_endpoint)
 from .metrics import (ItemRow, aggregate_report, report_to_csv, report_to_json,
                       toy_collapse_fraction, wilson_interval)
@@ -269,10 +269,7 @@ def cmd_ablate(args) -> int:
             raise ConfigurationError(f"unknown variant '{v}' (choose from {ALL_VARIANTS})")
     runs = [({"variant": v}, _sampler_config(args, cfg_file, scenario, v))
             for v in variants]
-    notes = []
-    if not any(os.environ.get(SERVICES[s][0]) for s in ("judge", "embeddings")):
-        notes.append("no judge/embedding providers configured; "
-                     "collapse fractions only")
+    notes = ["collapse fractions only: ablate calls no judge or embedding provider"]
     rows = _collapse_report("ablate", args, cfg_file, scenario, runs,
                             {"variants": variants, "n": args.n}, {"notes": notes})
     for row in rows:
@@ -379,10 +376,8 @@ def cmd_bench(args) -> int:
         judge_score = None
         collapsed = (mode == scenario.dominant_index) or outcome.collapsed
         if judge_cfg is not None:
-            req = JudgeRequest(prompt_p=item.prompt,
-                               factors=tuple(fc.name for fc in item.factors),
-                               attractor=item.attractor_prompt,
-                               frames=(_latent_frame(r.final),))
+            req = build_request(item.prompt, [fc.name for fc in item.factors],
+                                item.attractor_prompt, [_latent_frame(r.final)])
             try:
                 verdict = judge(req, judge_cfg)
                 judge_score = verdict.score
@@ -391,10 +386,7 @@ def cmd_bench(args) -> int:
                 judge_failures += 1  # excluded with a visible count, never imputed
         rows.append(ItemRow(item_id=f"{r.item_id}/{r.replicate}",
                             category=item.category.value,
-                            judge_score=judge_score,
-                            collapsed=collapsed,
-                            clip_score=None, clip_attr=None,
-                            caption_alignment=None))
+                            judge_score=judge_score, collapsed=collapsed))
     report = aggregate_report(rows, by_category=True, method=cfg.variant.value)
     if judge_failures:
         report.notes.append(f"judge verdicts missing for {judge_failures} items")

@@ -2,11 +2,14 @@
 endpoint lookup, JSON POST and reply check that every external-service client
 in the package uses.
 
-The judge receives the target prompt, its compositional factors, the
-attractor prompt, and uniformly sampled frames; it must answer with a strict
-machine-readable trailer ``score: <1-5>, collapsed: <true|false>`` on its
-final line. No verdict is ever synthesized client-side: every JudgeVerdict
-corresponds to exactly one successful remote response.
+``build_request`` assembles every ``JudgeRequest``: the target prompt, its
+compositional factors, the attractor prompt, and ``FRAMES_PER_REQUEST``
+uniformly spaced frames. The payload carries rubric ``RUBRIC_VERSION``;
+transport failures are retried with exponential backoff capped at
+``BACKOFF_CAP_S``. The judge must answer with a strict machine-readable
+trailer ``score: <1-5>, collapsed: <true|false>`` on its final line. No
+verdict is ever synthesized client-side: every JudgeVerdict corresponds to
+exactly one successful remote response.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ RUBRIC_V1 = """Score the video frames for compositional fidelity only, on this s
 5: Both factors are fully and coherently present; the output clearly reflects the intended rare composition rather than the frequent alternative.
 Also decide whether the output reflects the attractor prompt rather than the intended composition (collapsed: true/false)."""
 
-RUBRICS = {"v1": RUBRIC_V1}
+RUBRIC_VERSION = "v1"
 
 _TRAILER = re.compile(r"score:\s*(-?\d+)\s*,\s*collapsed:\s*(true|false)\s*$",
                       re.IGNORECASE)
 
-DEFAULT_FRAMES_PER_REQUEST = 8
+FRAMES_PER_REQUEST = 8
+BACKOFF_CAP_S = 4.0
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,6 @@ class JudgeRequest:
     factors: tuple[str, ...]
     attractor: str
     frames: tuple[EncodedFrame, ...]
-    rubric_version: str = "v1"
 
     def __post_init__(self):
         if not self.prompt_p or not self.attractor:
@@ -76,8 +79,6 @@ class JudgeRequest:
             raise ValidationError("request needs at least one compositional factor")
         if not self.frames:
             raise ValidationError("request needs at least one frame")
-        if self.rubric_version not in RUBRICS:
-            raise ValidationError(f"unknown rubric version '{self.rubric_version}'")
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,18 @@ def uniform_sample(seq, k: int) -> list:
     return [seq[i] for i in idx]
 
 
+def build_request(prompt_p: str, factors, attractor: str, frames) -> JudgeRequest:
+    """A request keeping ``FRAMES_PER_REQUEST`` uniformly spaced frames of
+    the sequence (all of them when there are no more)."""
+    return JudgeRequest(prompt_p=prompt_p, factors=factors, attractor=attractor,
+                        frames=uniform_sample(frames, FRAMES_PER_REQUEST))
+
+
 def build_rubric_message(req: JudgeRequest) -> dict:
     """Deterministic payload embedding the rubric, the prompt, its factors,
     the attractor prompt, and the output-format instruction."""
     instruction = "\n".join([
-        RUBRICS[req.rubric_version],
+        RUBRIC_V1,
         "",
         f"Intended prompt: {req.prompt_p}",
         "Compositional factors: " + "; ".join(req.factors),
@@ -120,7 +128,7 @@ def build_rubric_message(req: JudgeRequest) -> dict:
         "frames": [{"data_b64": f.data_b64, "width": f.width, "height": f.height,
                     "source_width": f.source_width, "source_height": f.source_height}
                    for f in req.frames],
-        "rubric_version": req.rubric_version,
+        "rubric_version": RUBRIC_VERSION,
         "temperature": 0.0,
         "n": 1,
     }
@@ -154,21 +162,8 @@ class JudgeClientConfig:
     model: str = ""
     max_retries: int = 3
     backoff_base_s: float = 0.25
-    backoff_cap_s: float = 4.0
     audit_log: str | Path | None = None
-    frames_per_request: int = DEFAULT_FRAMES_PER_REQUEST
     transport: object = None  # callable(payload dict) -> str; None = HTTP
-
-
-def build_request(prompt_p: str, factors, attractor: str, frames,
-                  config: JudgeClientConfig, rubric_version: str = "v1"
-                  ) -> JudgeRequest:
-    """Assemble a request from a full frame sequence, keeping the configured
-    number of uniformly spaced frames."""
-    picked = uniform_sample(list(frames), config.frames_per_request)
-    return JudgeRequest(prompt_p=prompt_p, factors=tuple(factors),
-                        attractor=attractor, frames=tuple(picked),
-                        rubric_version=rubric_version)
 
 
 # Each external service: the variables holding its endpoint and API key (set in
@@ -254,8 +249,7 @@ def judge(req: JudgeRequest, config: JudgeClientConfig) -> JudgeVerdict:
             attempt += 1
             if attempt > config.max_retries:
                 raise
-            delay = min(config.backoff_base_s * 2 ** (attempt - 1),
-                        config.backoff_cap_s)
+            delay = min(config.backoff_base_s * 2 ** (attempt - 1), BACKOFF_CAP_S)
             log.warning("judge transport failure (attempt %d/%d), retrying in %.2fs: %s",
                         attempt, config.max_retries, delay, exc)
             time.sleep(delay)

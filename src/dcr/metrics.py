@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bench import Category
 from .errors import MetricError, TransportError, ValidationError
 from .judge import post_json, service_endpoint, string_field
 from .toy import BiasScenario, mode_assignment
@@ -39,6 +40,13 @@ EXTERNAL_REFERENCE_ROWS = {
     "no-repulsion": (0.3088, 0.2732, 0.7729, 3.9500, 0.3475),
     "no-schedule": (0.3115, 0.2740, 0.7819, 3.9675, 0.3550),
 }
+
+
+def _frame_content(frame) -> str:
+    """A frame as an external service receives it: a string as is, anything
+    else as the JSON of its nested lists, which keeps every value and the
+    shape (``repr`` elides the middle of large arrays)."""
+    return frame if isinstance(frame, str) else json.dumps(np.asarray(frame).tolist())
 
 
 def _unit_or_fail(vec, what: str) -> np.ndarray:
@@ -108,8 +116,7 @@ class ExternalEmbeddingClient:
         return self._post("text", text)
 
     def embed_frame(self, frame) -> np.ndarray:
-        content = frame if isinstance(frame, str) else repr(frame)
-        return self._post("frame", content)
+        return self._post("frame", _frame_content(frame))
 
 
 class CallableCaptionProvider:
@@ -134,9 +141,8 @@ class ExternalCaptionClient:
         self.endpoint = service_endpoint("caption", endpoint)
 
     def caption(self, frame) -> str:
-        content = frame if isinstance(frame, str) else repr(frame)
         try:
-            body = post_json("caption", self.endpoint, {"frame": content})
+            body = post_json("caption", self.endpoint, {"frame": _frame_content(frame)})
             text = string_field("caption", body, "caption")
         except TransportError as exc:
             raise MetricError(f"caption request failed: {exc}") from exc
@@ -238,7 +244,10 @@ class ItemRow:
     collapsed: bool | None = None
 
 
-_METRICS = ("clip_score", "clip_attr", "caption_alignment", "ccs", "cvr")
+# report column -> the ItemRow field it averages (a collapse flag as 0/1)
+_METRICS = {"clip_score": "clip_score", "clip_attr": "clip_attr",
+            "caption_alignment": "caption_alignment", "ccs": "judge_score",
+            "cvr": "collapsed"}
 
 
 @dataclass(frozen=True)
@@ -255,7 +264,6 @@ class ScoreReport:
     overall: GroupStats
     by_category: dict[str, GroupStats] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    rows: list[ItemRow] = field(default_factory=list)
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -268,22 +276,11 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
 
 
 def _group_stats(rows: list[ItemRow]) -> GroupStats:
-    cols: dict[str, list[float]] = {m: [] for m in _METRICS}
-    for r in rows:
-        if r.clip_score is not None:
-            cols["clip_score"].append(r.clip_score)
-        if r.clip_attr is not None:
-            cols["clip_attr"].append(r.clip_attr)
-        if r.caption_alignment is not None:
-            cols["caption_alignment"].append(r.caption_alignment)
-        if r.judge_score is not None:
-            cols["ccs"].append(float(r.judge_score))
-        if r.collapsed is not None:
-            cols["cvr"].append(1.0 if r.collapsed else 0.0)
     mean, sd = {}, {}
-    for m, vals in cols.items():
-        if vals:
-            mean[m], sd[m] = _mean_sd(vals)
+    for column, name in _METRICS.items():
+        values = [float(v) for r in rows if (v := getattr(r, name)) is not None]
+        if values:
+            mean[column], sd[column] = _mean_sd(values)
     return GroupStats(n=len(rows), mean=mean, sd=sd)
 
 
@@ -297,14 +294,12 @@ def aggregate_report(rows, by_category: bool = False, method: str = "") -> Score
     for r in rows:
         if r.judge_score is not None and not (1 <= r.judge_score <= 5):
             raise ValidationError(f"judge score out of range: {r.judge_score}")
-    report = ScoreReport(method=method, n=len(rows), overall=_group_stats(rows),
-                         rows=rows)
+    report = ScoreReport(method=method, n=len(rows), overall=_group_stats(rows))
     if by_category:
         cats = sorted({r.category for r in rows if r.category is not None})
         for cat in cats:
             members = [r for r in rows if r.category == cat]
             report.by_category[cat] = _group_stats(members)
-        from .bench import Category  # local import avoids a cycle at module load
         missing = sorted(c.value for c in Category if c.value not in report.by_category)
         if missing:
             report.notes.append(f"empty categories omitted: {', '.join(missing)}")

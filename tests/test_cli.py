@@ -175,6 +175,25 @@ class TestAblate:
         assert run("ablate", "--variants", "full-dcr,wat", "--n", "4", "--out",
                    str(tmp_path / "w")) == 1
 
+    def test_report_does_not_depend_on_provider_endpoints(self, tmp_path,
+                                                          monkeypatch):
+        # ablate calls no provider, so its report reads the same whether or
+        # not their endpoints are set
+        reports = []
+        for endpoint in (None, "http://127.0.0.1:9/"):
+            for variable in ("DCR_JUDGE_ENDPOINT", "DCR_EMBED_ENDPOINT"):
+                if endpoint is None:
+                    monkeypatch.delenv(variable, raising=False)
+                else:
+                    monkeypatch.setenv(variable, endpoint)
+            out = tmp_path / f"r{len(reports)}"
+            assert run("ablate", "--n", "4", "--seed", "3", *FAST,
+                       "--out", str(out)) == 0
+            reports.append((out / "ablate_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["notes"] == [
+            "collapse fractions only: ablate calls no judge or embedding provider"]
+
     def test_one_backend_call_per_channel_and_step(self, tmp_path, monkeypatch):
         # all six variants step as one batch: 3 calls per step, not 15
         backends = []

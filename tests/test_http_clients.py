@@ -223,3 +223,32 @@ def test_second_bench_run_starts_a_new_judge_audit_log(server, monkeypatch, tmp_
                      "--steps", "4", "--out", str(out)]) == 0
     assert len(server.requests) == 2 * 16
     assert len((out / "judge_audit.jsonl").read_text().splitlines()) == 16
+
+
+# frame client: (a call of one client object on a frame, reply that succeeds,
+#                the sent body's field holding the frame)
+FRAME_CLIENTS = {
+    "embedding": (lambda url: ExternalEmbeddingClient(endpoint=url).embed_frame,
+                  {"embedding": [1.0, 0.0]}, "content"),
+    "caption": (lambda url: ExternalCaptionClient(endpoint=url).caption,
+                {"caption": "a beach in snow"}, "frame"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CLIENTS))
+def test_array_frame_is_sent_whole(server, name):
+    # repr elides the middle of an array of more than 1000 elements, so these
+    # two frames would send the same content
+    client, reply, field = FRAME_CLIENTS[name]
+    server.respond(reply)
+    a = np.zeros(2000)
+    b = a.copy()
+    b[1000] = 5.0
+    call = client(server.url)
+    call(a)
+    call(b)
+    call(np.arange(6.0).reshape(2, 3))
+    sent = [r["body"][field] for r in server.requests]
+    assert sent[0] != sent[1]
+    assert json.loads(sent[1]) == b.tolist()
+    assert json.loads(sent[2]) == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
