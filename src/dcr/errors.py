@@ -36,10 +36,6 @@ class SuiteFormatError(ValueError):
         self.field = field
 
 
-class MetricError(RuntimeError):
-    """A metric could not be computed for an item (provider failure etc.)."""
-
-
 class PromptFormatError(ValueError):
     """A text-model completion is empty or multi-line and needs manual review."""
 

@@ -1,6 +1,6 @@
 """Client for an external multimodal judge, and the ``SERVICES`` table with the
-endpoint lookup, JSON POST and reply check that every external-service client
-in the package uses.
+endpoint lookup, JSON POST and reply check that the judge and the text client
+(``dcr.bench.HttpTextClient``) share.
 
 ``build_request`` assembles every ``JudgeRequest``: the target prompt, its
 compositional factors, the attractor prompt, and ``FRAMES_PER_REQUEST``
@@ -170,9 +170,7 @@ class JudgeClientConfig:
 # the environment, never in code) and its request timeout in seconds.
 SERVICES = {
     "judge": ("DCR_JUDGE_ENDPOINT", "DCR_JUDGE_API_KEY", 60.0),
-    "embeddings": ("DCR_EMBED_ENDPOINT", "DCR_EMBED_API_KEY", 30.0),
     "text": ("DCR_TEXT_ENDPOINT", "DCR_TEXT_API_KEY", 30.0),
-    "caption": ("DCR_CAPTION_ENDPOINT", "DCR_CAPTION_API_KEY", 30.0),
 }
 
 

@@ -1,29 +1,25 @@
-"""Evaluation metrics over pluggable embedding/caption providers, the toy
-collapse fraction, and mean +/- SD aggregation with per-category grouping.
+"""Evaluation metrics: the judge's CCS and CVR, the toy collapse fraction
+with its Wilson interval, and mean +/- SD aggregation with per-category
+grouping.
 
 Aggregation keeps every item: no thresholding, no exclusion of ambiguous
-judge scores, no post-hoc correction. Provider failures surface as
-MetricError and are counted by the callers rather than imputed.
+judge scores, no post-hoc correction. Items without a verdict stay None and
+are counted by the callers rather than imputed.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bench import Category
-from .errors import MetricError, TransportError, ValidationError
-from .judge import post_json, service_endpoint, string_field
+from .errors import ValidationError
 from .toy import BiasScenario, mode_assignment
-
-log = logging.getLogger(__name__)
 
 Z_95 = 1.959963984540054
 
@@ -40,151 +36,6 @@ EXTERNAL_REFERENCE_ROWS = {
     "no-repulsion": (0.3088, 0.2732, 0.7729, 3.9500, 0.3475),
     "no-schedule": (0.3115, 0.2740, 0.7819, 3.9675, 0.3550),
 }
-
-
-def _frame_content(frame) -> str:
-    """A frame as an external service receives it: a string as is, anything
-    else as the JSON of its nested lists, which keeps every value and the
-    shape (``repr`` elides the middle of large arrays)."""
-    return frame if isinstance(frame, str) else json.dumps(np.asarray(frame).tolist())
-
-
-def _unit_or_fail(vec, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64).reshape(-1)
-    if v.size == 0 or not np.all(np.isfinite(v)):
-        raise MetricError(f"{what} returned a non-finite or empty vector")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise MetricError(f"{what} returned a zero vector")
-    return v / norm
-
-
-def cosine(u, v) -> float:
-    a = _unit_or_fail(u, "embedding")
-    b = _unit_or_fail(v, "embedding")
-    if a.size != b.size:
-        raise MetricError(f"embedding dimensions differ: {a.size} vs {b.size}")
-    return float(np.clip(a @ b, -1.0, 1.0))
-
-
-class HashEmbeddingProvider:
-    """Deterministic stub provider: hashes content to a seeded unit vector.
-    Identical content maps to identical embeddings, so fixtures can pin exact
-    cosines without any pretrained model."""
-
-    def __init__(self, dim: int = 64):
-        if dim < 2:
-            raise ValidationError("embedding dim must be >= 2")
-        self.dim = dim
-
-    def _embed(self, payload: bytes) -> np.ndarray:
-        seed = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.dim)
-        return v / np.linalg.norm(v)
-
-    def embed_text(self, text: str) -> np.ndarray:
-        return self._embed(b"text:" + text.encode("utf-8"))
-
-    def embed_frame(self, frame) -> np.ndarray:
-        if isinstance(frame, (bytes, bytearray)):
-            payload = bytes(frame)
-        elif isinstance(frame, str):
-            payload = frame.encode("utf-8")
-        else:
-            payload = np.ascontiguousarray(np.asarray(frame, dtype=np.float64)).tobytes()
-        return self._embed(b"frame:" + payload)
-
-
-class ExternalEmbeddingClient:
-    """JSON-over-HTTP embedding service client. Wire contract: POST
-    {"kind": "text"|"frame", "content": str} -> {"embedding": [...]}.
-    Endpoint via ``endpoint=`` or its ``dcr.judge.SERVICES`` variable."""
-
-    def __init__(self, endpoint: str | None = None):
-        self.endpoint = service_endpoint("embeddings", endpoint)
-
-    def _post(self, kind: str, content: str) -> np.ndarray:
-        try:
-            body = post_json("embeddings", self.endpoint,
-                             {"kind": kind, "content": content})
-            return np.asarray(body["embedding"], dtype=np.float64)
-        except (TransportError, ValueError, KeyError, TypeError) as exc:
-            raise MetricError(f"embedding request failed: {exc}") from exc
-
-    def embed_text(self, text: str) -> np.ndarray:
-        return self._post("text", text)
-
-    def embed_frame(self, frame) -> np.ndarray:
-        return self._post("frame", _frame_content(frame))
-
-
-class CallableCaptionProvider:
-    """Caption provider wrapping any frame -> text callable (test stub)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def caption(self, frame) -> str:
-        text = self.fn(frame)
-        if not text:
-            raise MetricError("caption provider returned an empty caption")
-        return text
-
-
-class ExternalCaptionClient:
-    """JSON-over-HTTP captioning service client. Wire contract: POST
-    {"frame": str} -> {"caption": str}. Endpoint via ``endpoint=`` or its
-    ``dcr.judge.SERVICES`` variable."""
-
-    def __init__(self, endpoint: str | None = None):
-        self.endpoint = service_endpoint("caption", endpoint)
-
-    def caption(self, frame) -> str:
-        try:
-            body = post_json("caption", self.endpoint, {"frame": _frame_content(frame)})
-            text = string_field("caption", body, "caption")
-        except TransportError as exc:
-            raise MetricError(f"caption request failed: {exc}") from exc
-        if not text:
-            raise MetricError("caption service returned an empty caption")
-        return text
-
-
-def clip_alignment(frames, text: str, provider) -> float:
-    """Mean cosine between each frame embedding and the text embedding.
-    Used with the target prompt for the alignment score and with the
-    attractor prompt for the suppression score."""
-    frames = list(frames)
-    if not frames:
-        raise ValidationError("need at least one frame")
-    t = provider.embed_text(text)
-    return math.fsum(cosine(provider.embed_frame(f), t) for f in frames) / len(frames)
-
-
-def caption_alignment(frames, prompt: str, captioner, provider) -> float:
-    """Mean cosine between caption embeddings and the prompt embedding.
-    Frames whose caption fails are skipped (with a warning); the item fails
-    only when every frame fails."""
-    frames = list(frames)
-    if not frames:
-        raise ValidationError("need at least one frame")
-    p = provider.embed_text(prompt)
-    sims = []
-    failed = 0
-    for f in frames:
-        try:
-            cap = captioner.caption(f)
-        except MetricError as exc:
-            failed += 1
-            log.warning("caption failed for one frame: %s", exc)
-            continue
-        sims.append(cosine(provider.embed_text(cap), p))
-    if not sims:
-        raise MetricError(f"caption failed for all {failed} frames")
-    if failed:
-        log.warning("caption alignment computed over %d/%d frames", len(sims), len(frames))
-    return math.fsum(sims) / len(sims)
 
 
 def ccs(scores) -> float:
@@ -237,17 +88,12 @@ class ItemRow:
 
     item_id: str
     category: str | None = None
-    clip_score: float | None = None
-    clip_attr: float | None = None
-    caption_alignment: float | None = None
     judge_score: int | None = None
     collapsed: bool | None = None
 
 
 # report column -> the ItemRow field it averages (a collapse flag as 0/1)
-_METRICS = {"clip_score": "clip_score", "clip_attr": "clip_attr",
-            "caption_alignment": "caption_alignment", "ccs": "judge_score",
-            "cvr": "collapsed"}
+_METRICS = {"ccs": "judge_score", "cvr": "collapsed"}
 
 
 @dataclass(frozen=True)

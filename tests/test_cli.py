@@ -102,8 +102,7 @@ class TestSample:
         assert not out.exists()
 
     def test_manifest_records_every_service_endpoint(self, tmp_path, monkeypatch):
-        variables = {"judge": "DCR_JUDGE_ENDPOINT", "embeddings": "DCR_EMBED_ENDPOINT",
-                     "text": "DCR_TEXT_ENDPOINT", "caption": "DCR_CAPTION_ENDPOINT"}
+        variables = {"judge": "DCR_JUDGE_ENDPOINT", "text": "DCR_TEXT_ENDPOINT"}
         for name, variable in variables.items():
             monkeypatch.setenv(variable, f"http://127.0.0.1:9/{name}")
         out = tmp_path / "o"
@@ -181,7 +180,7 @@ class TestAblate:
         # not their endpoints are set
         reports = []
         for endpoint in (None, "http://127.0.0.1:9/"):
-            for variable in ("DCR_JUDGE_ENDPOINT", "DCR_EMBED_ENDPOINT"):
+            for variable in ("DCR_JUDGE_ENDPOINT", "DCR_TEXT_ENDPOINT"):
                 if endpoint is None:
                     monkeypatch.delenv(variable, raising=False)
                 else:

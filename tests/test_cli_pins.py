@@ -53,7 +53,7 @@ PINNED = {
     "bench": (["bench", "--n-per-item", "2", "--seed", "5", *FAST], {
         "stdout": "15c53d7ae5831465335e056fcf41f85e5810e7c37e94ae4eacc653e1bc3d7240",
         "bench_report.csv":
-            "9ab224432c4aab3939adc9a5e78156f3f079742b9e428c66f583782d0e2155e9",
+            "093024389ccede176ebca245099b99990fe0a6f7146affd2b9e2569954184afd",
         "bench_report.json":
             "afd3bc7845de1da84de41a21a37d724a34931f29b37f83cbe4ef5e6feff94e24",
     }),
@@ -69,7 +69,6 @@ def test_artifacts_and_stdout_are_pinned(tmp_path, monkeypatch, capsys, name):
     # no pinned command calls a provider, and the endpoints stay unset all
     # the same; a relative --out keeps the output directory out of stdout
     monkeypatch.delenv("DCR_JUDGE_ENDPOINT", raising=False)
-    monkeypatch.delenv("DCR_EMBED_ENDPOINT", raising=False)
     monkeypatch.chdir(tmp_path)
     argv, expected = PINNED[name]
     assert main([*argv, "--out", name]) == 0

@@ -3,7 +3,7 @@ import dataclasses
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dcr.errors import ShapeMismatchError, ValidationError
@@ -511,7 +511,11 @@ def repelling_case(draw):
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt((a * a).sum(axis=1))
+    # each row scaled by its largest entry first, so entries below about
+    # 1e-154 do not square to 0; an all-zero row has norm 0
+    m = np.abs(a).max(axis=1)
+    scaled = a / np.where(m > 0.0, m, 1.0)[:, None]
+    return m * np.sqrt((scaled * scaled).sum(axis=1))
 
 
 class TestGuidedRowsProperties:
@@ -556,6 +560,9 @@ class TestGuidedRowsProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(guided_rows_case() | repelling_case())
+    @example((np.array([[1.87308518e-189]]), np.array([[0.0]]), np.array([[-1.0]]),
+              GuidanceConfig(w=2.0, w_attr=1.0, eta=1.0, gamma=1.0, r_s=0.2, r_e=0.8),
+              1.4e-45))
     def test_repulsion_lowers_the_alignment_with_the_drift(self, case):
         # <delta*, drift> = s_t - lambda_t |drift|^2 < s_t whenever lambda_t > 0;
         # checked where that decrease exceeds the rounding of the dot product

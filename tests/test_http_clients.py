@@ -1,23 +1,22 @@
-"""The four JSON-over-HTTP clients, exercised over the wire against a
-loopback ``http.server``: the body each one sends, the bearer header when its
-key variable is set, the error type each raises on a server error or a
-malformed response, and recovery once the server answers again."""
+"""The two JSON-over-HTTP clients, the judge and the text client, exercised
+over the wire against a loopback ``http.server``: the body each one sends,
+the bearer header when its key variable is set, the error type each raises
+on a server error or a malformed response, and recovery once the server
+answers again."""
 
 import functools
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-import numpy as np
 import pytest
 
 import dcr.judge
 from dcr.bench import HttpTextClient
 from dcr.cli import main
-from dcr.errors import ConfigurationError, MetricError, TransportError
-from dcr.judge import (EncodedFrame, JudgeClientConfig, JudgeRequest,
+from dcr.errors import ConfigurationError, TransportError
+from dcr.judge import (SERVICES, EncodedFrame, JudgeClientConfig, JudgeRequest,
                        build_rubric_message, judge)
-from dcr.metrics import ExternalCaptionClient, ExternalEmbeddingClient
 
 
 class Loopback:
@@ -61,9 +60,8 @@ class Loopback:
 @pytest.fixture
 def server(monkeypatch):
     monkeypatch.setenv("no_proxy", "*")
-    for name in ("DCR_JUDGE_API_KEY", "DCR_TEXT_API_KEY", "DCR_EMBED_API_KEY",
-                 "DCR_CAPTION_API_KEY"):
-        monkeypatch.delenv(name, raising=False)
+    for _, key_env, _ in SERVICES.values():
+        monkeypatch.delenv(key_env, raising=False)
     stub = Loopback()
     stub.thread.start()
     try:
@@ -102,24 +100,16 @@ CLIENTS = {
              {"instruction": "rewrite this", "temperature": 0.0, "n": 1},
              {"completion": "a tropical beach"},
              lambda v: v == "a tropical beach", TransportError),
-    "embedding": ("DCR_EMBED_API_KEY",
-                  lambda url: functools.partial(
-                      ExternalEmbeddingClient(endpoint=url).embed_text, "hi"),
-                  {"kind": "text", "content": "hi"},
-                  {"embedding": [0.5, -1.0, 2.0]},
-                  lambda v: np.array_equal(v, [0.5, -1.0, 2.0]), MetricError),
-    "caption": ("DCR_CAPTION_API_KEY",
-                lambda url: functools.partial(
-                    ExternalCaptionClient(endpoint=url).caption, "frame-7"),
-                {"frame": "frame-7"},
-                {"caption": "a beach in snow"},
-                lambda v: v == "a beach in snow", MetricError),
 }
 
 
-ENDPOINT_VARIABLES = {"judge": "DCR_JUDGE_ENDPOINT", "text": "DCR_TEXT_ENDPOINT",
-                      "embedding": "DCR_EMBED_ENDPOINT",
-                      "caption": "DCR_CAPTION_ENDPOINT"}
+ENDPOINT_VARIABLES = {"judge": "DCR_JUDGE_ENDPOINT", "text": "DCR_TEXT_ENDPOINT"}
+
+
+def test_every_service_has_a_client_under_test():
+    # a SERVICES row without a client here would be reached by no loopback test
+    assert ENDPOINT_VARIABLES == {name: SERVICES[name][0] for name in SERVICES}
+    assert set(CLIENTS) == set(SERVICES)
 
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
@@ -161,7 +151,7 @@ def test_server_error_raises_client_error_type(server, name):
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 def test_client_recovers_once_the_server_answers_again(server, name):
-    # the judge is called without retries here; the other clients have none
+    # the judge is called without retries here; the text client has none
     _, client, _, reply, check, error = CLIENTS[name]
     call = client(server.url)
     server.respond(reply, status=500)
@@ -182,19 +172,12 @@ def test_judge_retry_recovers_from_one_server_error_in_one_call(server):
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 @pytest.mark.parametrize("raw", [b"not json", b'{"unexpected": 1}',
-                                 b'{"completion": 5}', b'{"completion": null}',
-                                 b'{"caption": 5}', b'{"embedding": {"a": 1}}'])
+                                 b'{"completion": 5}', b'{"completion": null}'])
 def test_malformed_body_raises_client_error_type(server, name, raw):
     _, client, _, _, _, error = CLIENTS[name]
     server.respond(raw=raw)
     with pytest.raises(error):
         client(server.url)()
-
-
-def test_caption_client_rejects_empty_caption(server):
-    server.respond({"caption": ""})
-    with pytest.raises(MetricError, match="empty caption"):
-        ExternalCaptionClient(endpoint=server.url).caption("frame-7")
 
 
 def test_bench_counts_a_non_string_judge_completion_as_missing(server, monkeypatch,
@@ -223,32 +206,3 @@ def test_second_bench_run_starts_a_new_judge_audit_log(server, monkeypatch, tmp_
                      "--steps", "4", "--out", str(out)]) == 0
     assert len(server.requests) == 2 * 16
     assert len((out / "judge_audit.jsonl").read_text().splitlines()) == 16
-
-
-# frame client: (a call of one client object on a frame, reply that succeeds,
-#                the sent body's field holding the frame)
-FRAME_CLIENTS = {
-    "embedding": (lambda url: ExternalEmbeddingClient(endpoint=url).embed_frame,
-                  {"embedding": [1.0, 0.0]}, "content"),
-    "caption": (lambda url: ExternalCaptionClient(endpoint=url).caption,
-                {"caption": "a beach in snow"}, "frame"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FRAME_CLIENTS))
-def test_array_frame_is_sent_whole(server, name):
-    # repr elides the middle of an array of more than 1000 elements, so these
-    # two frames would send the same content
-    client, reply, field = FRAME_CLIENTS[name]
-    server.respond(reply)
-    a = np.zeros(2000)
-    b = a.copy()
-    b[1000] = 5.0
-    call = client(server.url)
-    call(a)
-    call(b)
-    call(np.arange(6.0).reshape(2, 3))
-    sent = [r["body"][field] for r in server.requests]
-    assert sent[0] != sent[1]
-    assert json.loads(sent[1]) == b.tolist()
-    assert json.loads(sent[2]) == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
