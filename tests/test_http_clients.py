@@ -172,7 +172,8 @@ def test_judge_retry_recovers_from_one_server_error_in_one_call(server):
 
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 @pytest.mark.parametrize("raw", [b"not json", b'{"unexpected": 1}',
-                                 b'{"completion": 5}', b'{"completion": null}'])
+                                 b'{"completion": 5}', b'{"completion": null}',
+                                 b'{"caption": 5}', b'{"embedding": {"a": 1}}'])
 def test_malformed_body_raises_client_error_type(server, name, raw):
     _, client, _, _, _, error = CLIENTS[name]
     server.respond(raw=raw)
