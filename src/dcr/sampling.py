@@ -202,17 +202,22 @@ class _Live(NamedTuple):
 def _branch_rows(backend, x: np.ndarray, t: int, labels: list[str],
                  needs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """Each channel's prediction at the rows of x that need it, as an
-    (n_labels, m, D) array (rows that do not need a channel are left unset),
-    and the rows whose backend call failed, with the exception.
+    (n_labels, m, D) array (rows that do not need a channel may hold any
+    value there), and the rows whose backend call failed, with the exception.
 
-    ``needs[j, k]`` says whether row j needs channel labels[k]. One call per
-    channel takes all rows that need it. If any call raises, the step is
-    retried row by row at latent_shape, so only the rows that fail alone
-    leave the batch.
+    ``needs[j, k]`` says whether row j needs channel labels[k]. A backend
+    with ``epsilon_channels`` evaluates every label on every row in one call;
+    otherwise one ``epsilon`` call per channel takes all rows that need it.
+    If any call raises, the step is retried row by row at latent_shape,
+    through ``epsilon`` and for the channels the row needs only, so only the
+    rows that fail alone leave the batch.
     """
     m, size = x.shape[0], x[0].size
     preds = np.empty((len(labels), m, size))
+    channels = getattr(backend, "epsilon_channels", None)
     try:
+        if channels is not None:
+            return channels(x, t, labels).reshape(len(labels), m, size), {}
         for k, label in enumerate(labels):
             rows = needs[:, k]
             if rows.all():
@@ -243,9 +248,11 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     Row r is replicate rows[r][1] of item rows[r][0] and runs the item's
     channels under its variant (cfg.variant when the item names none); the
     rows share cfg's T, scheduler and guidance. Each
-    step calls the backend once per channel, on the live rows that need it,
-    and builds every row's negative, text and probe branches from those
-    calls, so a row's result is bitwise that of a batch of its own.
+    step evaluates the channels of the live rows in one backend call (or one
+    call per channel, on the rows that need it, for a backend without
+    ``epsilon_channels``) and builds every row's negative, text and probe
+    branches from them, so a row's result is bitwise that of a batch of its
+    own.
 
     Row r draws from rngs[r] what a lone trajectory draws, in the same
     order: one standard_normal((T-1, *latent_shape)) draw under the
@@ -263,7 +270,9 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     T, n = cfg.T, len(rngs)
     ancestral = cfg.scheduler_kind is SchedulerKind.ANCESTRAL_DDPM
     draw_shape = (T - 1 if ancestral else 1, *backend.latent_shape)
-    draws = np.stack([rng.standard_normal(draw_shape) for rng in rngs])
+    draws = np.empty((n, *draw_shape))
+    for r, rng in enumerate(rngs):
+        rng.standard_normal(out=draws[r])
     items = [item for item, _ in rows]
     parts = [_VARIANT_PARTS[item.variant or cfg.variant] for item in items]
     # per row, the channel of its negative, text and probe branch; a row

@@ -218,10 +218,24 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_axis(a: np.ndarray, axis: int) -> np.ndarray:
+    """a.sum(axis) for a negative axis, bitwise. On an axis shorter than 8, a
+    few elementwise adds cost less than numpy's reduction, which adds those
+    terms one after another as the loop does; 8 or more along a contiguous
+    axis it sums pairwise, so those keep .sum."""
+    if a.shape[axis] >= 8:
+        return a.sum(axis=axis)
+    tail = (slice(None),) * (-1 - axis)
+    total = a[(..., 0, *tail)]
+    for i in range(1, a.shape[axis]):
+        total = total + a[(..., i, *tail)]
+    return total
+
+
 class _Posterior:
     """The mixture posterior's per-step constants, precomputed for every t of
-    a schedule, and the one kernel that evaluates the posterior at x_t given
-    a channel's log weights."""
+    a schedule, and the one kernel that evaluates the posterior at x_t for a
+    stack of channels, which differ only in their log weights."""
 
     def __init__(self, base: MixtureSpec, sched: NoiseScheduleSpec):
         ab = sched.alpha_bar
@@ -236,35 +250,43 @@ class _Posterior:
 
     def evaluate(self, x_t, t: int, log_w: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x_t as float64, the responsibilities r_k(x_t) (..., K) and the
-        posterior mean E[x0 | x_t] (..., d)."""
-        T, dim = self.sqrt_ab.size, self.means.shape[1]
+        """x_t as float64, and for each row of the (C, K) log weights the
+        responsibilities r_k(x_t) (C, ..., K) and the posterior mean
+        E[x0 | x_t] (C, ..., d). The distances to the scaled means are
+        computed once for all C channels."""
+        T, (K, dim) = self.sqrt_ab.size, self.means.shape
         if not (0 <= t < T):
             raise ValidationError(f"t must lie in [0, {T - 1}], got {t}")
         x = np.asarray(x_t, dtype=np.float64)
         if x.shape[-1] != dim:
             raise ValidationError(f"x_t last dimension must be {dim}")
         diff = x[..., None, :] - self.scaled_means[t]  # (..., K, d)
-        logr = log_w - (diff * diff).sum(axis=-1) / self.two_v[t]
+        dist = _sum_axis(diff * diff, -1)
+        log_w = log_w.reshape(len(log_w), *(1,) * (x.ndim - 1), K)
+        logr = log_w - dist / self.two_v[t]  # (C, ..., K)
         logr = logr - logr.max(axis=-1, keepdims=True)
         r = np.exp(logr)
-        r = r / r.sum(axis=-1, keepdims=True)
+        r = r / _sum_axis(r, -1)[..., None]
         mhat = self.means + self.shrink[t] * diff  # (..., K, d)
-        return x, r, (r[..., None] * mhat).sum(axis=-2)
+        return x, r, _sum_axis(r[..., None] * mhat, -2)
 
-    def epsilon(self, x_t, t: int, log_w: np.ndarray) -> NoisePrediction:
-        """(x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab)."""
+    def epsilon_channels(self, x_t, t: int, log_w: np.ndarray) -> np.ndarray:
+        """(x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab) for each row of the (C, K)
+        log weights, shape (C, *x_t.shape); ValidationError if any value is
+        non-finite."""
         x, _, mean = self.evaluate(x_t, t, log_w)
         if self.sqrt_one_minus_ab[t] == 0.0:
             raise ValidationError("alpha_bar[t] == 1 leaves no noise to predict")
-        return NoisePrediction.from_array(
-            (x - self.sqrt_ab[t] * mean) / self.sqrt_one_minus_ab[t])
+        eps = (x - self.sqrt_ab[t] * mean) / self.sqrt_one_minus_ab[t]
+        if not np.isfinite(eps).all():
+            raise ValidationError("latent values must be finite (no NaN/Inf)")
+        return eps
 
 
 def _channel_posterior(channel: PromptChannel, scenario: BiasScenario,
                        sched: NoiseScheduleSpec) -> tuple[_Posterior, np.ndarray]:
     return (_Posterior(scenario.base, sched),
-            _log_weights(channel.weights_for(scenario.base)))
+            _log_weights(channel.weights_for(scenario.base))[None])
 
 
 def responsibilities(x_t: np.ndarray, t: int, channel: PromptChannel,
@@ -272,14 +294,14 @@ def responsibilities(x_t: np.ndarray, t: int, channel: PromptChannel,
     """Posterior component responsibilities r_k(x_t), shape (..., K).
     Computed in log space; sums to 1 along the last axis."""
     post, log_w = _channel_posterior(channel, scenario, sched)
-    return post.evaluate(x_t, t, log_w)[1]
+    return post.evaluate(x_t, t, log_w)[1][0]
 
 
 def posterior_mean(x_t: np.ndarray, t: int, channel: PromptChannel,
                    scenario: BiasScenario, sched: NoiseScheduleSpec) -> np.ndarray:
     """Exact E[x0 | x_t] for the channel's mixture; shape matches x_t."""
     post, log_w = _channel_posterior(channel, scenario, sched)
-    return post.evaluate(x_t, t, log_w)[2]
+    return post.evaluate(x_t, t, log_w)[2][0]
 
 
 def epsilon_prediction(x_t: np.ndarray, t: int, channel: PromptChannel,
@@ -287,7 +309,7 @@ def epsilon_prediction(x_t: np.ndarray, t: int, channel: PromptChannel,
                        ) -> NoisePrediction:
     """Exact optimal noise prediction (x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab)."""
     post, log_w = _channel_posterior(channel, scenario, sched)
-    return post.epsilon(x_t, t, log_w)
+    return NoisePrediction.from_array(post.epsilon_channels(x_t, t, log_w)[0])
 
 
 def forward_noising(x0: np.ndarray, t: int, sched: NoiseScheduleSpec,
@@ -377,10 +399,15 @@ def load_scenario(path) -> BiasScenario:
 class ToyDenoiser:
     """Denoiser backend over a BiasScenario: exact and stateless.
 
-    ``epsilon(x_t, t, channel_label)`` takes one latent of ``latent_shape``
-    or a batch of shape (N, *latent_shape) and returns the prediction of the
-    same shape; each row of a batch equals the call on that row alone,
-    bitwise.
+    ``epsilon_channels(x_t, t, labels)`` takes a batch of shape
+    (N, *latent_shape) and returns every listed channel's prediction as one
+    float64 array of shape (len(labels), N, *latent_shape), from one set of
+    distances to the mixture means. ``epsilon(x_t, t, channel_label)`` is its
+    one-channel case: it takes one latent of ``latent_shape`` or a batch and
+    returns a NoisePrediction of the same shape. Each row of a batch and each
+    channel of a stack equals the one-channel call on that row alone,
+    bitwise. Both raise ValidationError on an unknown label, a ``t`` outside
+    the schedule, a wrong last dimension or non-finite output.
     """
 
     def __init__(self, scenario: BiasScenario, sched: NoiseScheduleSpec | None = None):
@@ -391,8 +418,12 @@ class ToyDenoiser:
         self._log_weights = {label: _log_weights(ch.weights_for(scenario.base))
                              for label, ch in scenario.channels.items()}
 
+    def epsilon_channels(self, x_t: np.ndarray, t: int, labels) -> np.ndarray:
+        try:
+            log_w = np.array([self._log_weights[label] for label in labels])
+        except KeyError as exc:
+            raise ValidationError(f"unknown channel label '{exc.args[0]}'") from None
+        return self._posterior.epsilon_channels(x_t, t, log_w)
+
     def epsilon(self, x_t: np.ndarray, t: int, channel_label: str) -> NoisePrediction:
-        log_w = self._log_weights.get(channel_label)
-        if log_w is None:
-            raise ValidationError(f"unknown channel label '{channel_label}'")
-        return self._posterior.epsilon(x_t, t, log_w)
+        return NoisePrediction.from_array(self.epsilon_channels(x_t, t, [channel_label])[0])

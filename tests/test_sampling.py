@@ -4,7 +4,7 @@ import json
 import numpy as np
 import oracles
 import pytest
-from faults import CountingBackend, NaNRows, NaNWhere
+from faults import CountingBackend, NaNRows, NaNWhere, PerChannelCounting
 
 import dcr.sampling
 from dcr.errors import ConfigurationError, TrajectoryError, ValidationError
@@ -287,11 +287,11 @@ class TestRunBatch:
         # at t=5, rows with x[0] > 0 get a finite prediction that overflows
         # the scheduler update
         class Huge(ToyDenoiser):
-            def epsilon(self, x_t, t, channel_label):
-                eps = super().epsilon(x_t, t, channel_label).reshape()
+            def epsilon_channels(self, x_t, t, labels):
+                eps = super().epsilon_channels(x_t, t, labels)
                 if t == 5:
                     eps = np.where(np.asarray(x_t)[..., :1] > 0, 1e308, eps)
-                return NP(eps)
+                return eps
 
         T = 8
         cfg = small_cfg(T=T, variant=Variant.PLAIN_CFG)
@@ -355,6 +355,25 @@ class TestMixedBatch:
             if want.error is None:
                 assert got.final.tobytes() == want.final.tobytes()
                 assert record_bytes(got.trace) == record_bytes(want.trace)
+
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    def test_a_fault_in_a_channel_the_row_does_not_need_spares_it(self, scheduler):
+        # rows 0-2 run plain CFG, which never reads the attractor channel;
+        # rows 3-5 run full DCR, which does. A NaN attractor prediction at
+        # rows 1 and 4 makes the batched call raise; the retry evaluates only
+        # the channels each row needs, so row 4 fails and row 1 runs on.
+        T, k = 12, 4
+        sc = default_scenario()
+        cfg = small_cfg(T=T, seed=2, scheduler=scheduler)
+        items = [BatchItem("p", variant=Variant.PLAIN_CFG),
+                 BatchItem("f", variant=Variant.FULL_DCR)]
+        clean = run_batch(ToyDenoiser(sc, cosine_schedule(T)), items, cfg, 3)
+        got = run_batch(NaNRows(sc, cosine_schedule(T), {1, 4}, k, label=ATTRACTOR),
+                        items, cfg, 3)
+        assert list(got.errors) == [4] and got.errors[4].step == k
+        for r in (0, 1, 2, 3, 5):
+            assert got[r].final.tobytes() == clean[r].final.tobytes()
+            assert record_bytes(got[r].trace) == record_bytes(clean[r].trace)
 
     def test_item_variant_overrides_the_config(self):
         be, _ = backend(T=8)
@@ -584,6 +603,26 @@ class TestGuidedStep:
         # would make 15 calls per step
         T = 12
         be = CountingBackend(default_scenario(), cosine_schedule(T))
+        run_batch(be, [BatchItem("calls", variant=v) for v in Variant],
+                  small_cfg(T=T), 4)
+        assert be.calls == {"uncond": T, "target": T, "attractor": T}
+        # all three channels of a step come from one call
+        assert be.channel_calls == T
+
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_backend_calls_per_step_without_epsilon_channels(self, variant):
+        # the per-channel path: one epsilon call per channel the variant uses
+        T = 12
+        be = PerChannelCounting(default_scenario(), cosine_schedule(T))
+        run_sampling(be, (TARGET, ATTRACTOR), small_cfg(variant, T=T))
+        assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
+        be.calls = {}
+        run_batch(be, [BatchItem("calls")], small_cfg(variant, T=T), 4)
+        assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
+
+    def test_all_variants_without_epsilon_channels_call_each_channel_once_per_step(self):
+        T = 12
+        be = PerChannelCounting(default_scenario(), cosine_schedule(T))
         run_batch(be, [BatchItem("calls", variant=v) for v in Variant],
                   small_cfg(T=T), 4)
         assert be.calls == {"uncond": T, "target": T, "attractor": T}

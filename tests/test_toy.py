@@ -260,3 +260,87 @@ class TestBackend:
         be = ToyDenoiser(default_scenario())
         with pytest.raises(ValidationError):
             be.epsilon(np.array([0.0, 0.0]), 50, "no-such-channel")
+
+
+def _grid_scenario(d: int, K: int) -> BiasScenario:
+    """K random means in d dimensions; the target and attractor channels
+    put zero weight on some components."""
+    rng = np.random.default_rng(10 * d + K)
+    rest = np.full(K - 1, 0.4 / (K - 1))
+    base = MixtureSpec(means=rng.normal(scale=3.0, size=(K, d)),
+                       weights=np.r_[0.6, rest / rest.sum() * 0.4], sigma0=0.4)
+    target, attr = np.zeros(K), np.r_[0.8, np.full(K - 1, 0.2 / (K - 1))]
+    target[:2] = 0.3, 0.7
+    return BiasScenario(base=base, dominant_index=0, rare_index=1, pi_major=0.6,
+                        leakage_beta=0.3,
+                        channels={UNCOND: PromptChannel(UNCOND),
+                                  TARGET: PromptChannel(TARGET, target),
+                                  ATTRACTOR: PromptChannel(ATTRACTOR, attr / attr.sum())})
+
+
+def _summed_epsilon(x, t, channel, sc, sched):
+    """One channel's prediction with every sum written as numpy's .sum, the
+    form of the kernel before the channels shared one pass."""
+    ab, s2 = sched.alpha_bar[t], sc.base.sigma0 ** 2
+    v = ab * s2 + (1.0 - ab)
+    w = channel.weights_for(sc.base)
+    log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -1e30)
+    diff = x[..., None, :] - np.sqrt(ab) * sc.base.means
+    logr = log_w - (diff * diff).sum(axis=-1) / (2.0 * v)
+    logr = logr - logr.max(axis=-1, keepdims=True)
+    r = np.exp(logr)
+    r = r / r.sum(axis=-1, keepdims=True)
+    mean = (r[..., None] * (sc.base.means + np.sqrt(ab) * s2 / v * diff)).sum(axis=-2)
+    return (x - np.sqrt(ab) * mean) / np.sqrt(1.0 - ab)
+
+
+class TestEpsilonChannels:
+    LABELS = [UNCOND, TARGET, ATTRACTOR]
+
+    # an axis shorter than 8 (d or K) is summed by explicit adds, a longer
+    # one by numpy's sum
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 16])
+    @pytest.mark.parametrize("K", [3, 9])
+    def test_equals_per_label_epsilon_bitwise(self, d, K):
+        sc, sched = _grid_scenario(d, K), cosine_schedule(100)
+        be = ToyDenoiser(sc, sched)
+        rng = np.random.default_rng(d + K)
+        for n in (1, 48, 3000):
+            x = rng.normal(scale=4.0, size=(n, d))
+            for t in (99, 50, 3, 0):
+                got = be.epsilon_channels(x, t, self.LABELS)
+                assert got.dtype == np.float64 and got.shape == (3, n, d)
+                for c, label in enumerate(self.LABELS):
+                    one = be.epsilon(x, t, label).reshape()
+                    assert got[c].tobytes() == one.tobytes()
+                    assert one.tobytes() == _summed_epsilon(
+                        x, t, sc.channel(label), sc, sched).tobytes()
+        lone = be.epsilon_channels(x[0], 50, self.LABELS[::-1])
+        assert lone.shape == (3, d)
+        assert lone[0].tobytes() == be.epsilon(x[0], 50, ATTRACTOR).values.tobytes()
+
+    def test_unknown_label(self):
+        be = ToyDenoiser(default_scenario())
+        with pytest.raises(ValidationError, match="unknown channel label 'nope'"):
+            be.epsilon_channels(np.zeros((4, 2)), 50, [UNCOND, "nope"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_output(self, bad):
+        # 1e200 is finite, but its squared distance overflows
+        be = ToyDenoiser(default_scenario())
+        x = np.zeros((4, 2))
+        x[2, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            be.epsilon_channels(x, 50, [UNCOND, TARGET])
+
+    @pytest.mark.parametrize("t", [-1, 100])
+    def test_t_out_of_range(self, t):
+        be = ToyDenoiser(default_scenario())
+        with pytest.raises(ValidationError, match="t must lie in"):
+            be.epsilon_channels(np.zeros((4, 2)), t, [UNCOND])
+
+    def test_last_dimension(self):
+        be = ToyDenoiser(default_scenario())
+        with pytest.raises(ValidationError, match="last dimension"):
+            be.epsilon_channels(np.zeros((4, 3)), 50, [UNCOND])
