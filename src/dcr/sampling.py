@@ -210,14 +210,18 @@ def _branch_rows(backend, x: np.ndarray, t: int, labels: list[str],
     otherwise one ``epsilon`` call per channel takes all rows that need it.
     If any call raises, the step is retried row by row at latent_shape,
     through ``epsilon`` and for the channels the row needs only, so only the
-    rows that fail alone leave the batch.
+    rows that fail alone leave the batch. A non-finite value in the stack
+    ``epsilon_channels`` returns counts as a raise, whatever the backend.
     """
     m, size = x.shape[0], x[0].size
     preds = np.empty((len(labels), m, size))
     channels = getattr(backend, "epsilon_channels", None)
     try:
         if channels is not None:
-            return channels(x, t, labels).reshape(len(labels), m, size), {}
+            stack = np.asarray(channels(x, t, labels), dtype=np.float64)
+            if not np.isfinite(stack).all():
+                raise ValidationError("latent values must be finite (no NaN/Inf)")
+            return stack.reshape(len(labels), m, size), {}
         for k, label in enumerate(labels):
             rows = needs[:, k]
             if rows.all():
@@ -259,9 +263,9 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     ancestral scheduler (the initial latent, then the noise of every
     transition but the last, bitwise equal to drawing them one by one), or
     the initial latent alone under the deterministic one. A row whose
-    backend call raises (non-finite output included, which NoisePrediction
-    rejects) or whose latent goes non-finite leaves the batch with a
-    TrajectoryError at that step; the other rows go on.
+    backend call raises or returns non-finite output, or whose latent goes
+    non-finite, leaves the batch with a TrajectoryError at that step; the
+    other rows go on.
     """
     sched: NoiseScheduleSpec = backend.schedule
     if sched.T != cfg.T:

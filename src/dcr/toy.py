@@ -218,20 +218,6 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum_axis(a: np.ndarray, axis: int) -> np.ndarray:
-    """a.sum(axis) for a negative axis, bitwise. On an axis shorter than 8, a
-    few elementwise adds cost less than numpy's reduction, which adds those
-    terms one after another as the loop does; 8 or more along a contiguous
-    axis it sums pairwise, so those keep .sum."""
-    if a.shape[axis] >= 8:
-        return a.sum(axis=axis)
-    tail = (slice(None),) * (-1 - axis)
-    total = a[(..., 0, *tail)]
-    for i in range(1, a.shape[axis]):
-        total = total + a[(..., i, *tail)]
-    return total
-
-
 class _Posterior:
     """The mixture posterior's per-step constants, precomputed for every t of
     a schedule, and the one kernel that evaluates the posterior at x_t for a
@@ -261,26 +247,21 @@ class _Posterior:
         if x.shape[-1] != dim:
             raise ValidationError(f"x_t last dimension must be {dim}")
         diff = x[..., None, :] - self.scaled_means[t]  # (..., K, d)
-        dist = _sum_axis(diff * diff, -1)
         log_w = log_w.reshape(len(log_w), *(1,) * (x.ndim - 1), K)
-        logr = log_w - dist / self.two_v[t]  # (C, ..., K)
+        logr = log_w - (diff * diff).sum(axis=-1) / self.two_v[t]  # (C, ..., K)
         logr = logr - logr.max(axis=-1, keepdims=True)
         r = np.exp(logr)
-        r = r / _sum_axis(r, -1)[..., None]
+        r = r / r.sum(axis=-1, keepdims=True)
         mhat = self.means + self.shrink[t] * diff  # (..., K, d)
-        return x, r, _sum_axis(r[..., None] * mhat, -2)
+        return x, r, (r[..., None] * mhat).sum(axis=-2)
 
     def epsilon_channels(self, x_t, t: int, log_w: np.ndarray) -> np.ndarray:
         """(x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab) for each row of the (C, K)
-        log weights, shape (C, *x_t.shape); ValidationError if any value is
-        non-finite."""
+        log weights, shape (C, *x_t.shape)."""
         x, _, mean = self.evaluate(x_t, t, log_w)
         if self.sqrt_one_minus_ab[t] == 0.0:
             raise ValidationError("alpha_bar[t] == 1 leaves no noise to predict")
-        eps = (x - self.sqrt_ab[t] * mean) / self.sqrt_one_minus_ab[t]
-        if not np.isfinite(eps).all():
-            raise ValidationError("latent values must be finite (no NaN/Inf)")
-        return eps
+        return (x - self.sqrt_ab[t] * mean) / self.sqrt_one_minus_ab[t]
 
 
 def _channel_posterior(channel: PromptChannel, scenario: BiasScenario,
@@ -423,7 +404,10 @@ class ToyDenoiser:
             log_w = np.array([self._log_weights[label] for label in labels])
         except KeyError as exc:
             raise ValidationError(f"unknown channel label '{exc.args[0]}'") from None
-        return self._posterior.epsilon_channels(x_t, t, log_w)
+        eps = self._posterior.epsilon_channels(x_t, t, log_w)
+        if not np.isfinite(eps).all():
+            raise ValidationError("latent values must be finite (no NaN/Inf)")
+        return eps
 
     def epsilon(self, x_t: np.ndarray, t: int, channel_label: str) -> NoisePrediction:
         return NoisePrediction.from_array(self.epsilon_channels(x_t, t, [channel_label])[0])

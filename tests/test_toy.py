@@ -278,27 +278,11 @@ def _grid_scenario(d: int, K: int) -> BiasScenario:
                                   ATTRACTOR: PromptChannel(ATTRACTOR, attr / attr.sum())})
 
 
-def _summed_epsilon(x, t, channel, sc, sched):
-    """One channel's prediction with every sum written as numpy's .sum, the
-    form of the kernel before the channels shared one pass."""
-    ab, s2 = sched.alpha_bar[t], sc.base.sigma0 ** 2
-    v = ab * s2 + (1.0 - ab)
-    w = channel.weights_for(sc.base)
-    log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -1e30)
-    diff = x[..., None, :] - np.sqrt(ab) * sc.base.means
-    logr = log_w - (diff * diff).sum(axis=-1) / (2.0 * v)
-    logr = logr - logr.max(axis=-1, keepdims=True)
-    r = np.exp(logr)
-    r = r / r.sum(axis=-1, keepdims=True)
-    mean = (r[..., None] * (sc.base.means + np.sqrt(ab) * s2 / v * diff)).sum(axis=-2)
-    return (x - np.sqrt(ab) * mean) / np.sqrt(1.0 - ab)
-
-
 class TestEpsilonChannels:
     LABELS = [UNCOND, TARGET, ATTRACTOR]
 
-    # an axis shorter than 8 (d or K) is summed by explicit adds, a longer
-    # one by numpy's sum
+    # numpy sums an axis of 8 or more contiguous terms pairwise, a shorter
+    # one term by term, so the grid has d and K on both sides of 8
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 16])
     @pytest.mark.parametrize("K", [3, 9])
     def test_equals_per_label_epsilon_bitwise(self, d, K):
@@ -313,8 +297,6 @@ class TestEpsilonChannels:
                 for c, label in enumerate(self.LABELS):
                     one = be.epsilon(x, t, label).reshape()
                     assert got[c].tobytes() == one.tobytes()
-                    assert one.tobytes() == _summed_epsilon(
-                        x, t, sc.channel(label), sc, sched).tobytes()
         lone = be.epsilon_channels(x[0], 50, self.LABELS[::-1])
         assert lone.shape == (3, d)
         assert lone[0].tobytes() == be.epsilon(x[0], 50, ATTRACTOR).values.tobytes()
