@@ -267,8 +267,8 @@ def cmd_ablate(args) -> int:
     for v in variants:
         if v not in ALL_VARIANTS:
             raise ConfigurationError(f"unknown variant '{v}' (choose from {ALL_VARIANTS})")
-    runs = [({"variant": v}, _sampler_config(args, cfg_file, scenario, v))
-            for v in variants]
+    base = _sampler_config(args, cfg_file, scenario, variants[0])
+    runs = [({"variant": v}, dataclasses.replace(base, variant=v)) for v in variants]
     notes = ["collapse fractions only: ablate calls no judge or embedding provider"]
     rows = _collapse_report("ablate", args, cfg_file, scenario, runs,
                             {"variants": variants, "n": args.n}, {"notes": notes})

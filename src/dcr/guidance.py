@@ -15,9 +15,11 @@ fully flattened latent vector in float64. The per-step pipeline is
 Only positive alignment is penalized; with lambda == 0 the corrected update
 is bit-identical to the plain CFG update.
 
-Each equation is written once, over (N, D) rows or one (D,) latent: the
-sampling loop's ``dcr_guided_rows`` composes them, and the public functions
-on one latent add only the shape and range checks of their typed inputs.
+Each equation is written once, over (N, D) rows or one (D,) latent:
+``dcr_guided_rows`` composes them (the sampling loop calls its unchecked
+core, ``_guided_rows``, and checks its arguments once per run), and the
+public functions on one latent add only the shape and range checks of their
+typed inputs.
 """
 
 from __future__ import annotations
@@ -190,9 +192,11 @@ def _projection(drift: np.ndarray, delta_ref: np.ndarray, alpha_t, cfg: Guidance
 
 def _residual(drift: np.ndarray, delta_ref: np.ndarray, s_t, na2) -> np.ndarray:
     nd2 = _row_dot(delta_ref, delta_ref)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        orth = drift - (s_t / nd2)[..., None] * delta_ref
-        residual = np.minimum(np.sqrt(_row_dot(orth, orth)) / np.sqrt(na2), 1.0)
+    # Rows with a zero norm divide by 1 instead, so they raise no warning;
+    # the last line overwrites their value.
+    orth = drift - (s_t / np.where(nd2 == 0.0, 1.0, nd2))[..., None] * delta_ref
+    residual = np.minimum(
+        np.sqrt(_row_dot(orth, orth)) / np.where(na2 == 0.0, 1.0, np.sqrt(na2)), 1.0)
     return np.where(na2 == 0.0, 0.0, np.where(nd2 == 0.0, 1.0, residual))
 
 
@@ -361,7 +365,16 @@ def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndar
     alpha_t = _per_row(alpha_t, n, "alpha_t")
     if not ((0.0 <= alpha_t) & (alpha_t <= 1.0)).all():
         raise ValidationError(f"alpha_t must lie in [0,1], got {alpha_t}")
-    repel, probe = _per_row(repel, n, "repel"), _per_row(probe, n, "probe")
+    return _guided_rows(eps_neg, eps_text, eps_attr, alpha_t, cfg,
+                        _per_row(repel, n, "repel"), _per_row(probe, n, "probe"))
+
+
+def _guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray,
+                 alpha_t: np.ndarray, cfg: GuidanceConfig, repel: np.ndarray,
+                 probe: np.ndarray) -> GuidedRows:
+    """``dcr_guided_rows`` without its argument checks, for a caller that
+    has made them: (N, D) branch outputs and alpha_t in [0, 1], with
+    alpha_t, repel and probe arrays of shape () or (N,)."""
     delta_ref = _cfg_delta(eps_neg, eps_text, cfg.w)
     drift = _drift(eps_neg, eps_attr, delta_ref, cfg.w_attr)
     s_t, na2, n_t, lambda_t = _projection(drift, delta_ref, alpha_t, cfg)

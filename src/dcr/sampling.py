@@ -22,8 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, TrajectoryError, ValidationError
-from .guidance import (GuidanceConfig, StepPosition, dcr_guided_rows,
-                       schedule_alpha)
+from .guidance import GuidanceConfig, StepPosition, _guided_rows, schedule_alpha
 # Not called here: perfbench/layers.py wraps these guidance functions under
 # their dcr.sampling names, so the names stay importable from this module.
 from .guidance import (attractor_drift_expanded, cfg_update,  # noqa: F401
@@ -122,7 +121,8 @@ def scheduler_step(eps: np.ndarray, t: int, x_t: np.ndarray,
     noise, where ``noise`` is a standard-normal draw of x_t's shape; the
     final t=1 -> 0 transition adds none and takes no draw. Deterministic:
     x0_hat = (x_t - sqrt(1-ab_t)*eps)/sqrt(ab_t), then
-    x_{t-1} = sqrt(ab_{t-1})*x0_hat + sqrt(1-ab_{t-1})*eps.
+    x_{t-1} = sqrt(ab_{t-1})*x0_hat + sqrt(1-ab_{t-1})*eps. The scalars
+    come from ``sched.reverse_coefficients``.
     """
     if t < 1:
         raise ValidationError(f"scheduler_step requires t >= 1, got {t}")
@@ -130,22 +130,17 @@ def scheduler_step(eps: np.ndarray, t: int, x_t: np.ndarray,
         raise ValidationError(f"t={t} out of range for T={sched.T}")
     x = np.asarray(x_t, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64).reshape(x.shape)
-    ab_t = sched.alpha_bar[t]
-    ab_prev = sched.alpha_bar[t - 1]
-    kind = SchedulerKind(kind)
-    if kind is SchedulerKind.DETERMINISTIC_DDIM:
-        x0_hat = (x - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
-        return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
-    alpha_t = ab_t / ab_prev
-    beta_t = 1.0 - alpha_t
-    mean = (x - beta_t / np.sqrt(1.0 - ab_t) * eps) / np.sqrt(alpha_t)
+    deterministic = SchedulerKind(kind) is SchedulerKind.DETERMINISTIC_DDIM
+    c1, c2, c3, c4 = sched.reverse_coefficients[int(deterministic), t].tolist()
+    if deterministic:
+        return c3 * ((x - c1 * eps) / c2) + c4 * eps
+    mean = (x - c1 * eps) / c2
     if t == 1:
         return mean
     if noise is None or np.shape(noise) != x.shape:
         raise ValidationError(
             f"ancestral step at t={t} needs a noise draw of shape {x.shape}")
-    var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
-    return mean + np.sqrt(var) * noise
+    return mean + c3 * noise
 
 
 @dataclass(frozen=True)
@@ -190,7 +185,8 @@ class _Live(NamedTuple):
     x: np.ndarray       # its latent
     code: np.ndarray    # (m, 3): label index of its negative, text and probe branch
     needs: np.ndarray   # (m, n_labels): whether it needs each label's prediction
-    alpha: np.ndarray   # its variant's fixed alpha_t; NaN where schedule_alpha applies
+    scheduled: np.ndarray  # whether its alpha_t is schedule_alpha's
+    alpha: np.ndarray   # its variant's fixed alpha_t where it is not
     repel: np.ndarray
     probe: np.ndarray
     draws: np.ndarray   # its standard-normal draws
@@ -214,7 +210,6 @@ def _branch_rows(backend, x: np.ndarray, t: int, labels: list[str],
     ``epsilon_channels`` returns counts as a raise, whatever the backend.
     """
     m, size = x.shape[0], x[0].size
-    preds = np.empty((len(labels), m, size))
     channels = getattr(backend, "epsilon_channels", None)
     try:
         if channels is not None:
@@ -222,6 +217,7 @@ def _branch_rows(backend, x: np.ndarray, t: int, labels: list[str],
             if not np.isfinite(stack).all():
                 raise ValidationError("latent values must be finite (no NaN/Inf)")
             return stack.reshape(len(labels), m, size), {}
+        preds = np.empty((len(labels), m, size))
         for k, label in enumerate(labels):
             rows = needs[:, k]
             if rows.all():
@@ -233,6 +229,7 @@ def _branch_rows(backend, x: np.ndarray, t: int, labels: list[str],
         return preds, {}
     except Exception:  # any failure: retried row by row below
         pass
+    preds = np.empty((len(labels), m, size))
     failed: dict[int, Exception] = {}
     for j in range(m):
         try:
@@ -262,7 +259,10 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     order: one standard_normal((T-1, *latent_shape)) draw under the
     ancestral scheduler (the initial latent, then the noise of every
     transition but the last, bitwise equal to drawing them one by one), or
-    the initial latent alone under the deterministic one. A row whose
+    the initial latent alone under the deterministic one. Rows given the
+    same Generator object share its one draw. Everything that does not
+    depend on the step (channels, per-row alpha_t and their range check,
+    the draws) is set up once, before the loop. A row whose
     backend call raises or returns non-finite output, or whose latent goes
     non-finite, leaves the batch with a TrajectoryError at that step; the
     other rows go on.
@@ -274,9 +274,15 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     T, n = cfg.T, len(rngs)
     ancestral = cfg.scheduler_kind is SchedulerKind.ANCESTRAL_DDPM
     draw_shape = (T - 1 if ancestral else 1, *backend.latent_shape)
+    ids = np.arange(n)
     draws = np.empty((n, *draw_shape))
-    for r, rng in enumerate(rngs):
-        rng.standard_normal(out=draws[r])
+    first: dict[int, int] = {}  # id of each distinct generator -> its first row
+    source = np.array([first.setdefault(id(rng), r) for r, rng in enumerate(rngs)])
+    for r in first.values():
+        rngs[r].standard_normal(out=draws[r])
+    if len(first) < n:
+        shared = source != ids
+        draws[shared] = draws[source[shared]]
     items = [item for item, _ in rows]
     parts = [_VARIANT_PARTS[item.variant or cfg.variant] for item in items]
     # per row, the channel of its negative, text and probe branch; a row
@@ -289,13 +295,19 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     labels = list(dict.fromkeys(label for row in branch_labels for label in row))
     code = np.array([[labels.index(label) for label in row] for row in branch_labels])
     probe = np.array([p.probe is not None for p in parts])
-    ids = np.arange(n)
     needs = np.zeros((n, len(labels)), dtype=bool)
     needs[ids, code[:, 0]] = needs[ids, code[:, 1]] = True
     needs[ids[probe], code[probe, 2]] = True
-    live = _Live(ids, draws[:, 0].copy(), code, needs,
-                 np.array([np.nan if p.alpha is None else p.alpha for p in parts]),
+    scheduled = np.array([p.alpha is None for p in parts])
+    fixed = np.array([0.0 if p.alpha is None else p.alpha for p in parts])
+    schedule = np.array([schedule_alpha(StepPosition(index=i, total=T), cfg.guidance)
+                         for i in range(T)])
+    for a in (schedule, fixed):
+        if not ((0.0 <= a) & (a <= 1.0)).all():
+            raise ValidationError(f"alpha_t must lie in [0,1], got {a}")
+    live = _Live(ids, draws[:, 0].copy(), code, needs, scheduled, fixed,
                  np.array([p.repel for p in parts]), probe, draws)
+    size = draws[0, 0].size
     # per step and row: x_mean, x_rms, alpha_t, lambda_t, s_t, residual
     cols = np.zeros((T, n, 6))
     errors: dict[int, TrajectoryError] = {}
@@ -316,20 +328,20 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
                 break
         m = live.ids.size
         e_neg, e_text, e_attr = preds[live.code.T, np.arange(m)]
-        alpha_t = np.where(np.isnan(live.alpha),
-                           schedule_alpha(StepPosition(index=i, total=T), cfg.guidance),
-                           live.alpha)
-        step = dcr_guided_rows(e_neg, e_text, e_attr, alpha_t, cfg.guidance,
-                               repel=live.repel, probe=live.probe)
-        flat = live.x.reshape(m, -1)
-        cols[i, live.ids] = np.stack(
-            [flat.mean(axis=1), np.sqrt(np.mean(flat * flat, axis=1)),
-             alpha_t, step.lambda_t, step.s_t, step.residual], axis=1)
+        alpha_t = np.where(live.scheduled, schedule[i], live.alpha)
+        step = _guided_rows(e_neg, e_text, e_attr, alpha_t, cfg.guidance,
+                            live.repel, live.probe)
+        flat = live.x.reshape(m, size)
+        # np.add.reduce(...) / size is what .mean computes
+        for k, col in enumerate((np.add.reduce(flat, axis=1) / size,
+                                 np.sqrt(np.add.reduce(flat * flat, axis=1) / size),
+                                 alpha_t, step.lambda_t, step.s_t, step.residual)):
+            cols[i, live.ids, k] = col
         if t >= 1:
             noise = live.draws[:, i + 1] if ancestral and t > 1 else None
             live = live._replace(x=scheduler_step(step.eps_star, t, live.x, sched,
                                                   cfg.scheduler_kind, noise))
-            ok = np.isfinite(live.x.reshape(m, -1)).all(axis=1)
+            ok = np.isfinite(live.x.reshape(m, size)).all(axis=1)
             if not ok.all():
                 for r in live.ids[~ok].tolist():
                     errors[r] = TrajectoryError("non-finite latent", step=i)
@@ -411,7 +423,8 @@ def derive_seed(base_seed: int, item_id: str, replicate: int) -> int:
 def run_batch(backend, items, cfg: SamplerConfig, n_per_item: int) -> Batch:
     """Run n_per_item trajectories per item, all rows of all items as one
     batch, each seeded by derive_seed, so items of one id share seeds across
-    variants. Rows come in item order, then replicate order;
+    variants: rows of one (item_id, replicate) share one Generator and its
+    draws. Rows come in item order, then replicate order;
     per-trajectory failures are collected instead of aborting the batch."""
     if n_per_item < 1:
         raise ValidationError(f"n_per_item must be >= 1, got {n_per_item}")
@@ -419,11 +432,11 @@ def run_batch(backend, items, cfg: SamplerConfig, n_per_item: int) -> Batch:
     if not rows:
         return Batch([], [], np.empty((0, *backend.latent_shape)), {},
                      np.empty((cfg.T, 0, 6)))
-    return _sample_rows(
-        backend, rows, cfg,
-        [np.random.default_rng(derive_seed(cfg.seed, item.item_id, rep))
-         for item, rep in rows],
-        [f"{item.item_id}/{rep}" for item, rep in rows])
+    keys = [(item.item_id, rep) for item, rep in rows]
+    rngs = {key: np.random.default_rng(derive_seed(cfg.seed, *key))
+            for key in dict.fromkeys(keys)}
+    return _sample_rows(backend, rows, cfg, [rngs[key] for key in keys],
+                        [f"{item_id}/{rep}" for item_id, rep in keys])
 
 
 def write_traces_jsonl(traces, path, manifest_ref: str | None = None) -> None:

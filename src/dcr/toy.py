@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,29 @@ class NoiseScheduleSpec:
         if np.any(np.diff(ab) >= 0):
             raise ValidationError("alpha_bar must be strictly decreasing")
         object.__setattr__(self, "alpha_bar", ab)
+
+    @cached_property
+    def reverse_coefficients(self) -> np.ndarray:
+        """(2, T, 4) read-only float64, built on first use: for each t >= 1
+        the scalars of the reverse transition x_t -> x_{t-1} that
+        ``dcr.sampling.scheduler_step`` applies (row t = 0 is NaN). With
+        ab = alpha_bar, alpha_t = ab[t]/ab[t-1] and beta_t = 1 - alpha_t:
+
+        - [0, t], ancestral: beta_t/sqrt(1-ab[t]), sqrt(alpha_t),
+          sqrt((1-ab[t-1])/(1-ab[t])*beta_t) and NaN;
+        - [1, t], deterministic: sqrt(1-ab[t]), sqrt(ab[t]), sqrt(ab[t-1])
+          and sqrt(1-ab[t-1]).
+        """
+        ab_t, ab_prev = self.alpha_bar[1:], self.alpha_bar[:-1]
+        alpha_t = ab_t / ab_prev
+        beta_t = 1.0 - alpha_t
+        out = np.full((2, self.T, 4), np.nan)
+        out[0, 1:, 0] = beta_t / np.sqrt(1.0 - ab_t)
+        out[0, 1:, 1] = np.sqrt(alpha_t)
+        out[0, 1:, 2] = np.sqrt((1.0 - ab_prev) / (1.0 - ab_t) * beta_t)
+        out[1, 1:] = np.sqrt(np.stack([1.0 - ab_t, ab_t, ab_prev, 1.0 - ab_prev], 1))
+        out.flags.writeable = False
+        return out
 
 
 def cosine_schedule(T: int, s: float = 0.008) -> NoiseScheduleSpec:
@@ -248,12 +272,13 @@ class _Posterior:
             raise ValidationError(f"x_t last dimension must be {dim}")
         diff = x[..., None, :] - self.scaled_means[t]  # (..., K, d)
         log_w = log_w.reshape(len(log_w), *(1,) * (x.ndim - 1), K)
-        logr = log_w - (diff * diff).sum(axis=-1) / self.two_v[t]  # (C, ..., K)
-        logr = logr - logr.max(axis=-1, keepdims=True)
+        # the ufunc reductions that .sum and .max call, without their wrappers
+        logr = log_w - np.add.reduce(diff * diff, axis=-1) / self.two_v[t]  # (C, ..., K)
+        logr = logr - np.maximum.reduce(logr, axis=-1, keepdims=True)
         r = np.exp(logr)
-        r = r / r.sum(axis=-1, keepdims=True)
+        r = r / np.add.reduce(r, axis=-1, keepdims=True)
         mhat = self.means + self.shrink[t] * diff  # (..., K, d)
-        return x, r, (r[..., None] * mhat).sum(axis=-2)
+        return x, r, np.add.reduce(r[..., None] * mhat, axis=-2)
 
     def epsilon_channels(self, x_t, t: int, log_w: np.ndarray) -> np.ndarray:
         """(x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab) for each row of the (C, K)
@@ -398,12 +423,18 @@ class ToyDenoiser:
         self._posterior = _Posterior(scenario.base, self.schedule)
         self._log_weights = {label: _log_weights(ch.weights_for(scenario.base))
                              for label, ch in scenario.channels.items()}
+        self._stacks: dict[tuple[str, ...], np.ndarray] = {}  # (C, K) per label tuple
 
     def epsilon_channels(self, x_t: np.ndarray, t: int, labels) -> np.ndarray:
-        try:
-            log_w = np.array([self._log_weights[label] for label in labels])
-        except KeyError as exc:
-            raise ValidationError(f"unknown channel label '{exc.args[0]}'") from None
+        key = tuple(labels)
+        log_w = self._stacks.get(key)
+        if log_w is None:
+            try:
+                log_w = np.array([self._log_weights[label] for label in key])
+            except KeyError as exc:
+                raise ValidationError(f"unknown channel label '{exc.args[0]}'") from None
+            log_w.flags.writeable = False
+            self._stacks[key] = log_w
         eps = self._posterior.epsilon_channels(x_t, t, log_w)
         if not np.isfinite(eps).all():
             raise ValidationError("latent values must be finite (no NaN/Inf)")

@@ -122,6 +122,24 @@ def np_guided_step(u, t, a, alpha_t, w, w_attr, eta, eps_stab, repel=True):
     return eps_star, s_t, n_t, lam, np_residual(drift, delta_ref)
 
 
+def np_scheduler_step(eps: np.ndarray, t: int, x: np.ndarray, alpha_bar,
+                      deterministic: bool, noise=None) -> np.ndarray:
+    """One reverse transition x_t -> x_{t-1} with every scalar derived from
+    alpha_bar at the call, in the operand order the package's scheduler
+    step keeps."""
+    ab_t, ab_prev = alpha_bar[t], alpha_bar[t - 1]
+    if deterministic:
+        x0_hat = (x - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
+        return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
+    alpha_t = ab_t / ab_prev
+    beta_t = 1.0 - alpha_t
+    mean = (x - beta_t / np.sqrt(1.0 - ab_t) * eps) / np.sqrt(alpha_t)
+    if t == 1:
+        return mean
+    var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
+    return mean + np.sqrt(var) * noise
+
+
 def _posterior_mean(x: list[float], ab: float, weights: list[float]) -> list[float]:
     v = ab * SIGMA0 * SIGMA0 + (1.0 - ab)
     sq_ab = math.sqrt(ab)

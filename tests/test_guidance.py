@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -253,6 +254,26 @@ class TestCollinearityResidual:
     def test_zero_reference_direction(self):
         assert collinearity_residual(G([1.0, 0.0]), G([0.0, 0.0])) == 1.0
 
+    def test_degenerate_rows_raise_no_warning(self):
+        # rows with a zero drift, a zero delta_ref and both: every step of
+        # these is exact, and their zero norms are never divided by
+        u, d = np.array([1.0, -2.0]), np.array([0.5, 0.25])
+        e_neg = np.array([u, u, u])
+        e_text = np.array([u + d, u, u])
+        e_attr = np.array([u + 2.0 * d, u + d, u])  # w_attr * 2d == w * d
+        g = cfg(r_s=0.0, r_e=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = dcr_guided_rows(e_neg, e_text, e_attr, 0.5, g)
+            drifts = np_drift_expanded(e_neg, e_text, e_attr, g.w, g.w_attr)
+            deltas = np_cfg_update(e_neg, e_text, g.w)
+            single = [(collinearity_residual(G(a), G(dr)),
+                       repulsion_coefficient(G(a), G(dr), 0.5, g).collinearity_residual)
+                      for a, dr in zip(drifts, deltas)]
+        assert not drifts[0].any() and not deltas[1].any() and not drifts[2].any()
+        assert rows.residual.tolist() == [0.0, 1.0, 0.0]
+        assert single == [(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]
+
 
 class TestGuidedPrediction:
     def _triple(self, rng, dim=4):
@@ -394,9 +415,10 @@ def _assert_scalar_functions_equal_oracle(u, t, a, g, pos):
 
 
 class TestGuidedRows:
-    """``dcr_guided_rows``, the row-wise DCR step the sampling loop runs and
-    the public scalar functions compute through, checked row by row against
-    the numpy 1-D reference step in tests/oracles.py. The step removes from
+    """``dcr_guided_rows``, the row-wise DCR step whose unchecked core the
+    sampling loop runs and the public scalar functions compute through,
+    checked row by row against the numpy 1-D reference step in
+    tests/oracles.py. The step removes from
     the CFG update its positive projection on the attractor drift; APG
     (Sadat et al. 2024, arXiv:2410.02416) analyses guidance corrections of
     this projection form."""

@@ -82,6 +82,22 @@ class TestSchedulerStep:
         with pytest.raises(ValidationError):
             scheduler_step(eps, 5, x, sched, SchedulerKind.ANCESTRAL_DDPM)
 
+    @pytest.mark.parametrize("T", [2, 3, 100, 1000])
+    @pytest.mark.parametrize("kind", list(SchedulerKind))
+    def test_equals_the_oracle_at_every_t(self, T, kind):
+        # the cached per-t coefficients round exactly as deriving them at
+        # each call did, for one latent and for a batch of them
+        sched = cosine_schedule(T)
+        deterministic = kind is SchedulerKind.DETERMINISTIC_DDIM
+        rng = np.random.default_rng(T)
+        for shape in ((2,), (48, 2)):
+            for t in range(1, T):
+                x, eps, noise = (rng.standard_normal(shape) for _ in range(3))
+                want = oracles.np_scheduler_step(eps, t, x, sched.alpha_bar,
+                                                 deterministic, noise)
+                got = scheduler_step(eps, t, x, sched, kind, noise)
+                assert got.tobytes() == want.tobytes(), (shape, t)
+
     def test_t_zero_invalid(self):
         sched = cosine_schedule(10)
         with pytest.raises(ValidationError):
@@ -577,6 +593,77 @@ class TestSeeds:
         assert s1 != derive_seed(1, "item", 1)
         assert s1 != derive_seed(2, "item", 0)
         assert 0 <= s1 < 2 ** 63
+
+
+class TestSharedGenerators:
+    """run_batch builds one Generator per (item_id, replicate); the rows that
+    share it share its draws."""
+
+    ITEMS = [BatchItem(item_id, variant=v) for item_id in ("a", "b") for v in Variant]
+
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    def test_shared_rows_draw_what_their_own_generator_draws(self, scheduler):
+        T, seed = 12, 9
+        be, _ = backend(T)
+        cfg = small_cfg(T=T, seed=seed, scheduler=scheduler)
+        batch = run_batch(be, self.ITEMS, cfg, 2)
+        for item, res in zip([i for i in self.ITEMS for _ in range(2)], batch):
+            rng = np.random.default_rng(derive_seed(seed, res.item_id, res.replicate))
+            x, trace = run_sampling(be, (TARGET, ATTRACTOR),
+                                    dataclasses.replace(cfg, variant=item.variant),
+                                    rng=rng, trajectory_id=res.trace.trajectory_id)
+            assert res.final.tobytes() == x.tobytes()
+            assert record_bytes(res.trace) == record_bytes(trace)
+
+    def test_rows_of_distinct_keys_never_share_draws(self, monkeypatch):
+        be, _ = backend(T=6)
+        seen = []
+        sample_rows = dcr.sampling._sample_rows
+
+        def spy(backend, rows, cfg, rngs, trajectory_ids):
+            seen.extend(zip(rows, rngs))
+            return sample_rows(backend, rows, cfg, rngs, trajectory_ids)
+
+        monkeypatch.setattr(dcr.sampling, "_sample_rows", spy)
+        batch = run_batch(be, self.ITEMS, small_cfg(T=6, scheduler="ancestral-ddpm"), 3)
+        for (item, rep), rng in seen:
+            for (other, other_rep), other_rng in seen:
+                same_key = (item.item_id, rep) == (other.item_id, other_rep)
+                assert (rng is other_rng) == same_key
+        # the initial latents, read back from the step-0 x_mean, follow suit
+        first = {}
+        for res in batch:
+            first.setdefault((res.item_id, res.replicate), set()).add(
+                res.trace.records[0].x_mean)
+        assert all(len(means) == 1 for means in first.values())
+        assert len({m for means in first.values() for m in means}) == len(first) == 6
+
+    @pytest.mark.parametrize("kind", list(SchedulerKind))
+    def test_run_sampling_consumes_the_callers_generator_as_before(self, kind):
+        # one (T-1, *latent_shape) draw under the ancestral scheduler, the
+        # initial latent alone under the deterministic one
+        T = 10
+        be, _ = backend(T)
+        rng = np.random.default_rng(21)
+        run_sampling(be, (TARGET, ATTRACTOR), small_cfg(T=T, scheduler=kind), rng=rng)
+        ref = np.random.default_rng(21)
+        ref.standard_normal((T - 1 if kind is SchedulerKind.ANCESTRAL_DDPM else 1, 2))
+        assert rng.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
+
+    def test_the_ablation_shape_builds_one_generator_per_replicate(self, monkeypatch):
+        # six variants of one item, n replicates each: n generators, not 6n
+        n, built = 5, []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        be, _ = backend(T=4)
+        run_batch(be, [BatchItem("abl", variant=v) for v in Variant],
+                  small_cfg(T=4, scheduler="ancestral-ddpm"), n)
+        assert sorted(built) == sorted(derive_seed(7, "abl", rep) for rep in range(n))
 
 
 class TestCollapseInvariant:
