@@ -15,6 +15,7 @@ import base64
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -227,8 +228,10 @@ def _collapse_report(name: str, args, cfg_file: dict, scenario: BiasScenario,
     first run's sampler) and ``<name>_report.{csv,json}``, one row per run:
     the label's columns, then n, failures and the collapse fraction with its
     Wilson interval. Runs whose configs differ only in the variant are
-    sampled as one batch."""
+    sampled as one batch. The reports read finals only, so the runs record
+    no trace."""
     outdir = _out_dir(args)
+    runs = [(label, dataclasses.replace(cfg, trace=False)) for label, cfg in runs]
     groups: dict[SamplerConfig, list[int]] = {}
     for k, (_, cfg) in enumerate(runs):
         groups.setdefault(dataclasses.replace(cfg, variant=Variant.FULL_DCR),
@@ -355,7 +358,9 @@ def cmd_bench(args) -> int:
     if args.canonical and not args.suite:
         suite.validate_canonical()
     scenario = _resolve_scenario(args.scenario)
-    cfg = _sampler_config(args, cfg_file, scenario, args.variant)
+    # the report reads finals only, so the run records no trace
+    cfg = dataclasses.replace(_sampler_config(args, cfg_file, scenario, args.variant),
+                              trace=False)
     outdir = _out_dir(args)
     audit_log.unlink(missing_ok=True)  # the judge appends; start this run's log empty
     items = [BatchItem(item.id, TARGET, ATTRACTOR) for item in suite.items]
@@ -456,10 +461,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use and reused: it reads no
+    environment, and parse_args leaves it as it found it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -329,13 +329,15 @@ def dcr_guided_prediction(eps_uncond: NoisePrediction, eps_text: NoisePrediction
 @dataclass(frozen=True)
 class GuidedRows:
     """The DCR step of N stacked latents: ``eps_star`` (N, D) and the
-    per-row diagnostics (N,) that RepulsionDiagnostics holds for one row."""
+    per-row diagnostics (N,) that RepulsionDiagnostics holds for one row.
+    A step computed without diagnostics holds ``eps_star`` and the
+    ``lambda_t`` it applied; its ``s_t``, ``n_t`` and ``residual`` are None."""
 
     eps_star: np.ndarray
-    s_t: np.ndarray
-    n_t: np.ndarray
+    s_t: np.ndarray | None
+    n_t: np.ndarray | None
     lambda_t: np.ndarray
-    residual: np.ndarray
+    residual: np.ndarray | None
 
 
 def _per_row(value, n: int, name: str) -> np.ndarray:
@@ -371,19 +373,25 @@ def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndar
 
 def _guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray,
                  alpha_t: np.ndarray, cfg: GuidanceConfig, repel: np.ndarray,
-                 probe: np.ndarray) -> GuidedRows:
+                 probe: np.ndarray, diagnostics: bool = True) -> GuidedRows:
     """``dcr_guided_rows`` without its argument checks, for a caller that
     has made them: (N, D) branch outputs and alpha_t in [0, 1], with
-    alpha_t, repel and probe arrays of shape () or (N,)."""
+    alpha_t, repel and probe arrays of shape () or (N,). With
+    ``diagnostics`` False it skips what only the diagnostics need, the
+    residual and the masking of s_t and n_t, and leaves them None;
+    ``eps_star`` and ``lambda_t`` are bitwise those of the full step."""
     delta_ref = _cfg_delta(eps_neg, eps_text, cfg.w)
     drift = _drift(eps_neg, eps_attr, delta_ref, cfg.w_attr)
     s_t, na2, n_t, lambda_t = _projection(drift, delta_ref, alpha_t, cfg)
     if not repel.all():
         lambda_t = np.where(repel | (lambda_t == 0.0), lambda_t, 0.0)
+    if not probe.all():
+        lambda_t = np.where(probe, lambda_t, 0.0)
+    eps_star = eps_neg + _correct(delta_ref, lambda_t, drift)
+    if not diagnostics:
+        return GuidedRows(eps_star, None, None, lambda_t, None)
     residual = _residual(drift, delta_ref, s_t, na2)
     if not probe.all():
         s_t, n_t = np.where(probe, s_t, 0.0), np.where(probe, n_t, cfg.eps_stab)
-        lambda_t = np.where(probe, lambda_t, 0.0)
         residual = np.where(probe, residual, 0.0)
-    return GuidedRows(eps_neg + _correct(delta_ref, lambda_t, drift), s_t, n_t,
-                      lambda_t, residual)
+    return GuidedRows(eps_star, s_t, n_t, lambda_t, residual)

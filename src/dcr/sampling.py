@@ -50,11 +50,17 @@ class Variant(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """One run's sampler settings. ``trace`` says whether the run records
+    each row's per-step diagnostics (x_mean, x_rms, alpha_t, lambda_t, s_t,
+    residual); a run without it returns the same finals, failures and
+    failure steps, but no trace."""
+
     T: int
     guidance: GuidanceConfig
     variant: Variant = Variant.FULL_DCR
     scheduler_kind: SchedulerKind = SchedulerKind.ANCESTRAL_DDPM
     seed: int = 0
+    trace: bool = True
 
     def __post_init__(self):
         if self.T < 2:
@@ -265,7 +271,8 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     the draws) is set up once, before the loop. A row whose
     backend call raises or returns non-finite output, or whose latent goes
     non-finite, leaves the batch with a TrajectoryError at that step; the
-    other rows go on.
+    other rows go on. Without cfg.trace the loop computes and keeps no
+    per-step diagnostics, and the Batch has none.
     """
     sched: NoiseScheduleSpec = backend.schedule
     if sched.T != cfg.T:
@@ -309,7 +316,7 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
                  np.array([p.repel for p in parts]), probe, draws)
     size = draws[0, 0].size
     # per step and row: x_mean, x_rms, alpha_t, lambda_t, s_t, residual
-    cols = np.zeros((T, n, 6))
+    cols = np.zeros((T, n, 6)) if cfg.trace else None
     errors: dict[int, TrajectoryError] = {}
     for i in range(T):
         if not live.ids.size:
@@ -330,13 +337,14 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
         e_neg, e_text, e_attr = preds[live.code.T, np.arange(m)]
         alpha_t = np.where(live.scheduled, schedule[i], live.alpha)
         step = _guided_rows(e_neg, e_text, e_attr, alpha_t, cfg.guidance,
-                            live.repel, live.probe)
-        flat = live.x.reshape(m, size)
-        # np.add.reduce(...) / size is what .mean computes
-        for k, col in enumerate((np.add.reduce(flat, axis=1) / size,
-                                 np.sqrt(np.add.reduce(flat * flat, axis=1) / size),
-                                 alpha_t, step.lambda_t, step.s_t, step.residual)):
-            cols[i, live.ids, k] = col
+                            live.repel, live.probe, cfg.trace)
+        if cols is not None:
+            flat = live.x.reshape(m, size)
+            # np.add.reduce(...) / size is what .mean computes
+            for k, col in enumerate((np.add.reduce(flat, axis=1) / size,
+                                     np.sqrt(np.add.reduce(flat * flat, axis=1) / size),
+                                     alpha_t, step.lambda_t, step.s_t, step.residual)):
+                cols[i, live.ids, k] = col
         if t >= 1:
             noise = live.draws[:, i + 1] if ancestral and t > 1 else None
             live = live._replace(x=scheduler_step(step.eps_star, t, live.x, sched,
@@ -386,14 +394,18 @@ class Batch(Sequence):
     keys[r][0], traced as trajectory_ids[r], with its final latent finals[r]
     (NaN if it failed), its errors[r] if it failed and its (T, 6)
     diagnostics[:, r]; the arrays are read-only. Row views (BatchResult) are
-    built on access."""
+    built on access. A batch run without ``SamplerConfig.trace`` has
+    ``diagnostics`` None and its row views have ``trace`` None; its finals
+    and errors, with their step indices, are those of a traced run."""
 
     def __init__(self, keys: list[tuple[str, int]], trajectory_ids: list[str],
                  finals: np.ndarray, errors: dict[int, TrajectoryError],
-                 diagnostics: np.ndarray):
+                 diagnostics: np.ndarray | None):
         self.keys, self.trajectory_ids, self.errors = keys, trajectory_ids, errors
         self.finals, self.diagnostics = finals, diagnostics
-        finals.flags.writeable = diagnostics.flags.writeable = False
+        finals.flags.writeable = False
+        if diagnostics is not None:
+            diagnostics.flags.writeable = False
 
     @property
     def ok(self) -> np.ndarray:
@@ -409,6 +421,8 @@ class Batch(Sequence):
         if r in self.errors:
             return BatchResult(item_id, rep, None, None, error=str(self.errors[r]))
         final = self.finals[r]
+        if self.diagnostics is None:
+            return BatchResult(item_id, rep, final, None)
         return BatchResult(item_id, rep, final, TrajectoryTrace(
             self.trajectory_ids[r], TraceRecords(self.diagnostics, r), final))
 
@@ -425,13 +439,15 @@ def run_batch(backend, items, cfg: SamplerConfig, n_per_item: int) -> Batch:
     batch, each seeded by derive_seed, so items of one id share seeds across
     variants: rows of one (item_id, replicate) share one Generator and its
     draws. Rows come in item order, then replicate order;
-    per-trajectory failures are collected instead of aborting the batch."""
+    per-trajectory failures are collected instead of aborting the batch.
+    With cfg.trace False the batch records no diagnostics and its rows
+    carry no trace (see Batch)."""
     if n_per_item < 1:
         raise ValidationError(f"n_per_item must be >= 1, got {n_per_item}")
     rows = [(item, rep) for item in items for rep in range(n_per_item)]
     if not rows:
         return Batch([], [], np.empty((0, *backend.latent_shape)), {},
-                     np.empty((cfg.T, 0, 6)))
+                     np.empty((cfg.T, 0, 6)) if cfg.trace else None)
     keys = [(item.item_id, rep) for item, rep in rows]
     rngs = {key: np.random.default_rng(derive_seed(cfg.seed, *key))
             for key in dict.fromkeys(keys)}

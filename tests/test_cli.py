@@ -399,6 +399,26 @@ ARTIFACTS = {
 
 class TestArtifacts:
     @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_the_manifest_records_whether_the_run_traced(
+            self, tmp_path, monkeypatch, name):
+        # only sample exports traces; the other commands read finals alone
+        argv, _ = ARTIFACTS[name]
+        ran = []
+        real = dcr.cli.run_batch
+
+        def spy(backend, items, cfg, n_per_item):
+            ran.append(cfg.trace)
+            return real(backend, items, cfg, n_per_item)
+
+        monkeypatch.setattr(dcr.cli, "run_batch", spy)
+        out = tmp_path / name
+        assert run(*argv, *FAST, "--out", str(out)) == 0
+        traced = name == "sample"
+        assert ran and set(ran) == {traced}
+        assert json.loads((out / "manifest.json").read_text())["sampler"]["trace"] \
+            is traced
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
     def test_artifacts_are_moved_into_place_and_the_manifest_last(
             self, tmp_path, monkeypatch, name):
         argv, artifacts = ARTIFACTS[name]
@@ -449,3 +469,27 @@ class TestArtifacts:
         assert after == {k: v for k, v in before.items() if k != "manifest.json"}
         assert [p.parent for p in temp_paths] == [fresh, earlier]
         assert not any(p.exists() for p in temp_paths)
+
+
+class TestParser:
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        real = dcr.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(dcr.cli, "build_parser", counting)
+        dcr.cli._parser.cache_clear()
+        try:
+            assert run("ablate", "--n", "2", "--variants", "plain-cfg", *FAST,
+                       "--out", str(tmp_path / "a")) == 0
+            # a usage error after a successful call, then --version
+            assert run("ablate", "--n", "0", "--out", str(tmp_path / "b")) == 1
+            assert run("--version") == 0
+            assert capsys.readouterr().out.strip().endswith(dcr.__version__)
+            assert run("sample", "--n", "1", *FAST, "--out", str(tmp_path / "c")) == 0
+            assert len(built) == 1
+        finally:
+            dcr.cli._parser.cache_clear()

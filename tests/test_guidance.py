@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dcr.errors import ShapeMismatchError, ValidationError
 from dcr.guidance import (GuidanceConfig, GuidanceUpdate, NoisePrediction,
-                          StepPosition, attractor_drift, attractor_drift_expanded,
+                          StepPosition, _guided_rows, attractor_drift, attractor_drift_expanded,
                           cfg_update, collinearity_residual, corrected_update,
                           dcr_guided_prediction, dcr_guided_rows, probe_prediction,
                           repulsion_coefficient, schedule_alpha, target_prediction)
@@ -501,6 +501,21 @@ class TestGuidedRows:
         plain = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, probe=False)
         assert np.all(rows.lambda_t == 0.0)
         assert rows.eps_star.tobytes() == plain.eps_star.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(guided_rows_case(), st.data())
+    def test_without_diagnostics_the_step_is_bitwise_the_same(self, case, data):
+        # per-row repel and probe switches, so rows that repel without a
+        # probe show that lambda_t is still masked
+        e_neg, e_text, e_attr, g, alpha = case
+        n = e_neg.shape[0]
+        repel, probe = (np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                                    max_size=n))) for _ in range(2))
+        args = (e_neg, e_text, e_attr, np.asarray(alpha), g, repel, probe)
+        full, bare = _guided_rows(*args), _guided_rows(*args, diagnostics=False)
+        assert bare.eps_star.tobytes() == full.eps_star.tobytes()
+        assert bare.lambda_t.tobytes() == full.lambda_t.tobytes()
+        assert bare.s_t is bare.n_t is bare.residual is None
 
     def test_rejects_bad_alpha_and_shapes(self):
         z = np.zeros((2, 3))

@@ -6,6 +6,7 @@ import oracles
 import pytest
 from faults import CountingBackend, NaNRows, NaNWhere, PerChannelCounting
 
+import dcr.guidance
 import dcr.sampling
 from dcr.errors import ConfigurationError, TrajectoryError, ValidationError
 from dcr.guidance import GuidanceConfig, NoisePrediction
@@ -423,6 +424,65 @@ class TestMixedBatch:
                             small_cfg(T=8, variant=Variant.PLAIN_CFG), 1)
         assert item.final.tobytes() == plain.final.tobytes()
         assert record_bytes(item.trace) == record_bytes(plain.trace)
+
+
+class TestTraceFree:
+    """A run without SamplerConfig.trace returns the finals, ok and errors
+    of the traced run, bitwise, and records no diagnostics."""
+
+    ITEMS = [dataclasses.replace(item, variant=v) for item in MIXED_ITEMS
+             for v in Variant]
+
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_finals_and_failures_equal_the_traced_run(self, scheduler, fault):
+        # at seed 3 repulsion fires in both schedulers; the fault poisons
+        # rows 1, 8 and 30 of 36 from step k on, and every row whose latent
+        # equals one of theirs there (the variants of one item and
+        # replicate step alike until repulsion fires)
+        T, k = 100, 37
+        sc = default_scenario()
+        cfg = SamplerConfig(T=T, guidance=sc.guidance, scheduler_kind=scheduler,
+                            seed=3)
+
+        def make():
+            if fault:
+                return NaNRows(sc, cosine_schedule(T), {1, 8, 30}, k)
+            return ToyDenoiser(sc, cosine_schedule(T))
+
+        traced = run_batch(make(), self.ITEMS, cfg, 3)
+        free = run_batch(make(), self.ITEMS, dataclasses.replace(cfg, trace=False), 3)
+        assert any(rec.lambda_t > 0.0 for r in traced if r.trace
+                   for rec in r.trace.records)
+        assert free.finals.tobytes() == traced.finals.tobytes()
+        assert free.ok.tolist() == traced.ok.tolist()
+        errors = {r: (str(e), e.step) for r, e in free.errors.items()}
+        assert errors == {r: (str(e), e.step) for r, e in traced.errors.items()}
+        assert ({1, 8, 30} <= set(errors) and len(errors) < len(free)) if fault \
+            else not errors
+        assert all(step == k for _, step in errors.values())
+
+    def test_records_no_diagnostics(self, monkeypatch):
+        calls = []
+        residual = dcr.guidance._residual
+
+        def counting(*args):
+            calls.append(1)
+            return residual(*args)
+
+        monkeypatch.setattr(dcr.guidance, "_residual", counting)
+        T, n = 8, 2
+        be, _ = backend(T)
+        cfg = dataclasses.replace(small_cfg(T=T), trace=False)
+        batch = run_batch(be, self.ITEMS, cfg, n)
+        assert calls == []
+        assert batch.diagnostics is None
+        assert not any(np.shape(v) == (T, len(batch), 6) for v in vars(batch).values())
+        assert all(r.trace is None and r.final is not None for r in batch)
+        assert run_batch(be, [], cfg, 1).diagnostics is None
+        # the traced run reaches the spy once per step
+        run_batch(be, self.ITEMS, dataclasses.replace(cfg, trace=True), n)
+        assert len(calls) == T
 
 
 class TestBatchColumns:
