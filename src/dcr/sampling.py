@@ -349,8 +349,8 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
             noise = live.draws[:, i + 1] if ancestral and t > 1 else None
             live = live._replace(x=scheduler_step(step.eps_star, t, live.x, sched,
                                                   cfg.scheduler_kind, noise))
-            ok = np.isfinite(live.x.reshape(m, size)).all(axis=1)
-            if not ok.all():
+            if not np.isfinite(live.x).all():
+                ok = np.isfinite(live.x.reshape(m, size)).all(axis=1)
                 for r in live.ids[~ok].tolist():
                     errors[r] = TrajectoryError("non-finite latent", step=i)
                 live = live.keep(ok)

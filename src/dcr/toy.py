@@ -245,48 +245,66 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 class _Posterior:
     """The mixture posterior's per-step constants, precomputed for every t of
     a schedule, and the one kernel that evaluates the posterior at x_t for a
-    stack of channels, which differ only in their log weights."""
+    stack of channels, which differ only in their log weights.
+
+    The kernel puts x_t's rows on the last axis: the distances are (K, d, M),
+    the responsibilities (C, K, M) and the posterior means (C, d, M), for M
+    rows. Every sum and max over the short K or d axis is then a few
+    vectorized passes along the M rows; with those axes last, numpy runs one
+    tiny inner loop per row. numpy sums a strided axis term by term, and a
+    contiguous one term by term only below 8 terms (pairwise from 8 on). So
+    with fewer than 8 components every output is bitwise that of the
+    rows-first layout, which ``tests/oracles.py`` keeps as
+    ``np_posterior_evaluate``; with 8 or more, the K sums round differently
+    in the last bits.
+    """
 
     def __init__(self, base: MixtureSpec, sched: NoiseScheduleSpec):
         ab = sched.alpha_bar
         s2 = base.sigma0 ** 2
         v = ab * s2 + (1.0 - ab)
-        self.means = base.means
+        self.means = base.means[:, :, None]  # (K, d, 1)
         self.sqrt_ab = np.sqrt(ab)
-        self.scaled_means = self.sqrt_ab[:, None, None] * base.means  # (T, K, d)
+        self.scaled_means = self.sqrt_ab[:, None, None, None] * self.means  # (T, K, d, 1)
         self.two_v = 2.0 * v
         self.shrink = self.sqrt_ab * s2 / v
         self.sqrt_one_minus_ab = np.sqrt(1.0 - ab)
 
     def evaluate(self, x_t, t: int, log_w: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x_t as float64, and for each row of the (C, K) log weights the
-        responsibilities r_k(x_t) (C, ..., K) and the posterior mean
-        E[x0 | x_t] (C, ..., d). The distances to the scaled means are
-        computed once for all C channels."""
-        T, (K, dim) = self.sqrt_ab.size, self.means.shape
+        """x_t's M rows as float64 (d, M), and for each row of the (C, K) log
+        weights the responsibilities r_k(x_t) (C, K, M) and the posterior
+        mean E[x0 | x_t] (C, d, M), where M is the product of x_t's leading
+        axes. The distances to the scaled means are computed once for all C
+        channels."""
+        T, dim = self.sqrt_ab.size, self.means.shape[1]
         if not (0 <= t < T):
             raise ValidationError(f"t must lie in [0, {T - 1}], got {t}")
         x = np.asarray(x_t, dtype=np.float64)
         if x.shape[-1] != dim:
             raise ValidationError(f"x_t last dimension must be {dim}")
-        diff = x[..., None, :] - self.scaled_means[t]  # (..., K, d)
-        log_w = log_w.reshape(len(log_w), *(1,) * (x.ndim - 1), K)
+        x = x.reshape(-1, dim).T
+        diff = x - self.scaled_means[t]  # (K, d, M)
         # the ufunc reductions that .sum and .max call, without their wrappers
-        logr = log_w - np.add.reduce(diff * diff, axis=-1) / self.two_v[t]  # (C, ..., K)
-        logr = logr - np.maximum.reduce(logr, axis=-1, keepdims=True)
-        r = np.exp(logr)
-        r = r / np.add.reduce(r, axis=-1, keepdims=True)
-        mhat = self.means + self.shrink[t] * diff  # (..., K, d)
-        return x, r, np.add.reduce(r[..., None] * mhat, axis=-2)
+        logr = log_w[:, :, None] - np.add.reduce(diff * diff, axis=1) / self.two_v[t]
+        logr = logr - np.maximum.reduce(logr, axis=1, keepdims=True)
+        r = np.exp(logr)  # (C, K, M)
+        r = r / np.add.reduce(r, axis=1, keepdims=True)
+        mhat = self.means + self.shrink[t] * diff  # (K, d, M)
+        return x, r, np.add.reduce(r[:, :, None] * mhat, axis=1)
 
     def epsilon_channels(self, x_t, t: int, log_w: np.ndarray) -> np.ndarray:
         """(x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab) for each row of the (C, K)
-        log weights, shape (C, *x_t.shape)."""
+        log weights, shape (C, *x_t.shape); ValidationError if any value is
+        not finite."""
         x, _, mean = self.evaluate(x_t, t, log_w)
         if self.sqrt_one_minus_ab[t] == 0.0:
             raise ValidationError("alpha_bar[t] == 1 leaves no noise to predict")
-        return (x - self.sqrt_ab[t] * mean) / self.sqrt_one_minus_ab[t]
+        eps = (x - self.sqrt_ab[t] * mean) / self.sqrt_one_minus_ab[t]  # (C, d, M)
+        if not np.isfinite(eps).all():
+            raise ValidationError("latent values must be finite (no NaN/Inf)")
+        return np.ascontiguousarray(eps.transpose(0, 2, 1)).reshape(
+            len(log_w), *np.shape(x_t))
 
 
 def _channel_posterior(channel: PromptChannel, scenario: BiasScenario,
@@ -300,14 +318,15 @@ def responsibilities(x_t: np.ndarray, t: int, channel: PromptChannel,
     """Posterior component responsibilities r_k(x_t), shape (..., K).
     Computed in log space; sums to 1 along the last axis."""
     post, log_w = _channel_posterior(channel, scenario, sched)
-    return post.evaluate(x_t, t, log_w)[1][0]
+    r = post.evaluate(x_t, t, log_w)[1][0]
+    return r.T.reshape(*np.shape(x_t)[:-1], len(r))
 
 
 def posterior_mean(x_t: np.ndarray, t: int, channel: PromptChannel,
                    scenario: BiasScenario, sched: NoiseScheduleSpec) -> np.ndarray:
     """Exact E[x0 | x_t] for the channel's mixture; shape matches x_t."""
     post, log_w = _channel_posterior(channel, scenario, sched)
-    return post.evaluate(x_t, t, log_w)[2][0]
+    return post.evaluate(x_t, t, log_w)[2][0].T.reshape(np.shape(x_t))
 
 
 def epsilon_prediction(x_t: np.ndarray, t: int, channel: PromptChannel,
@@ -435,10 +454,7 @@ class ToyDenoiser:
                 raise ValidationError(f"unknown channel label '{exc.args[0]}'") from None
             log_w.flags.writeable = False
             self._stacks[key] = log_w
-        eps = self._posterior.epsilon_channels(x_t, t, log_w)
-        if not np.isfinite(eps).all():
-            raise ValidationError("latent values must be finite (no NaN/Inf)")
-        return eps
+        return self._posterior.epsilon_channels(x_t, t, log_w)
 
     def epsilon(self, x_t: np.ndarray, t: int, channel_label: str) -> NoisePrediction:
         return NoisePrediction.from_array(self.epsilon_channels(x_t, t, [channel_label])[0])

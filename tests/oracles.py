@@ -6,6 +6,9 @@ plain Python floats, lists, and the ``random``/``math`` modules. The guided
 step references (``np_*``) use numpy 1-D arithmetic instead, one flattened
 latent at a time: the package's step is compared with them bitwise, and only
 the same float64 operations in the same order round the same way.
+``np_posterior_evaluate`` keeps the posterior kernel's arithmetic in the
+rows-first layout, a batch of latents with the sums over their trailing
+component and coordinate axes.
 
 Run as a script to regenerate the pinned plain-CFG collapse reference:
 
@@ -138,6 +141,28 @@ def np_scheduler_step(eps: np.ndarray, t: int, x: np.ndarray, alpha_bar,
         return mean
     var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
     return mean + np.sqrt(var) * noise
+
+
+def np_posterior_evaluate(x: np.ndarray, t: int, weights: np.ndarray, means: np.ndarray,
+                          sigma0: float, alpha_bar) -> tuple[np.ndarray, ...]:
+    """The mixture posterior at x (..., d) for each row of the (C, K)
+    channel weights, in the rows-first layout: responsibilities (C, ..., K),
+    posterior means (C, ..., d) and noise predictions (C, ..., d). Every
+    scalar is derived from alpha_bar at the call, in the operand order the
+    package's kernel keeps; a zero weight has log weight -1e30."""
+    log_w = np.full(weights.shape, -1e30)
+    log_w[weights > 0] = np.log(weights[weights > 0])
+    log_w = log_w.reshape(len(log_w), *(1,) * (x.ndim - 1), len(means))
+    ab, s2 = alpha_bar[t], sigma0 ** 2
+    v = ab * s2 + (1.0 - ab)
+    sqrt_ab = np.sqrt(ab)
+    diff = x[..., None, :] - sqrt_ab * means  # (..., K, d)
+    logr = log_w - (diff * diff).sum(axis=-1) / (2.0 * v)  # (C, ..., K)
+    logr = logr - logr.max(axis=-1, keepdims=True)
+    r = np.exp(logr)
+    r = r / r.sum(axis=-1, keepdims=True)
+    mean = (r[..., None] * (means + sqrt_ab * s2 / v * diff)).sum(axis=-2)
+    return r, mean, (x - sqrt_ab * mean) / np.sqrt(1.0 - ab)
 
 
 def _posterior_mean(x: list[float], ab: float, weights: list[float]) -> list[float]:

@@ -323,24 +323,49 @@ class TestRunBatch:
             assert res.final.tobytes() == ref.final.tobytes()
             assert record_bytes(res.trace) == record_bytes(ref.trace)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_non_finite_latent_fails_its_row(self):
-        # at t=5, rows with x[0] > 0 get a finite prediction that overflows
-        # the scheduler update
+    @staticmethod
+    def huge_run(scheduler, every_row):
+        """A batch of 6 rows and its clean run, where at t=6 (step 1) rows
+        with x[0] > 0, or every row, get the largest finite prediction: both
+        schedulers' updates overflow there. Also returns the t of every
+        backend call."""
+        steps = []
+
         class Huge(ToyDenoiser):
             def epsilon_channels(self, x_t, t, labels):
+                steps.append(t)
                 eps = super().epsilon_channels(x_t, t, labels)
-                if t == 5:
-                    eps = np.where(np.asarray(x_t)[..., :1] > 0, 1e308, eps)
+                if t == 6:
+                    hit = True if every_row else np.asarray(x_t)[..., :1] > 0
+                    eps = np.where(hit, np.finfo(np.float64).max, eps)
                 return eps
 
         T = 8
-        cfg = small_cfg(T=T, variant=Variant.PLAIN_CFG)
-        sc = default_scenario()
-        results = run_batch(Huge(sc, cosine_schedule(T)), [BatchItem("h")], cfg, 6)
-        errs = [r for r in results if r.error is not None]
-        assert errs and len(errs) < 6
-        assert all(r.error == "non-finite latent (step 2)" for r in errs)
+        cfg = small_cfg(T=T, variant=Variant.PLAIN_CFG, scheduler=scheduler)
+        be, sc = backend(T)
+        clean = run_batch(be, [BatchItem("h")], cfg, 6)
+        return run_batch(Huge(sc, cosine_schedule(T)), [BatchItem("h")], cfg, 6), clean, steps
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_latent_fails_its_row(self):
+        for scheduler in SchedulerKind:
+            results, clean, steps = self.huge_run(scheduler, every_row=False)
+            errs = [r for r in results if r.error is not None]
+            assert errs and len(errs) < 6
+            assert all(r.error == "non-finite latent (step 1)" for r in errs)
+            assert min(steps) == 0
+            for res, ref in zip(results, clean):
+                if res.error is None:
+                    assert res.final.tobytes() == ref.final.tobytes()
+                    assert record_bytes(res.trace) == record_bytes(ref.trace)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_step_that_fails_every_row_ends_the_batch(self):
+        for scheduler in SchedulerKind:
+            results, _, steps = self.huge_run(scheduler, every_row=True)
+            assert not results.ok.any() and np.isnan(results.finals).all()
+            assert all(r.error == "non-finite latent (step 1)" for r in results)
+            assert min(steps) == 6  # no backend call after the failed step
 
 
 # Two items with different channel pairs, so the rows of one batch need
@@ -774,6 +799,22 @@ class TestGuidedStep:
             be.calls = {}
             run_batch(be, [BatchItem("calls")], small_cfg(variant, T=T), 4)
             assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
+
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    def test_the_loop_steps_through_the_module_names(self, monkeypatch, scheduler):
+        # perfbench/layers.py times schedule_alpha and scheduler_step by
+        # wrapping their dcr.sampling names; a loop that reached them some
+        # other way would hide those layers
+        T, calls = 12, {"schedule_alpha": 0, "scheduler_step": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(dcr.sampling, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(dcr.sampling, name, counting)
+        be, _ = backend(T)
+        cfg = dataclasses.replace(small_cfg(T=T, scheduler=scheduler), trace=False)
+        run_batch(be, [BatchItem("calls", variant=v) for v in Variant], cfg, 4)
+        assert calls == {"schedule_alpha": T, "scheduler_step": T - 1}
 
     def test_all_variants_in_one_batch_call_each_channel_once_per_step(self):
         # the ablation shape: six variants of one item; per-variant batches

@@ -11,7 +11,7 @@ from dcr.toy import (ATTRACTOR, TARGET, UNCOND, BiasScenario, MixtureSpec,
                      forward_noising, load_scenario, mode_assignment,
                      posterior_mean, responsibilities, sample_channel,
                      save_scenario)
-from oracles import weighted_posterior_mean_mc
+from oracles import np_posterior_evaluate, weighted_posterior_mean_mc
 
 
 def two_mode(sigma0=0.5, w0=0.7):
@@ -281,8 +281,9 @@ def _grid_scenario(d: int, K: int) -> BiasScenario:
 class TestEpsilonChannels:
     LABELS = [UNCOND, TARGET, ATTRACTOR]
 
-    # numpy sums an axis of 8 or more contiguous terms pairwise, a shorter
-    # one term by term, so the grid has d and K on both sides of 8
+    # a channel's values do not depend on the other channels of its call or
+    # on the rows beside it; d and K lie on both sides of 8, where numpy
+    # starts to sum a contiguous axis pairwise
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 16])
     @pytest.mark.parametrize("K", [3, 9])
     def test_equals_per_label_epsilon_bitwise(self, d, K):
@@ -327,3 +328,68 @@ class TestEpsilonChannels:
         be = ToyDenoiser(default_scenario())
         with pytest.raises(ValidationError, match="last dimension"):
             be.epsilon_channels(np.zeros((4, 3)), 50, [UNCOND])
+
+
+class TestRowsFirstOracle:
+    """The posterior kernel against ``np_posterior_evaluate``, the same
+    arithmetic with the rows first and the sums over the trailing K and d
+    axes. numpy sums a contiguous axis of fewer than 8 terms term by term,
+    as it sums the kernel's strided ones, so below 8 components every output
+    is bitwise the reference's."""
+
+    LABELS = [UNCOND, TARGET, ATTRACTOR]
+    GRID_D = [1, 2, 7, 8, 16]
+
+    def cases(self, K, d):
+        """(kernel, reference) pairs of responsibilities, posterior means
+        and noise predictions over N in {1, 48, 3000} and four steps."""
+        sc, sched = _grid_scenario(d, K), cosine_schedule(100)
+        be, chans = ToyDenoiser(sc, sched), [sc.channel(lb) for lb in self.LABELS]
+        weights = np.array([ch.weights_for(sc.base) for ch in chans])
+        rng = np.random.default_rng(100 * K + d)
+        for n in (1, 48, 3000):
+            x = rng.normal(scale=4.0, size=(n, d))
+            for t in (99, 50, 3, 0):
+                ref = np_posterior_evaluate(x, t, weights, sc.base.means, sc.base.sigma0,
+                                            sched.alpha_bar)
+                got = (np.array([responsibilities(x, t, ch, sc, sched) for ch in chans]),
+                       np.array([posterior_mean(x, t, ch, sc, sched) for ch in chans]),
+                       be.epsilon_channels(x, t, self.LABELS))
+                yield from zip(got, ref)
+
+    @pytest.mark.parametrize("d", GRID_D)
+    @pytest.mark.parametrize("K", [2, 3, 7])
+    def test_bitwise_below_8_components(self, K, d):
+        for got, ref in self.cases(K, d):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", GRID_D)
+    @pytest.mark.parametrize("K", [8, 9])
+    def test_close_from_8_components(self, K, d):
+        # numpy sums the reference's contiguous K axis pairwise here, the
+        # kernel's strided one term by term: the two sums differ by a few
+        # ulps of their largest term, and the cancellation in
+        # x - sqrt(ab) * E[x0 | x_t] and the division by sqrt(1 - ab) scale
+        # that up. Measured at most 5e-12 of an array's largest value; the
+        # bound is 1e-10 of it.
+        for got, ref in self.cases(K, d):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("shape", [(), (4, 5)])
+    def test_one_latent_and_a_nested_batch(self, shape):
+        sc = default_scenario()
+        sched = cosine_schedule(sc.steps)
+        x = np.random.default_rng(4).normal(scale=3.0, size=(*shape, sc.dim))
+        chans = [sc.channel(lb) for lb in self.LABELS]
+        weights = np.array([ch.weights_for(sc.base) for ch in chans])
+        eps = ToyDenoiser(sc, sched).epsilon_channels(x, 50, self.LABELS)
+        r_ref, mean_ref, eps_ref = np_posterior_evaluate(
+            x, 50, weights, sc.base.means, sc.base.sigma0, sched.alpha_bar)
+        assert eps.shape == (3, *shape, sc.dim) and eps.tobytes() == eps_ref.tobytes()
+        for c, ch in enumerate(chans):
+            r = responsibilities(x, 50, ch, sc, sched)
+            mean = posterior_mean(x, 50, ch, sc, sched)
+            assert r.shape == (*shape, sc.base.n_components)
+            assert mean.shape == x.shape
+            assert r.tobytes() == r_ref[c].tobytes()
+            assert mean.tobytes() == mean_ref[c].tobytes()
