@@ -319,22 +319,22 @@ def cmd_sweep(args) -> int:
 
 
 def _toy_extractors(item: BenchPrompt, scenario: BiasScenario):
-    """Factor extractors for toy-backend evaluation: the semantic factor is
-    the mode assignment; rare-mode samples satisfy every declared factor,
-    dominant-mode samples land in the attractor set."""
+    """Factor extractors for toy-backend evaluation. Each reads a sample's
+    mode, the index that ``mode_assignment`` gives its final latent, and is
+    passed that index in place of the sample: the semantic factor is the
+    mode; rare-mode samples satisfy every declared factor, dominant-mode
+    samples land in the attractor set."""
     def make(fc):
         if fc.is_threshold:
-            def extract(x0, _fc=fc):
-                m = mode_assignment(np.asarray(x0), scenario)
-                return 0.0 if m == scenario.rare_index else 1.0
+            def extract(mode):
+                return 0.0 if mode == scenario.rare_index else 1.0
         else:
             ok = next(iter(sorted(fc.allowed)))
             bad = next(iter(sorted(fc.attractor_set))) if fc.attractor_set else "__other__"
-            def extract(x0, _ok=ok, _bad=bad):
-                m = mode_assignment(np.asarray(x0), scenario)
-                if m == scenario.rare_index:
+            def extract(mode, _ok=ok, _bad=bad):
+                if mode == scenario.rare_index:
                     return _ok
-                if m == scenario.dominant_index:
+                if mode == scenario.dominant_index:
                     return _bad
                 return "__other__"
         return extract
@@ -348,11 +348,46 @@ def _latent_frame(latent) -> EncodedFrame:
                         width=d, height=1, source_width=d, source_height=1)
 
 
+AUDIT_LOG = "judge_audit.jsonl"
+
+
+def _bench_rows(batch, suite, scenario: BiasScenario,
+                judge_cfg: JudgeClientConfig | None) -> tuple[list[ItemRow], int]:
+    """One report row per finished trajectory of ``batch``, and the number
+    of judge verdicts missing; with ``judge_cfg`` None no row is judged."""
+    good = np.flatnonzero(batch.ok).tolist()
+    modes = mode_assignment(batch.finals[good], scenario).tolist()
+    by_id = {item.id: item for item in suite.items}
+    extractors = {item.id: _toy_extractors(item, scenario) for item in suite.items}
+    judge_failures = 0
+    rows = []
+    # looked up per call, not at import, so that wrappers set on the modules apply
+    from .bench import eval_constraint
+    from .judge import judge
+    for r, mode in zip(good, modes):
+        item_id, replicate = batch.keys[r]
+        item = by_id[item_id]
+        outcome = eval_constraint(mode, item, extractors[item_id])
+        judge_score = None
+        collapsed = (mode == scenario.dominant_index) or outcome.collapsed
+        if judge_cfg is not None:
+            req = build_request(item.prompt, [fc.name for fc in item.factors],
+                                item.attractor_prompt, [_latent_frame(batch.finals[r])])
+            try:
+                verdict = judge(req, judge_cfg)
+                judge_score = verdict.score
+                collapsed = verdict.collapsed
+            except (TransportError, VerdictError):
+                judge_failures += 1  # excluded with a visible count, never imputed
+        rows.append(ItemRow(item_id=f"{item_id}/{replicate}",
+                            category=item.category.value,
+                            judge_score=judge_score, collapsed=collapsed))
+    return rows, judge_failures
+
+
 def cmd_bench(args) -> int:
     cfg_file = _load_config_file(args.config)
-    audit_log = Path(args.out) / "judge_audit.jsonl"
-    judge_cfg = JudgeClientConfig(endpoint=service_endpoint("judge"),
-                                  audit_log=audit_log) if args.with_judge else None
+    endpoint = service_endpoint("judge") if args.with_judge else None
     suite = load_suite(args.suite, canonical=args.canonical) if args.suite \
         else load_fixture_suite()
     if args.canonical and not args.suite:
@@ -362,36 +397,19 @@ def cmd_bench(args) -> int:
     cfg = dataclasses.replace(_sampler_config(args, cfg_file, scenario, args.variant),
                               trace=False)
     outdir = _out_dir(args)
-    audit_log.unlink(missing_ok=True)  # the judge appends; start this run's log empty
-    items = [BatchItem(item.id, TARGET, ATTRACTOR) for item in suite.items]
-    results = run_batch(ToyDenoiser(scenario, cosine_schedule(cfg.T)), items,
-                        cfg, args.n_per_item)
-    by_id = {item.id: item for item in suite.items}
-    judge_failures = 0
-    rows = []
-    # looked up per call, not at import, so that wrappers set on the modules apply
-    from .bench import eval_constraint
-    from .judge import judge
-    for r in results:
-        if r.final is None:
-            continue
-        item = by_id[r.item_id]
-        outcome = eval_constraint(r.final, item, _toy_extractors(item, scenario))
-        mode = mode_assignment(r.final, scenario)
-        judge_score = None
-        collapsed = (mode == scenario.dominant_index) or outcome.collapsed
-        if judge_cfg is not None:
-            req = build_request(item.prompt, [fc.name for fc in item.factors],
-                                item.attractor_prompt, [_latent_frame(r.final)])
-            try:
-                verdict = judge(req, judge_cfg)
-                judge_score = verdict.score
-                collapsed = verdict.collapsed
-            except (TransportError, VerdictError):
-                judge_failures += 1  # excluded with a visible count, never imputed
-        rows.append(ItemRow(item_id=f"{r.item_id}/{r.replicate}",
-                            category=item.category.value,
-                            judge_score=judge_score, collapsed=collapsed))
+    # an earlier run's log goes, as its manifest does; this run's log is
+    # moved into place only when every verdict is in
+    (outdir / AUDIT_LOG).unlink(missing_ok=True)
+    batch = run_batch(ToyDenoiser(scenario, cosine_schedule(cfg.T)),
+                      [BatchItem(item.id, TARGET, ATTRACTOR) for item in suite.items],
+                      cfg, args.n_per_item)
+    with contextlib.ExitStack() as audit:
+        judge_cfg = None
+        if endpoint is not None:
+            tmp = audit.enter_context(_artifact(outdir / AUDIT_LOG))
+            log = audit.enter_context(tmp.open("w", encoding="utf-8"))
+            judge_cfg = JudgeClientConfig(endpoint=endpoint, audit_log=log)
+        rows, judge_failures = _bench_rows(batch, suite, scenario, judge_cfg)
     report = aggregate_report(rows, by_category=True, method=cfg.variant.value)
     if judge_failures:
         report.notes.append(f"judge verdicts missing for {judge_failures} items")

@@ -9,6 +9,7 @@ import pytest
 from faults import CountingBackend, NaNRows
 
 import dcr.cli
+import dcr.judge
 from dcr.cli import main
 from dcr.toy import default_scenario, scenario_doc
 
@@ -384,6 +385,74 @@ class TestBenchWithJudge:
             assert len(audit) == 16  # one exchange per item
         finally:
             server.shutdown()
+
+
+def judge_in_process(monkeypatch, fail_at=None):
+    """Answer ``dcr.judge.judge`` in process, through the real judge and its
+    audit, and raise RuntimeError on request number ``fail_at``; returns the
+    list of requests made."""
+    real = dcr.judge.judge
+    calls = []
+
+    def fake(req, config):
+        calls.append(req)
+        if len(calls) == fail_at:
+            raise RuntimeError("judge crashed")
+        answer = dataclasses.replace(config, transport=lambda payload:
+                                     "score: 4, collapsed: false")
+        return real(req, answer)
+
+    monkeypatch.setenv("DCR_JUDGE_ENDPOINT", "http://127.0.0.1:9/judge")
+    monkeypatch.setattr(dcr.judge, "judge", fake)
+    return calls
+
+
+class TestJudgeAudit:
+    def test_the_audit_log_is_moved_into_place_before_the_manifest(
+            self, tmp_path, monkeypatch):
+        calls = judge_in_process(monkeypatch)
+        moved = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            assert Path(src).parent == Path(dst).parent
+            moved.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(dcr.cli.os, "replace", replace)
+        out = tmp_path / "wj"
+        assert run("bench", "--with-judge", "--n-per-item", "1", *FAST,
+                   "--out", str(out)) == 0
+        assert "judge_audit.jsonl" in moved and moved[-1] == "manifest.json"
+        entries = [json.loads(line)
+                   for line in (out / "judge_audit.jsonl").read_text().splitlines()]
+        assert len(entries) == len(calls) == 16
+        assert all(list(e) == ["timestamp", "request", "response"] for e in entries)
+
+    def test_a_failing_judge_leaves_no_audit_log_and_no_manifest(
+            self, tmp_path, monkeypatch):
+        calls = judge_in_process(monkeypatch, fail_at=5)
+        out = tmp_path / "wj"
+        argv = ["bench", "--n-per-item", "1", *FAST, "--out", str(out)]
+        with pytest.raises(RuntimeError, match="judge crashed"):
+            run(*argv, "--with-judge")
+        assert len(calls) == 5
+        assert list(out.iterdir()) == []
+        # a rerun without the judge leaves no audit log either
+        assert run(*argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["bench_report.csv", "bench_report.json", "manifest.json"]
+        assert len(calls) == 5
+
+    def test_a_run_without_the_judge_removes_an_earlier_audit_log(
+            self, tmp_path, monkeypatch):
+        judge_in_process(monkeypatch)
+        out = tmp_path / "wj"
+        argv = ["bench", "--n-per-item", "1", *FAST, "--out", str(out)]
+        assert run(*argv, "--with-judge") == 0
+        assert (out / "judge_audit.jsonl").is_file()
+        assert run(*argv) == 0
+        assert not (out / "judge_audit.jsonl").exists()
 
 
 # command argv and the artifacts it writes besides manifest.json

@@ -1,16 +1,22 @@
 """The two JSON-over-HTTP clients, the judge and the text client, exercised
 over the wire against a loopback ``http.server``: the body each one sends,
 the bearer header when its key variable is set, the error type each raises
-on a server error or a malformed response, and recovery once the server
-answers again."""
+on a server error, a malformed response or a failed connection, recovery
+once the server answers again, and the endpoints they refuse."""
 
 import functools
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import dcr.cli
 import dcr.judge
 from dcr.bench import HttpTextClient
 from dcr.cli import main
@@ -34,7 +40,7 @@ class Loopback:
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 body = self.rfile.read(int(self.headers["Content-Length"]))
-                stub.requests.append({"body": json.loads(body),
+                stub.requests.append({"path": self.path, "body": json.loads(body),
                                       "headers": dict(self.headers)})
                 status = 500 if stub.fail_next else stub.status
                 stub.fail_next = max(stub.fail_next - 1, 0)
@@ -120,6 +126,35 @@ def test_missing_endpoint_names_its_variable(monkeypatch, name):
         CLIENTS[name][1](None)()
 
 
+def verdict_file_uri(tmp_path) -> str:
+    """A file:// URL of a readable file holding a well-formed reply."""
+    fake = tmp_path / "fake.json"
+    fake.write_text(json.dumps({"completion": "score: 5, collapsed: false"}))
+    return fake.as_uri()
+
+
+@pytest.mark.parametrize("name", sorted(CLIENTS))
+@pytest.mark.parametrize("given", [True, False])
+def test_an_endpoint_that_is_not_http_is_refused(monkeypatch, tmp_path, name, given):
+    uri = verdict_file_uri(tmp_path)
+    variable = ENDPOINT_VARIABLES[name]
+    if given:
+        monkeypatch.delenv(variable, raising=False)
+    else:
+        monkeypatch.setenv(variable, uri)
+    with pytest.raises(ConfigurationError, match=variable):
+        CLIENTS[name][1](uri if given else None)()
+
+
+def test_bench_refuses_a_file_judge_endpoint_before_sampling(monkeypatch, tmp_path):
+    monkeypatch.setenv("DCR_JUDGE_ENDPOINT", verdict_file_uri(tmp_path))
+    sampled = []
+    monkeypatch.setattr(dcr.cli, "run_batch", lambda *a: sampled.append(a))
+    out = tmp_path / "bench"
+    assert main(["bench", "--with-judge", "--n-per-item", "1", "--out", str(out)]) == 1
+    assert sampled == [] and not out.exists()
+
+
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 def test_sends_json_body_without_auth_by_default(server, name):
     _, client, body, reply, check, _ = CLIENTS[name]
@@ -144,8 +179,8 @@ def test_bearer_header_when_key_is_set(server, monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 def test_server_error_raises_client_error_type(server, name):
     _, client, _, reply, _, error = CLIENTS[name]
-    server.respond(reply, status=500)
-    with pytest.raises(error):
+    server.respond(reply, status=503)
+    with pytest.raises(error, match="request to .* failed: HTTP Error 503"):
         client(server.url)()
 
 
@@ -160,6 +195,61 @@ def test_client_recovers_once_the_server_answers_again(server, name):
     server.respond(reply)
     assert check(call())
     assert len(server.requests) == 2
+
+
+def closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_a_refused_connection_is_retried_then_raised(monkeypatch):
+    sleeps, posts = [], []
+    real = dcr.judge.post_json
+
+    def spy(*args):
+        posts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dcr.judge.time, "sleep", sleeps.append)
+    monkeypatch.setattr(dcr.judge, "post_json", spy)
+    with pytest.raises(TransportError, match="request to .* failed"):
+        judge_client(f"http://127.0.0.1:{closed_port()}/judge", max_retries=2)()
+    assert len(posts) == 3 and len(sleeps) == 2
+
+
+@pytest.mark.parametrize("name", sorted(CLIENTS))
+def test_the_endpoint_path_and_query_reach_the_server(server, name):
+    _, client, _, reply, check, _ = CLIENTS[name]
+    server.respond(reply)
+    assert check(client(server.url + "v1/judge?key=a%20b&x=1")())
+    assert server.requests[0]["path"] == "/v1/judge?key=a%20b&x=1"
+
+
+@pytest.mark.parametrize("name", sorted(SERVICES))
+def test_proxy_variables_are_not_read(server, name):
+    # in a fresh interpreter, so that proxy settings a library cached earlier
+    # in this process cannot decide the outcome
+    dead = f"http://127.0.0.1:{closed_port()}"
+    src = str(Path(dcr.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k.lower() != "no_proxy"}
+    env |= {"PYTHONPATH": os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)}
+    env |= {v: dead for v in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY")}
+    server.respond({"completion": "ok"})
+    code = f"import dcr.judge; dcr.judge.post_json({name!r}, {server.url!r}, {{}})"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(server.requests) == 1
+
+
+def test_https_to_a_plain_server_is_a_transport_error(server, monkeypatch):
+    # a short timeout bounds the case where the server waits on the handshake
+    variable, key, _ = SERVICES["judge"]
+    monkeypatch.setitem(SERVICES, "judge", (variable, key, 5.0))
+    server.respond(CLIENTS["judge"][3])
+    with pytest.raises(TransportError, match="request to https://"):
+        judge_client(server.url.replace("http://", "https://"))()
 
 
 def test_judge_retry_recovers_from_one_server_error_in_one_call(server):
@@ -196,8 +286,8 @@ def test_bench_counts_a_non_string_judge_completion_as_missing(server, monkeypat
 
 
 def test_second_bench_run_starts_a_new_judge_audit_log(server, monkeypatch, tmp_path):
-    # the judge appends to its audit log, so a rerun into the same directory
-    # must not find the earlier run's exchanges there
+    # a rerun into the same directory must not find the earlier run's
+    # exchanges in its log
     _, _, _, reply, _, _ = CLIENTS["judge"]
     server.respond(reply)
     monkeypatch.setenv("DCR_JUDGE_ENDPOINT", server.url)

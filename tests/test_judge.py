@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 
@@ -123,12 +124,31 @@ class TestJudge:
         def transport(payload):
             return "score: 3, collapsed: false"
 
-        judge(request(), config(transport, audit_log=log_path))
-        judge(request(), config(transport, audit_log=log_path))
+        with log_path.open("w", encoding="utf-8") as stream:
+            judge(request(), config(transport, audit_log=stream))
+            judge(request(), config(transport, audit_log=stream))
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert len(entries) == 2
         assert entries[0]["response"] == "score: 3, collapsed: false"
         assert "instruction" in entries[0]["request"]
+        assert list(entries[0]) == ["timestamp", "request", "response"]
+
+    def test_audit_log_keeps_an_unparsable_reply(self):
+        stream = io.StringIO()
+        with pytest.raises(VerdictError):
+            judge(request(), config(lambda payload: "score: banana", audit_log=stream))
+        (entry,) = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert entry["response"] == "score: banana"
+        assert entry["request"] == build_rubric_message(request())
+
+    def test_audit_log_skips_a_transport_failure(self):
+        def transport(payload):
+            raise TransportError("connection reset")
+
+        stream = io.StringIO()
+        with pytest.raises(TransportError):
+            judge(request(), config(transport, max_retries=1, audit_log=stream))
+        assert stream.getvalue() == ""
 
     def test_endpoint_required_for_http_transport(self, monkeypatch):
         monkeypatch.delenv("DCR_JUDGE_ENDPOINT", raising=False)
