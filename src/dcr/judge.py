@@ -11,24 +11,24 @@ trailer ``score: <1-5>, collapsed: <true|false>`` on its final line. No
 verdict is ever synthesized client-side: every JudgeVerdict corresponds to
 exactly one successful remote response.
 
-``post_json`` sends each request over its own ``http.client`` connection,
-closed after the reply. It reads no proxy variables and follows no
-redirects: a reply that is not 2xx is a TransportError. Endpoints must be
-``http://`` or ``https://`` URLs. When ``JudgeClientConfig.audit_log`` is a
-stream, the judge writes one JSON line per exchange to it; the stream
-belongs to the caller, which opens and closes it.
+Endpoints must be ``http://`` or ``https://`` URLs. ``post_json`` sends
+through ``urllib.request``, so the proxy variables (``http_proxy``,
+``no_proxy`` and the like) apply. The judge writes one JSON line per
+exchange to ``JudgeClientConfig.audit_log``: to a stream the caller opens
+and closes, or to a file it opens and appends to per exchange.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import os
 import re
 import time
 import urllib.parse
+import urllib.request
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TextIO
 
 from .errors import (ConfigurationError, JudgeParseError, TransportError,
@@ -170,9 +170,10 @@ class JudgeClientConfig:
     model: str = ""
     max_retries: int = 3
     backoff_base_s: float = 0.25
-    # a writable text stream that receives one JSON line per exchange whose
-    # reply arrived, parsable or not; None: no audit. The caller owns it.
-    audit_log: TextIO | None = None
+    # receives one JSON line per exchange whose reply arrived, parsable or
+    # not: a writable text stream, which the caller owns, or a path the judge
+    # appends to per exchange; None: no audit
+    audit_log: TextIO | str | Path | None = None
     transport: object = None  # callable(payload dict) -> str; None = HTTP
 
 
@@ -184,11 +185,6 @@ SERVICES = {
 }
 
 
-# The endpoint schemes a service may use, and the connection class of each.
-_CONNECTIONS = {"http": http.client.HTTPConnection,
-                "https": http.client.HTTPSConnection}
-
-
 def service_endpoint(name: str, endpoint: str | None = None) -> str:
     """``endpoint``, else the value of the service's endpoint variable;
     ConfigurationError naming that variable when neither is set or the
@@ -198,7 +194,7 @@ def service_endpoint(name: str, endpoint: str | None = None) -> str:
     if not endpoint:
         raise ConfigurationError(f"{name} endpoint not configured (set {variable})")
     url = urllib.parse.urlsplit(endpoint)
-    if url.scheme not in _CONNECTIONS or not url.netloc:
+    if url.scheme not in ("http", "https") or not url.netloc:
         raise ConfigurationError(f"{name} endpoint {endpoint!r} is not an http:// or "
                                  f"https:// URL (set {variable})")
     return endpoint
@@ -207,29 +203,19 @@ def service_endpoint(name: str, endpoint: str | None = None) -> str:
 def post_json(service: str, endpoint: str, body: dict) -> dict:
     """POST ``body`` as JSON to a ``SERVICES`` entry's endpoint, as
     ``service_endpoint`` returns it, and return the decoded JSON object.
-    Opens one connection, closed after the reply, and sends a bearer token
-    when the service's key variable is set; any transport failure, non-2xx
-    status or non-object response raises TransportError."""
+    Sends a bearer token when the service's key variable is set; any
+    transport failure, error status or non-object response raises
+    TransportError."""
     _, key_env, timeout_s = SERVICES[service]
-    headers = {"Content-Type": "application/json"}
+    req = urllib.request.Request(endpoint, data=serialize_payload(body),
+                                 headers={"Content-Type": "application/json"})
     key = os.environ.get(key_env)
     if key:
-        headers["Authorization"] = f"Bearer {key}"
-    url = urllib.parse.urlsplit(endpoint)
-    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        req.add_header("Authorization", f"Bearer {key}")
     try:
-        conn = _CONNECTIONS[url.scheme](url.netloc, timeout=timeout_s)
-        try:
-            conn.request("POST", target, body=serialize_payload(body), headers=headers)
-            resp = conn.getresponse()
-            status, reason, data = resp.status, resp.reason, resp.read()
-        finally:
-            conn.close()
-        if not 200 <= status < 300:
-            raise TransportError(
-                f"request to {endpoint} failed: HTTP Error {status}: {reason}")
-        doc = json.loads(data.decode("utf-8"))
-    except (OSError, http.client.HTTPException, ValueError) as exc:
+        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+            doc = json.loads(resp.read().decode("utf-8"))
+    except (OSError, ValueError) as exc:
         raise TransportError(f"request to {endpoint} failed: {exc}") from exc
     if not isinstance(doc, dict):
         raise TransportError(f"response from {endpoint} is not a JSON object: {doc!r}")
@@ -260,7 +246,12 @@ def _audit(config: JudgeClientConfig, payload: dict, response: str) -> None:
     if config.audit_log is None:
         return
     entry = {"timestamp": time.time(), "request": payload, "response": response}
-    config.audit_log.write(json.dumps(entry) + "\n")
+    line = json.dumps(entry) + "\n"
+    if isinstance(config.audit_log, (str, os.PathLike)):
+        with Path(config.audit_log).open("a", encoding="utf-8") as fh:
+            fh.write(line)
+    else:
+        config.audit_log.write(line)
 
 
 def judge(req: JudgeRequest, config: JudgeClientConfig) -> JudgeVerdict:

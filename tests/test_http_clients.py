@@ -2,7 +2,8 @@
 over the wire against a loopback ``http.server``: the body each one sends,
 the bearer header when its key variable is set, the error type each raises
 on a server error, a malformed response or a failed connection, recovery
-once the server answers again, and the endpoints they refuse."""
+once the server answers again, the endpoints they refuse and the proxy
+variable they follow."""
 
 import functools
 import json
@@ -227,20 +228,21 @@ def test_the_endpoint_path_and_query_reach_the_server(server, name):
 
 
 @pytest.mark.parametrize("name", sorted(SERVICES))
-def test_proxy_variables_are_not_read(server, name):
-    # in a fresh interpreter, so that proxy settings a library cached earlier
-    # in this process cannot decide the outcome
-    dead = f"http://127.0.0.1:{closed_port()}"
+def test_a_proxy_variable_routes_the_request(server, name):
+    # in a fresh interpreter, because urllib reads the proxy variables once,
+    # when it builds its shared opener; the loopback server stands in for the
+    # proxy of an endpoint on a port where nothing listens
+    endpoint = f"http://127.0.0.1:{closed_port()}/v1/{name}"
     src = str(Path(dcr.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k.lower() != "no_proxy"}
     env |= {"PYTHONPATH": os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)}
-    env |= {v: dead for v in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY")}
+    env |= {"http_proxy": server.url, "HTTP_PROXY": server.url}
     server.respond({"completion": "ok"})
-    code = f"import dcr.judge; dcr.judge.post_json({name!r}, {server.url!r}, {{}})"
+    code = f"import dcr.judge; dcr.judge.post_json({name!r}, {endpoint!r}, {{}})"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert len(server.requests) == 1
+    assert [r["path"] for r in server.requests] == [endpoint]
 
 
 def test_https_to_a_plain_server_is_a_transport_error(server, monkeypatch):

@@ -133,6 +133,24 @@ class TestJudge:
         assert "instruction" in entries[0]["request"]
         assert list(entries[0]) == ["timestamp", "request", "response"]
 
+    @pytest.mark.parametrize("as_str", [False, True])
+    def test_audit_log_given_a_path_appends_per_exchange(self, tmp_path, as_str):
+        log_path = tmp_path / "audit.jsonl"
+        log_path.write_text('{"earlier": 1}\n')
+
+        def transport(payload):
+            # each exchange's line is on disk before the next request
+            seen.append(len(log_path.read_text().splitlines()))
+            return "score: 3, collapsed: false"
+
+        seen = []
+        cfg = config(transport, audit_log=str(log_path) if as_str else log_path)
+        judge(request(), cfg)
+        judge(request(), cfg)
+        entries = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert seen == [1, 2] and entries[0] == {"earlier": 1}
+        assert [list(e) for e in entries[1:]] == [["timestamp", "request", "response"]] * 2
+
     def test_audit_log_keeps_an_unparsable_reply(self):
         stream = io.StringIO()
         with pytest.raises(VerdictError):
