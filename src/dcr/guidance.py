@@ -348,6 +348,12 @@ def _per_row(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _row_mask(mask: np.ndarray) -> np.ndarray | None:
+    """A per-row switch as ``_guided_rows`` takes it: None when it is on
+    for every row."""
+    return None if mask.all() else mask
+
+
 def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray,
                     alpha_t, cfg: GuidanceConfig, repel=True, probe=True) -> GuidedRows:
     """The DCR step of ``dcr_guided_prediction`` over (N, D) branch outputs.
@@ -368,30 +374,33 @@ def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndar
     if not ((0.0 <= alpha_t) & (alpha_t <= 1.0)).all():
         raise ValidationError(f"alpha_t must lie in [0,1], got {alpha_t}")
     return _guided_rows(eps_neg, eps_text, eps_attr, alpha_t, cfg,
-                        _per_row(repel, n, "repel"), _per_row(probe, n, "probe"))
+                        _row_mask(_per_row(repel, n, "repel")),
+                        _row_mask(_per_row(probe, n, "probe")))
 
 
 def _guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray,
-                 alpha_t: np.ndarray, cfg: GuidanceConfig, repel: np.ndarray,
-                 probe: np.ndarray, diagnostics: bool = True) -> GuidedRows:
+                 alpha_t: np.ndarray, cfg: GuidanceConfig, repel: np.ndarray | None,
+                 probe: np.ndarray | None, diagnostics: bool = True) -> GuidedRows:
     """``dcr_guided_rows`` without its argument checks, for a caller that
     has made them: (N, D) branch outputs and alpha_t in [0, 1], with
-    alpha_t, repel and probe arrays of shape () or (N,). With
-    ``diagnostics`` False it skips what only the diagnostics need, the
-    residual and the masking of s_t and n_t, and leaves them None;
-    ``eps_star`` and ``lambda_t`` are bitwise those of the full step."""
+    alpha_t an array of shape () or (N,), and repel and probe each either
+    such a boolean array or None when every row repels or probes, which
+    skips its masks. With ``diagnostics`` False it skips what only the
+    diagnostics need, the residual and the masking of s_t and n_t, and
+    leaves them None; ``eps_star`` and ``lambda_t`` are bitwise those of the
+    full step."""
     delta_ref = _cfg_delta(eps_neg, eps_text, cfg.w)
     drift = _drift(eps_neg, eps_attr, delta_ref, cfg.w_attr)
     s_t, na2, n_t, lambda_t = _projection(drift, delta_ref, alpha_t, cfg)
-    if not repel.all():
+    if repel is not None:
         lambda_t = np.where(repel | (lambda_t == 0.0), lambda_t, 0.0)
-    if not probe.all():
+    if probe is not None:
         lambda_t = np.where(probe, lambda_t, 0.0)
     eps_star = eps_neg + _correct(delta_ref, lambda_t, drift)
     if not diagnostics:
         return GuidedRows(eps_star, None, None, lambda_t, None)
     residual = _residual(drift, delta_ref, s_t, na2)
-    if not probe.all():
+    if probe is not None:
         s_t, n_t = np.where(probe, s_t, 0.0), np.where(probe, n_t, cfg.eps_stab)
         residual = np.where(probe, residual, 0.0)
     return GuidedRows(eps_star, s_t, n_t, lambda_t, residual)

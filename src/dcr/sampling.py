@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, TrajectoryError, ValidationError
-from .guidance import GuidanceConfig, StepPosition, _guided_rows, schedule_alpha
+from .guidance import (GuidanceConfig, StepPosition, _guided_rows, _row_mask,
+                       schedule_alpha)
 # Not called here: perfbench/layers.py wraps these guidance functions under
 # their dcr.sampling names, so the names stay importable from this module.
 from .guidance import (attractor_drift_expanded, cfg_update,  # noqa: F401
@@ -188,11 +189,8 @@ class _Live(NamedTuple):
     """The rows still in the batch; every array is indexed by live row."""
 
     ids: np.ndarray     # the row's index in the batch
-    x: np.ndarray       # its latent
     code: np.ndarray    # (m, 3): label index of its negative, text and probe branch
     needs: np.ndarray   # (m, n_labels): whether it needs each label's prediction
-    scheduled: np.ndarray  # whether its alpha_t is schedule_alpha's
-    alpha: np.ndarray   # its variant's fixed alpha_t where it is not
     repel: np.ndarray
     probe: np.ndarray
     draws: np.ndarray   # its standard-normal draws
@@ -267,8 +265,10 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     transition but the last, bitwise equal to drawing them one by one), or
     the initial latent alone under the deterministic one. Rows given the
     same Generator object share its one draw. Everything that does not
-    depend on the step (channels, per-row alpha_t and their range check,
-    the draws) is set up once, before the loop. A row whose
+    depend on the step (channels, the (T, N) table of every row's alpha_t
+    and its range check, the draws) is set up once, before the loop, and
+    what depends only on which rows are live (whether all of them repel and
+    probe, their indices) once each time that set changes. A row whose
     backend call raises or returns non-finite output, or whose latent goes
     non-finite, leaves the batch with a TrajectoryError at that step; the
     other rows go on. Without cfg.trace the loop computes and keeps no
@@ -312,17 +312,19 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     for a in (schedule, fixed):
         if not ((0.0 <= a) & (a <= 1.0)).all():
             raise ValidationError(f"alpha_t must lie in [0,1], got {a}")
-    live = _Live(ids, draws[:, 0].copy(), code, needs, scheduled, fixed,
-                 np.array([p.repel for p in parts]), probe, draws)
+    alpha = np.where(scheduled, schedule[:, None], fixed)  # (T, n): step i, row r
+    live = _Live(ids, code, needs, np.array([p.repel for p in parts]), probe, draws)
+    x = draws[:, 0].copy()  # the live rows' latents
     size = draws[0, 0].size
-    # per step and row: x_mean, x_rms, alpha_t, lambda_t, s_t, residual
-    cols = np.zeros((T, n, 6)) if cfg.trace else None
+    # per step: x_mean, x_rms, alpha_t, lambda_t, s_t and residual of each row
+    cols = np.zeros((T, 6, n)) if cfg.trace else None
     errors: dict[int, TrajectoryError] = {}
+    changed = True  # whether the live rows changed since the gates were set
     for i in range(T):
         if not live.ids.size:
             break
         t = T - 1 - i
-        preds, failed = _branch_rows(backend, live.x, t, labels, live.needs)
+        preds, failed = _branch_rows(backend, x, t, labels, live.needs)
         if failed:
             for j, exc in failed.items():
                 err = TrajectoryError(f"backend failure: {exc}", step=i)
@@ -330,34 +332,39 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
                 errors[int(live.ids[j])] = err
             keep = np.ones(live.ids.size, dtype=bool)
             keep[list(failed)] = False
-            live, preds = live.keep(keep), preds[:, keep]
+            live, x, preds, changed = live.keep(keep), x[keep], preds[:, keep], True
             if not live.ids.size:
                 break
-        m = live.ids.size
-        e_neg, e_text, e_attr = preds[live.code.T, np.arange(m)]
-        alpha_t = np.where(live.scheduled, schedule[i], live.alpha)
-        step = _guided_rows(e_neg, e_text, e_attr, alpha_t, cfg.guidance,
-                            live.repel, live.probe, cfg.trace)
+        if changed:
+            m = live.ids.size
+            # (3, m): where each row's branches lie in the (n_labels * m) rows
+            # of the flattened preds
+            branch = live.code.T * m + np.arange(m)
+            sel = slice(None) if m == n else live.ids
+            gates = _row_mask(live.repel), _row_mask(live.probe)
+            changed = False
+        e_neg, e_text, e_attr = preds.reshape(-1, size).take(branch, axis=0)
+        alpha_t = alpha[i, sel]
+        step = _guided_rows(e_neg, e_text, e_attr, alpha_t, cfg.guidance, *gates,
+                            cfg.trace)
         if cols is not None:
-            flat = live.x.reshape(m, size)
+            flat = x.reshape(m, size)
             # np.add.reduce(...) / size is what .mean computes
-            for k, col in enumerate((np.add.reduce(flat, axis=1) / size,
-                                     np.sqrt(np.add.reduce(flat * flat, axis=1) / size),
-                                     alpha_t, step.lambda_t, step.s_t, step.residual)):
-                cols[i, live.ids, k] = col
+            cols[i][:, sel] = (np.add.reduce(flat, axis=1) / size,
+                               np.sqrt(np.add.reduce(flat * flat, axis=1) / size),
+                               alpha_t, step.lambda_t, step.s_t, step.residual)
         if t >= 1:
             noise = live.draws[:, i + 1] if ancestral and t > 1 else None
-            live = live._replace(x=scheduler_step(step.eps_star, t, live.x, sched,
-                                                  cfg.scheduler_kind, noise))
-            if not np.isfinite(live.x).all():
-                ok = np.isfinite(live.x.reshape(m, size)).all(axis=1)
+            x = scheduler_step(step.eps_star, t, x, sched, cfg.scheduler_kind, noise)
+            if not np.isfinite(x).all():
+                ok = np.isfinite(x.reshape(m, size)).all(axis=1)
                 for r in live.ids[~ok].tolist():
                     errors[r] = TrajectoryError("non-finite latent", step=i)
-                live = live.keep(ok)
+                live, x, changed = live.keep(ok), x[ok], True
     finals = np.full((n, *backend.latent_shape), np.nan)
-    finals[live.ids] = live.x
+    finals[live.ids] = x
     return Batch([(item.item_id, rep) for item, rep in rows], list(trajectory_ids),
-                 finals, errors, cols)
+                 finals, errors, None if cols is None else cols.transpose(0, 2, 1))
 
 
 def run_sampling(backend, prompts: tuple[str, str], cfg: SamplerConfig,

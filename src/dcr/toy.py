@@ -247,15 +247,24 @@ class _Posterior:
     a schedule, and the one kernel that evaluates the posterior at x_t for a
     stack of channels, which differ only in their log weights.
 
-    The kernel puts x_t's rows on the last axis: the distances are (K, d, M),
-    the responsibilities (C, K, M) and the posterior means (C, d, M), for M
-    rows. Every sum and max over the short K or d axis is then a few
-    vectorized passes along the M rows; with those axes last, numpy runs one
-    tiny inner loop per row. numpy sums a strided axis term by term, and a
-    contiguous one term by term only below 8 terms (pairwise from 8 on). So
-    with fewer than 8 components every output is bitwise that of the
-    rows-first layout, which ``tests/oracles.py`` keeps as
-    ``np_posterior_evaluate``; with 8 or more, the K sums round differently
+    The kernel keeps x_t's M rows last, in memory as well as in its
+    indexing: it copies them into a C-contiguous (d, M) buffer and writes
+    every intermediate with ``out=`` into C-contiguous buffers, the
+    distances and the per-component means as (K, d, M), the responsibilities
+    as (C, K, M), their products with the means as (C, K, d, M) and the
+    posterior means as (C, d, M). Every elementwise pass then runs along the
+    M rows, and every sum and max over the short K or d axis is a few
+    vectorized passes along them. The buffers form one workspace, kept for
+    the next call with the same (C, M) and replaced when either changes;
+    buffers whose lifetimes do not overlap share memory. So ``evaluate``'s
+    outputs are views that the next call overwrites, and a ``_Posterior``
+    must not be shared between threads.
+
+    numpy sums a strided axis term by term, and a contiguous one term by
+    term only below 8 terms (pairwise from 8 on). So with fewer than 8
+    components and fewer than 8 coordinates every output is bitwise that of
+    the rows-first layout, which ``tests/oracles.py`` keeps as
+    ``np_posterior_evaluate``; from 8 on, the K or d sums round differently
     in the last bits.
     """
 
@@ -269,6 +278,22 @@ class _Posterior:
         self.two_v = 2.0 * v
         self.shrink = self.sqrt_ab * s2 / v
         self.sqrt_one_minus_ab = np.sqrt(1.0 - ab)
+        self._shape: tuple[int, int] | None = None  # the workspace's (C, M)
+
+    def _workspace(self, C: int, M: int) -> tuple[np.ndarray, ...]:
+        """The buffers for C channels and M rows, kept while (C, M) stays."""
+        if self._shape != (C, M):
+            K, d = self.means.shape[:2]
+            cdm = np.empty((C, d, M))
+            self._shape, self._buffers = (C, M), (
+                np.empty((d, M)),        # x_t's rows
+                np.empty((K, d, M)),     # distances, then per-component means
+                np.empty((K, M)),        # squared distances over 2 v_t
+                np.empty((C, K, M)),     # log responsibilities, then responsibilities
+                np.empty((C, K, d, M)),  # squared distances, then r * means
+                cdm,                     # posterior means, then noise predictions
+                cdm[:, :1])              # max and sum over K, before the means
+        return self._buffers
 
     def evaluate(self, x_t, t: int, log_w: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,35 +301,44 @@ class _Posterior:
         weights the responsibilities r_k(x_t) (C, K, M) and the posterior
         mean E[x0 | x_t] (C, d, M), where M is the product of x_t's leading
         axes. The distances to the scaled means are computed once for all C
-        channels."""
+        channels. All three are workspace views, valid until the next
+        call."""
         T, dim = self.sqrt_ab.size, self.means.shape[1]
         if not (0 <= t < T):
             raise ValidationError(f"t must lie in [0, {T - 1}], got {t}")
         x = np.asarray(x_t, dtype=np.float64)
         if x.shape[-1] != dim:
             raise ValidationError(f"x_t last dimension must be {dim}")
-        x = x.reshape(-1, dim).T
-        diff = x - self.scaled_means[t]  # (K, d, M)
+        x = x.reshape(-1, dim)
+        xs, kdm, km, ckm, ckdm, cdm, c1m = self._workspace(len(log_w), len(x))
+        np.copyto(xs, x.T)
+        diff = np.subtract(xs, self.scaled_means[t], out=kdm)
         # the ufunc reductions that .sum and .max call, without their wrappers
-        logr = log_w[:, :, None] - np.add.reduce(diff * diff, axis=1) / self.two_v[t]
-        logr = logr - np.maximum.reduce(logr, axis=1, keepdims=True)
-        r = np.exp(logr)  # (C, K, M)
-        r = r / np.add.reduce(r, axis=1, keepdims=True)
-        mhat = self.means + self.shrink[t] * diff  # (K, d, M)
-        return x, r, np.add.reduce(r[:, :, None] * mhat, axis=1)
+        sq = np.multiply(diff, diff, out=ckdm[0])
+        np.divide(np.add.reduce(sq, axis=1, out=km), self.two_v[t], out=km)
+        logr = np.subtract(log_w[:, :, None], km, out=ckm)
+        np.subtract(logr, np.maximum.reduce(logr, axis=1, keepdims=True, out=c1m),
+                    out=logr)
+        r = np.exp(logr, out=logr)
+        np.divide(r, np.add.reduce(r, axis=1, keepdims=True, out=c1m), out=r)
+        mhat = np.add(self.means, np.multiply(self.shrink[t], diff, out=diff), out=diff)
+        prod = np.multiply(r[:, :, None], mhat, out=ckdm)
+        return xs, r, np.add.reduce(prod, axis=1, out=cdm)
 
     def epsilon_channels(self, x_t, t: int, log_w: np.ndarray) -> np.ndarray:
         """(x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab) for each row of the (C, K)
-        log weights, shape (C, *x_t.shape); ValidationError if any value is
-        not finite."""
+        log weights, as a new array of shape (C, *x_t.shape); ValidationError
+        if any value is not finite."""
         x, _, mean = self.evaluate(x_t, t, log_w)
         if self.sqrt_one_minus_ab[t] == 0.0:
             raise ValidationError("alpha_bar[t] == 1 leaves no noise to predict")
-        eps = (x - self.sqrt_ab[t] * mean) / self.sqrt_one_minus_ab[t]  # (C, d, M)
+        eps = np.multiply(self.sqrt_ab[t], mean, out=mean)
+        eps = np.divide(np.subtract(x, eps, out=eps), self.sqrt_one_minus_ab[t],
+                        out=eps)  # (C, d, M)
         if not np.isfinite(eps).all():
             raise ValidationError("latent values must be finite (no NaN/Inf)")
-        return np.ascontiguousarray(eps.transpose(0, 2, 1)).reshape(
-            len(log_w), *np.shape(x_t))
+        # .copy() always copies, so the result never aliases the workspace
+        return eps.transpose(0, 2, 1).copy().reshape(len(log_w), *np.shape(x_t))
 
 
 def _channel_posterior(channel: PromptChannel, scenario: BiasScenario,
@@ -422,7 +456,10 @@ def load_scenario(path) -> BiasScenario:
 
 
 class ToyDenoiser:
-    """Denoiser backend over a BiasScenario: exact and stateless.
+    """Denoiser backend over a BiasScenario: exact, and a pure function of
+    its inputs. It computes in a workspace that it keeps between calls (see
+    ``_Posterior``), so one ToyDenoiser must not be shared between threads;
+    every array it returns is new.
 
     ``epsilon_channels(x_t, t, labels)`` takes a batch of shape
     (N, *latent_shape) and returns every listed channel's prediction as one

@@ -385,6 +385,7 @@ class TestBenchWithJudge:
             assert len(audit) == 16  # one exchange per item
         finally:
             server.shutdown()
+            server.server_close()
 
 
 def judge_in_process(monkeypatch, fail_at=None):

@@ -423,6 +423,32 @@ class TestMixedBatch:
                 assert record_bytes(got.trace) == record_bytes(want.trace)
 
     @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    @pytest.mark.parametrize("dead", [(0, 1, 2, 4), (1, 3, 4, 5)])
+    def test_rows_that_outlive_others_equal_their_lone_runs(self, scheduler, dead):
+        # rows 0-2 run plain CFG, rows 3-5 full DCR, and the dead rows leave
+        # at step k. So the posterior's workspace changes shape mid-run (one
+        # row in the retry, then the survivors), and the survivors all run
+        # one variant, so the loop works out their repel and probe gates anew
+        T, k, seed = 12, 4, 2
+        sc = default_scenario()
+        cfg = small_cfg(T=T, seed=seed, scheduler=scheduler)
+        items = [BatchItem("a", variant=Variant.PLAIN_CFG),
+                 BatchItem("b", variant=Variant.FULL_DCR)]
+        got = run_batch(NaNRows(sc, cosine_schedule(T), dead, k), items, cfg, 3)
+        be = ToyDenoiser(sc, cosine_schedule(T))
+        for r, res in enumerate(got):
+            if r in dead:
+                assert res.error.endswith(f"(step {k})")
+                continue
+            item = items[r // 3]
+            rng = np.random.default_rng(derive_seed(seed, item.item_id, res.replicate))
+            x, trace = run_sampling(be, (TARGET, ATTRACTOR),
+                                    dataclasses.replace(cfg, variant=item.variant), rng=rng)
+            assert res.error is None
+            assert res.final.tobytes() == x.tobytes()
+            assert record_bytes(res.trace) == record_bytes(trace)
+
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
     def test_a_fault_in_a_channel_the_row_does_not_need_spares_it(self, scheduler):
         # rows 0-2 run plain CFG, which never reads the attractor channel;
         # rows 3-5 run full DCR, which does. A NaN attractor prediction at

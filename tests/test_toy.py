@@ -302,6 +302,24 @@ class TestEpsilonChannels:
         assert lone.shape == (3, d)
         assert lone[0].tobytes() == be.epsilon(x[0], 50, ATTRACTOR).values.tobytes()
 
+    def test_a_result_outlives_the_next_call(self):
+        # the kernel keeps one workspace from call to call, and what it
+        # returns is a new array: a second one-row call with the same shape
+        # leaves the first result as it was, also where the (C, 1, d) result
+        # is already contiguous as the kernel lays it out
+        be = ToyDenoiser(default_scenario())
+        x0, x1 = np.random.default_rng(5).normal(scale=3.0, size=(2, 1, 2))
+        first = be.epsilon(x0[0], 50, TARGET)
+        kept = first.values.copy()
+        second = be.epsilon(x1[0], 50, TARGET)
+        assert second.values.tobytes() != kept.tobytes()
+        assert first.values.tobytes() == kept.tobytes()
+        first = be.epsilon_channels(x0, 50, self.LABELS)
+        kept = first.copy()
+        second = be.epsilon_channels(x1, 50, self.LABELS)
+        assert second.tobytes() != kept.tobytes()
+        assert first.tobytes() == kept.tobytes()
+
     def test_unknown_label(self):
         be = ToyDenoiser(default_scenario())
         for _ in range(2):  # a failed lookup caches no stack
@@ -334,11 +352,14 @@ class TestRowsFirstOracle:
     """The posterior kernel against ``np_posterior_evaluate``, the same
     arithmetic with the rows first and the sums over the trailing K and d
     axes. numpy sums a contiguous axis of fewer than 8 terms term by term,
-    as it sums the kernel's strided ones, so below 8 components every output
-    is bitwise the reference's."""
+    as it sums the kernel's strided ones, so below 8 components and below 8
+    coordinates every output is bitwise the reference's."""
 
     LABELS = [UNCOND, TARGET, ATTRACTOR]
-    GRID_D = [1, 2, 7, 8, 16]
+    # (K, d) pairs: below 8 components and 8 coordinates, and the rest
+    BITWISE = [(K, d) for K in (2, 3, 7) for d in (1, 2, 7)]
+    CLOSE = [(K, d) for K in (2, 3, 7, 8, 9) for d in (1, 2, 7, 8, 16)
+             if K >= 8 or d >= 8]
 
     def cases(self, K, d):
         """(kernel, reference) pairs of responsibilities, posterior means
@@ -357,21 +378,20 @@ class TestRowsFirstOracle:
                        be.epsilon_channels(x, t, self.LABELS))
                 yield from zip(got, ref)
 
-    @pytest.mark.parametrize("d", GRID_D)
-    @pytest.mark.parametrize("K", [2, 3, 7])
+    @pytest.mark.parametrize("K, d", BITWISE)
     def test_bitwise_below_8_components(self, K, d):
         for got, ref in self.cases(K, d):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("d", GRID_D)
-    @pytest.mark.parametrize("K", [8, 9])
+    @pytest.mark.parametrize("K, d", CLOSE)
     def test_close_from_8_components(self, K, d):
-        # numpy sums the reference's contiguous K axis pairwise here, the
-        # kernel's strided one term by term: the two sums differ by a few
-        # ulps of their largest term, and the cancellation in
-        # x - sqrt(ab) * E[x0 | x_t] and the division by sqrt(1 - ab) scale
-        # that up. Measured at most 5e-12 of an array's largest value; the
-        # bound is 1e-10 of it.
+        # numpy sums the reference's contiguous K and d axes pairwise from 8
+        # terms on, the kernel's strided ones term by term: the two sums
+        # differ by a few ulps of their largest term, and the cancellation
+        # in x - sqrt(ab) * E[x0 | x_t] and the division by sqrt(1 - ab)
+        # scale that up. Measured at most 2.2e-13 of an array's largest
+        # value below 8 components (at d = 8 and d = 16) and 2.6e-13 from 8
+        # components; the bound is 1e-10 of it.
         for got, ref in self.cases(K, d):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
 
