@@ -17,7 +17,8 @@ is bit-identical to the plain CFG update.
 
 Each equation is written once, over (N, D) rows or one (D,) latent:
 ``dcr_guided_rows`` composes them (the sampling loop calls its unchecked
-core, ``_guided_rows``, and checks its arguments once per run), and the
+core, ``_guided_rows``, checks its arguments once per run, and applies
+``_step_diagnostics`` to a traced run's steps after the last one), and the
 public functions on one latent add only the shape and range checks of their
 typed inputs.
 """
@@ -329,15 +330,13 @@ def dcr_guided_prediction(eps_uncond: NoisePrediction, eps_text: NoisePrediction
 @dataclass(frozen=True)
 class GuidedRows:
     """The DCR step of N stacked latents: ``eps_star`` (N, D) and the
-    per-row diagnostics (N,) that RepulsionDiagnostics holds for one row.
-    A step computed without diagnostics holds ``eps_star`` and the
-    ``lambda_t`` it applied; its ``s_t``, ``n_t`` and ``residual`` are None."""
+    per-row diagnostics (N,) that RepulsionDiagnostics holds for one row."""
 
     eps_star: np.ndarray
-    s_t: np.ndarray | None
-    n_t: np.ndarray | None
+    s_t: np.ndarray
+    n_t: np.ndarray
     lambda_t: np.ndarray
-    residual: np.ndarray | None
+    residual: np.ndarray
 
 
 def _per_row(value, n: int, name: str) -> np.ndarray:
@@ -373,34 +372,49 @@ def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndar
     alpha_t = _per_row(alpha_t, n, "alpha_t")
     if not ((0.0 <= alpha_t) & (alpha_t <= 1.0)).all():
         raise ValidationError(f"alpha_t must lie in [0,1], got {alpha_t}")
-    return _guided_rows(eps_neg, eps_text, eps_attr, alpha_t, cfg,
-                        _row_mask(_per_row(repel, n, "repel")),
-                        _row_mask(_per_row(probe, n, "probe")))
+    probe = _row_mask(_per_row(probe, n, "probe"))
+    eps_star, lambda_t, s_t, drift, delta_ref = _guided_rows(
+        eps_neg, eps_text, eps_attr, alpha_t, cfg,
+        _row_mask(_per_row(repel, n, "repel")), probe)
+    s_t, n_t, residual = _step_diagnostics(drift, delta_ref, s_t, probe, cfg)
+    return GuidedRows(eps_star, s_t, n_t, lambda_t, residual)
 
 
 def _guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray,
                  alpha_t: np.ndarray, cfg: GuidanceConfig, repel: np.ndarray | None,
-                 probe: np.ndarray | None, diagnostics: bool = True) -> GuidedRows:
-    """``dcr_guided_rows`` without its argument checks, for a caller that
-    has made them: (N, D) branch outputs and alpha_t in [0, 1], with
-    alpha_t an array of shape () or (N,), and repel and probe each either
-    such a boolean array or None when every row repels or probes, which
-    skips its masks. With ``diagnostics`` False it skips what only the
-    diagnostics need, the residual and the masking of s_t and n_t, and
-    leaves them None; ``eps_star`` and ``lambda_t`` are bitwise those of the
-    full step."""
+                 probe: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """``dcr_guided_rows`` without its argument checks and its diagnostics,
+    for a caller that has made the checks: (N, D) branch outputs and
+    alpha_t in [0, 1], with alpha_t an array of shape () or (N,), and repel
+    and probe each either such a boolean array or None when every row repels
+    or probes, which skips its masks.
+
+    Returns what the step computes anyway: ``eps_star`` (N, D), the masked
+    ``lambda_t`` (N,), the unmasked ``s_t`` (N,), and the ``drift`` and
+    ``delta_ref`` (N, D) that ``_step_diagnostics`` turns into the rest of
+    the diagnostics."""
     delta_ref = _cfg_delta(eps_neg, eps_text, cfg.w)
     drift = _drift(eps_neg, eps_attr, delta_ref, cfg.w_attr)
-    s_t, na2, n_t, lambda_t = _projection(drift, delta_ref, alpha_t, cfg)
+    s_t, _, n_t, lambda_t = _projection(drift, delta_ref, alpha_t, cfg)
     if repel is not None:
         lambda_t = np.where(repel | (lambda_t == 0.0), lambda_t, 0.0)
     if probe is not None:
         lambda_t = np.where(probe, lambda_t, 0.0)
-    eps_star = eps_neg + _correct(delta_ref, lambda_t, drift)
-    if not diagnostics:
-        return GuidedRows(eps_star, None, None, lambda_t, None)
+    return eps_neg + _correct(delta_ref, lambda_t, drift), lambda_t, s_t, drift, delta_ref
+
+
+def _step_diagnostics(drift: np.ndarray, delta_ref: np.ndarray, s_t: np.ndarray,
+                      probe: np.ndarray | None, cfg: GuidanceConfig
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The probe-masked s_t, n_t and collinearity residual of the steps whose
+    drift, delta_ref (..., D) and unmasked s_t (...,) ``_guided_rows``
+    returned, over any leading axes. ``probe`` is a boolean array that
+    broadcasts against s_t, or None when every row probes; rows without a
+    probe get the diagnostics of a zero drift."""
+    na2 = _row_dot(drift, drift)
+    n_t = na2 + cfg.eps_stab
     residual = _residual(drift, delta_ref, s_t, na2)
     if probe is not None:
         s_t, n_t = np.where(probe, s_t, 0.0), np.where(probe, n_t, cfg.eps_stab)
         residual = np.where(probe, residual, 0.0)
-    return GuidedRows(eps_star, s_t, n_t, lambda_t, residual)
+    return s_t, n_t, residual

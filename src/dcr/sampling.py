@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, TrajectoryError, ValidationError
 from .guidance import (GuidanceConfig, StepPosition, _guided_rows, _row_mask,
-                       schedule_alpha)
+                       _step_diagnostics, schedule_alpha)
 # Not called here: perfbench/layers.py wraps these guidance functions under
 # their dcr.sampling names, so the names stay importable from this module.
 from .guidance import (attractor_drift_expanded, cfg_update,  # noqa: F401
@@ -53,8 +53,11 @@ class Variant(str, enum.Enum):
 class SamplerConfig:
     """One run's sampler settings. ``trace`` says whether the run records
     each row's per-step diagnostics (x_mean, x_rms, alpha_t, lambda_t, s_t,
-    residual); a run without it returns the same finals, failures and
-    failure steps, but no trace."""
+    residual). Each step of a traced run keeps, per row, what it computed
+    anyway: the pre-step latent, drift and delta_ref (D values each) and
+    alpha_t, lambda_t and s_t; one pass after the last step computes the
+    rest. A run without it returns the same finals, failures and failure
+    steps, but no trace."""
 
     T: int
     guidance: GuidanceConfig
@@ -193,6 +196,7 @@ class _Live(NamedTuple):
     needs: np.ndarray   # (m, n_labels): whether it needs each label's prediction
     repel: np.ndarray
     probe: np.ndarray
+    source: np.ndarray  # its column of the (T, k) alpha_t table
     draws: np.ndarray   # its standard-normal draws
 
     def keep(self, mask: np.ndarray) -> "_Live":
@@ -265,14 +269,22 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     transition but the last, bitwise equal to drawing them one by one), or
     the initial latent alone under the deterministic one. Rows given the
     same Generator object share its one draw. Everything that does not
-    depend on the step (channels, the (T, N) table of every row's alpha_t
-    and its range check, the draws) is set up once, before the loop, and
-    what depends only on which rows are live (whether all of them repel and
-    probe, their indices) once each time that set changes. A row whose
+    depend on the step (channels, the (T, k) table of alpha_t with one
+    column per distinct source, the schedule or a fixed value, its range
+    check, each row's column, the draws) is set up once, before the loop,
+    and what depends only on which rows are live (whether all of them repel
+    and probe, their indices) once each time that set changes. A row whose
     backend call raises or returns non-finite output, or whose latent goes
     non-finite, leaves the batch with a TrajectoryError at that step; the
-    other rows go on. Without cfg.trace the loop computes and keeps no
-    per-step diagnostics, and the Batch has none.
+    other rows go on.
+
+    With cfg.trace a step writes the live rows' pre-step latents, drifts
+    and delta_refs into (T, N, D) float64 histories, and their alpha_t,
+    lambda_t and unmasked s_t into the (T, 6, N) diagnostics columns; after
+    the last step ``_fill_diagnostics`` computes the rest in one pass. A
+    failed row's histories and columns stay zero from its failure step on.
+    Without cfg.trace the loop keeps none of this, and the Batch has no
+    diagnostics.
     """
     sched: NoiseScheduleSpec = backend.schedule
     if sched.T != cfg.T:
@@ -305,19 +317,26 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     needs = np.zeros((n, len(labels)), dtype=bool)
     needs[ids, code[:, 0]] = needs[ids, code[:, 1]] = True
     needs[ids[probe], code[probe, 2]] = True
-    scheduled = np.array([p.alpha is None for p in parts])
-    fixed = np.array([0.0 if p.alpha is None else p.alpha for p in parts])
+    # one alpha_t column per distinct source, None standing for the schedule,
+    # and per row the index of its column
+    sources = list(dict.fromkeys(p.alpha for p in parts))
     schedule = np.array([schedule_alpha(StepPosition(index=i, total=T), cfg.guidance)
                          for i in range(T)])
-    for a in (schedule, fixed):
-        if not ((0.0 <= a) & (a <= 1.0)).all():
-            raise ValidationError(f"alpha_t must lie in [0,1], got {a}")
-    alpha = np.where(scheduled, schedule[:, None], fixed)  # (T, n): step i, row r
-    live = _Live(ids, code, needs, np.array([p.repel for p in parts]), probe, draws)
+    alpha = np.column_stack([schedule if a is None else np.full(T, a) for a in sources])
+    if not ((0.0 <= alpha) & (alpha <= 1.0)).all():
+        raise ValidationError(f"alpha_t must lie in [0,1], got {alpha}")
+    source = np.array([sources.index(p.alpha) for p in parts])
+    live = _Live(ids, code, needs, np.array([p.repel for p in parts]), probe, source,
+                 draws)
     x = draws[:, 0].copy()  # the live rows' latents
     size = draws[0, 0].size
-    # per step: x_mean, x_rms, alpha_t, lambda_t, s_t and residual of each row
-    cols = np.zeros((T, 6, n)) if cfg.trace else None
+    if cfg.trace:
+        # per step: x_mean, x_rms, alpha_t, lambda_t, s_t and residual of each
+        # row, and the pre-step latent, drift and delta_ref they come from
+        cols = np.zeros((T, 6, n))
+        latents, drifts, deltas = np.zeros((3, T, n, size))
+    else:
+        cols = None
     errors: dict[int, TrajectoryError] = {}
     changed = True  # whether the live rows changed since the gates were set
     for i in range(T):
@@ -344,27 +363,55 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
             gates = _row_mask(live.repel), _row_mask(live.probe)
             changed = False
         e_neg, e_text, e_attr = preds.reshape(-1, size).take(branch, axis=0)
-        alpha_t = alpha[i, sel]
-        step = _guided_rows(e_neg, e_text, e_attr, alpha_t, cfg.guidance, *gates,
-                            cfg.trace)
+        alpha_t = alpha[i].take(live.source)
+        eps_star, lambda_t, s_t, drift, delta_ref = _guided_rows(
+            e_neg, e_text, e_attr, alpha_t, cfg.guidance, *gates)
         if cols is not None:
-            flat = x.reshape(m, size)
-            # np.add.reduce(...) / size is what .mean computes
-            cols[i][:, sel] = (np.add.reduce(flat, axis=1) / size,
-                               np.sqrt(np.add.reduce(flat * flat, axis=1) / size),
-                               alpha_t, step.lambda_t, step.s_t, step.residual)
+            latents[i, sel] = x.reshape(m, size)
+            drifts[i, sel], deltas[i, sel] = drift, delta_ref
+            cols[i, 2:5][:, sel] = alpha_t, lambda_t, s_t
         if t >= 1:
             noise = live.draws[:, i + 1] if ancestral and t > 1 else None
-            x = scheduler_step(step.eps_star, t, x, sched, cfg.scheduler_kind, noise)
+            x = scheduler_step(eps_star, t, x, sched, cfg.scheduler_kind, noise)
             if not np.isfinite(x).all():
                 ok = np.isfinite(x.reshape(m, size)).all(axis=1)
                 for r in live.ids[~ok].tolist():
                     errors[r] = TrajectoryError("non-finite latent", step=i)
                 live, x, changed = live.keep(ok), x[ok], True
+    if cols is not None:
+        _fill_diagnostics(cols, latents, drifts, deltas, _row_mask(probe), cfg.guidance)
     finals = np.full((n, *backend.latent_shape), np.nan)
     finals[live.ids] = x
     return Batch([(item.item_id, rep) for item, rep in rows], list(trajectory_ids),
                  finals, errors, None if cols is None else cols.transpose(0, 2, 1))
+
+
+# latent values per block of the post-loop diagnostics pass, so none of its
+# temporaries holds more than 512 KiB
+_BLOCK_VALUES = 1 << 16
+
+
+def _fill_diagnostics(cols: np.ndarray, latents: np.ndarray, drifts: np.ndarray,
+                      deltas: np.ndarray, probe: np.ndarray | None,
+                      g: GuidanceConfig) -> None:
+    """Completes a traced run's (T, 6, N) diagnostics columns, in which the
+    loop wrote alpha_t, lambda_t and the unmasked s_t: fills x_mean, x_rms
+    and the residual from the (T, N, D) histories of the pre-step latent,
+    the drift and delta_ref, and masks s_t of the rows without a probe
+    (``probe`` as ``_guided_rows`` takes it, over all N rows). Works over
+    blocks of as many steps as hold ``_BLOCK_VALUES`` latent values, so its
+    temporaries stay small. A row's histories are zero from its failure
+    step on, and so are its diagnostics."""
+    size = latents.shape[-1]
+    block_steps = max(1, _BLOCK_VALUES // max(1, latents[0].size))
+    for i in range(0, len(cols), block_steps):
+        steps = slice(i, i + block_steps)
+        block, flat = cols[steps], latents[steps]
+        # np.add.reduce(...) / size is what .mean computes
+        block[:, 0] = np.add.reduce(flat, axis=2) / size
+        block[:, 1] = np.sqrt(np.add.reduce(flat * flat, axis=2) / size)
+        block[:, 4], _, block[:, 5] = _step_diagnostics(
+            drifts[steps], deltas[steps], block[:, 4], probe, g)
 
 
 def run_sampling(backend, prompts: tuple[str, str], cfg: SamplerConfig,

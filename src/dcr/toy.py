@@ -327,16 +327,15 @@ class _Posterior:
 
     def epsilon_channels(self, x_t, t: int, log_w: np.ndarray) -> np.ndarray:
         """(x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab) for each row of the (C, K)
-        log weights, as a new array of shape (C, *x_t.shape); ValidationError
-        if any value is not finite."""
+        log weights, as a new array of shape (C, *x_t.shape). Values are not
+        checked for finiteness: ``NoisePrediction`` checks ``epsilon``'s, and
+        the sampling loop the stack it gets."""
         x, _, mean = self.evaluate(x_t, t, log_w)
         if self.sqrt_one_minus_ab[t] == 0.0:
             raise ValidationError("alpha_bar[t] == 1 leaves no noise to predict")
         eps = np.multiply(self.sqrt_ab[t], mean, out=mean)
         eps = np.divide(np.subtract(x, eps, out=eps), self.sqrt_one_minus_ab[t],
                         out=eps)  # (C, d, M)
-        if not np.isfinite(eps).all():
-            raise ValidationError("latent values must be finite (no NaN/Inf)")
         # .copy() always copies, so the result never aliases the workspace
         return eps.transpose(0, 2, 1).copy().reshape(len(log_w), *np.shape(x_t))
 
@@ -469,7 +468,10 @@ class ToyDenoiser:
     returns a NoisePrediction of the same shape. Each row of a batch and each
     channel of a stack equals the one-channel call on that row alone,
     bitwise. Both raise ValidationError on an unknown label, a ``t`` outside
-    the schedule, a wrong last dimension or non-finite output.
+    the schedule or a wrong last dimension. Only ``epsilon`` raises on
+    non-finite output, through ``NoisePrediction``; ``epsilon_channels``
+    returns it, and the sampling loop, which checks every stack it gets,
+    treats it as a failed call.
     """
 
     def __init__(self, scenario: BiasScenario, sched: NoiseScheduleSpec | None = None):

@@ -6,6 +6,8 @@ plain Python floats, lists, and the ``random``/``math`` modules. The guided
 step references (``np_*``) use numpy 1-D arithmetic instead, one flattened
 latent at a time: the package's step is compared with them bitwise, and only
 the same float64 operations in the same order round the same way.
+``traced_trajectory`` runs one row of the traced sampling loop on them,
+taking the backend's ``epsilon`` as an input.
 ``np_posterior_evaluate`` keeps the posterior kernel's arithmetic in the
 rows-first layout, a batch of latents with the sums over their trailing
 component and coordinate axes.
@@ -42,6 +44,17 @@ def cosine_alpha_bar(T: int, s: float = 0.008) -> list[float]:
     return out
 
 
+def schedule_alpha(step_index: int, total: int, r_s: float, r_e: float,
+                   gamma: float) -> float:
+    """The polynomial activation ramp, inclusive on both interval ends."""
+    pi = step_index / (total - 1)
+    if pi < r_s or pi > r_e:
+        return 0.0
+    pit = (pi - r_s) / (r_e - r_s)
+    pit = min(max(pit, 0.0), 1.0)
+    return pit ** gamma
+
+
 def scalar_scale_diff(u: list[float], t: list[float], w: float) -> list[float]:
     """w * (t - u), one element at a time."""
     return [w * (ti - ui) for ui, ti in zip(u, t)]
@@ -60,13 +73,7 @@ def scalar_chain(eps_uncond, eps_text, eps_attr, w, w_attr, eta, gamma,
     eps_target = scalar_add(eps_uncond, delta_ref)
     eps_probe = scalar_add(eps_uncond, scalar_scale_diff(eps_uncond, eps_attr, w_attr))
     drift = [p - t for p, t in zip(eps_probe, eps_target)]
-    pi = step_index / (total - 1)
-    if pi < r_s or pi > r_e:
-        alpha = 0.0
-    else:
-        pit = (pi - r_s) / (r_e - r_s)
-        pit = min(max(pit, 0.0), 1.0)
-        alpha = pit ** gamma
+    alpha = schedule_alpha(step_index, total, r_s, r_e, gamma)
     s = math.fsum(a * d for a, d in zip(drift, delta_ref))
     n = math.fsum(a * a for a in drift) + eps_stab
     lam = alpha * eta * max(s, 0.0) / n
@@ -141,6 +148,67 @@ def np_scheduler_step(eps: np.ndarray, t: int, x: np.ndarray, alpha_bar,
         return mean
     var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
     return mean + np.sqrt(var) * noise
+
+
+# Each variant as the DCR step with parts switched off: its CFG negative
+# branch, its probe branch (None: no probe), its fixed alpha_t (None: the
+# schedule) and whether lambda_t is applied. "prompt" and "attractor" name
+# the item's channels.
+VARIANT_PARTS = {
+    "full-dcr": ("uncond", "attractor", None, True),
+    "plain-cfg": ("uncond", None, 0.0, False),
+    "negative-prompt": ("attractor", None, 0.0, False),
+    "no-attractor-prompt": ("uncond", "prompt", None, True),
+    "no-repulsion": ("uncond", "attractor", None, False),
+    "no-schedule": ("uncond", "attractor", 1.0, True),
+}
+
+
+def traced_trajectory(epsilon, draws: np.ndarray, alpha_bar, deterministic: bool,
+                      channels: tuple[str, str], variant: str, g):
+    """One trajectory of the traced sampling loop, recorded step by step as
+    the loop recorded it before it computed the diagnostics after its last
+    step: at each step, x_mean and x_rms of the pre-step latent, alpha_t,
+    lambda_t, s_t and the collinearity residual.
+
+    ``epsilon(x, t, label)`` is the backend's one-latent prediction,
+    ``draws`` the row's standard-normal draws (the initial latent, then
+    under the ancestral scheduler the noise of each transition but the
+    last), ``channels`` the item's (prompt, attractor) channel labels and
+    ``g`` the guidance settings. A row without a probe has s_t, lambda_t and
+    residual 0. Returns the (T, 6) records, the failure as (kind, step) or
+    None, and the final latent: a backend call that raises fails the row
+    with no record at its step, a non-finite latent after the update fails
+    it after that step's record; every later record is zero.
+    """
+    negative, probe, fixed, repel = VARIANT_PARTS[variant]
+    prompt, attractor = channels
+    label = {"uncond": "uncond", "prompt": prompt, "attractor": attractor}
+    T = len(alpha_bar)
+    out = np.zeros((T, 6))
+    x = draws[0]
+    for i in range(T):
+        t = T - 1 - i
+        try:
+            u, txt = (epsilon(x, t, label[b]).values for b in (negative, "prompt"))
+            a = epsilon(x, t, label[probe]).values if probe else None
+        except Exception:
+            return out, ("backend failure", i), None
+        alpha = schedule_alpha(i, T, g.r_s, g.r_e, g.gamma) if fixed is None else fixed
+        if probe is None:
+            eps_star, s_t, lam, res = u + np_cfg_update(u, txt, g.w), 0.0, 0.0, 0.0
+        else:
+            eps_star, s_t, _, lam, res = np_guided_step(u, txt, a, alpha, g.w, g.w_attr,
+                                                        g.eta, g.eps_stab, repel)
+        flat = x.reshape(-1)
+        out[i] = flat.mean(), np.sqrt((flat * flat).mean()), alpha, lam, s_t, res
+        if t >= 1:
+            noise = None if deterministic or t == 1 else draws[i + 1]
+            x = np_scheduler_step(eps_star.reshape(x.shape), t, x, alpha_bar,
+                                  deterministic, noise)
+            if not np.isfinite(x).all():
+                return out, ("non-finite latent", i), None
+    return out, None, x
 
 
 def np_posterior_evaluate(x: np.ndarray, t: int, weights: np.ndarray, means: np.ndarray,

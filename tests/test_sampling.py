@@ -14,7 +14,7 @@ from dcr.sampling import (TRACE_FIELDS, BatchItem, SamplerConfig, SchedulerKind,
                           TraceRecords, TrajectoryTrace, Variant, derive_seed,
                           read_traces_jsonl, run_batch, run_sampling, scheduler_step,
                           write_traces_jsonl)
-from dcr.toy import (ATTRACTOR, TARGET, NoiseScheduleSpec, ToyDenoiser,
+from dcr.toy import (ATTRACTOR, TARGET, UNCOND, NoiseScheduleSpec, ToyDenoiser,
                      cosine_schedule, default_scenario)
 
 NP = NoisePrediction.from_array
@@ -531,9 +531,107 @@ class TestTraceFree:
         assert not any(np.shape(v) == (T, len(batch), 6) for v in vars(batch).values())
         assert all(r.trace is None and r.final is not None for r in batch)
         assert run_batch(be, [], cfg, 1).diagnostics is None
-        # the traced run reaches the spy once per step
-        run_batch(be, self.ITEMS, dataclasses.replace(cfg, trace=True), n)
-        assert len(calls) == T
+        # a traced run computes its residuals after the loop, in a number of
+        # calls that does not grow with T
+        per_run = []
+        for T in (8, 16):
+            calls.clear()
+            run_batch(backend(T)[0], self.ITEMS, small_cfg(T=T), n)
+            per_run.append(len(calls))
+        assert per_run[0] == per_run[1] > 0
+
+
+class OverflowWhere(ToyDenoiser):
+    """A ToyDenoiser whose predictions are the largest finite float at step
+    index 1 (t = T - 2) for every row whose latent has a first coordinate
+    above 0.5, so the scheduler update of those rows overflows there."""
+
+    def epsilon_channels(self, x_t, t, labels):
+        eps = super().epsilon_channels(x_t, t, labels)
+        if t == self.schedule.T - 2:
+            eps = np.where(np.asarray(x_t)[..., :1] > 0.5, np.finfo(np.float64).max, eps)
+        return eps
+
+
+class Elementwise:
+    """A backend of latent shape (3, 3), 9 values, so every sum over a
+    latent has the 8 terms from which numpy sums pairwise. Each channel is
+    an elementwise map of x, so a row depends on its own latent alone."""
+
+    SCALE = {UNCOND: 0.8, TARGET: 1.1, ATTRACTOR: 1.6}
+
+    def __init__(self, T):
+        self.schedule, self.latent_shape = cosine_schedule(T), (3, 3)
+
+    def epsilon(self, x_t, t, channel_label):
+        x = np.asarray(x_t, dtype=np.float64)
+        return NP(np.tanh(self.SCALE[channel_label] * x) + 0.01 * t)
+
+
+class TestDiagnosticsPass:
+    """A traced batch computes its diagnostics after the loop; they equal,
+    bitwise, what the per-step reference in tests/oracles.py records for
+    each row alone, zeros after a failure included."""
+
+    @staticmethod
+    def check(be, items, cfg, n_per_item):
+        batch = run_batch(be, items, cfg, n_per_item)
+        sched = be.schedule
+        shape = (cfg.T - 1 if cfg.scheduler_kind is SchedulerKind.ANCESTRAL_DDPM else 1,
+                 *be.latent_shape)
+        deterministic = cfg.scheduler_kind is SchedulerKind.DETERMINISTIC_DDIM
+        failures = {}
+        for r, (item_id, rep) in enumerate(batch.keys):
+            item = items[r // n_per_item]
+            draws = np.random.default_rng(derive_seed(cfg.seed, item_id, rep)) \
+                .standard_normal(shape)
+            want, failure, final = oracles.traced_trajectory(
+                be.epsilon, draws, sched.alpha_bar.tolist(), deterministic,
+                (item.prompt_channel, item.attractor_channel),
+                (item.variant or cfg.variant).value, cfg.guidance)
+            got = batch.diagnostics[:, r]
+            assert got.tobytes() == want.tobytes()
+            if failure is None:
+                assert r not in batch.errors
+                assert batch.finals[r].tobytes() == final.tobytes()
+                continue
+            kind, step = failure
+            err = batch.errors[r]
+            assert str(err).startswith(kind) and err.step == step
+            # a backend failure leaves no record at its step
+            assert not got[step + (kind == "non-finite latent"):].any()
+            failures[r] = kind
+        return batch, failures
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    @pytest.mark.parametrize("fault", [None, "backend failure", "non-finite latent"])
+    def test_equal_the_per_step_reference(self, scheduler, fault, monkeypatch):
+        # all six variants of two items, 36 rows of 2 values, T = 100 in
+        # blocks of 7 steps, the last one of 2; at seed 3 repulsion fires in
+        # both schedulers. The backend fault poisons rows 1 and 8 from step
+        # 37 on, with every row that shares their latent there; the overflow
+        # fails the rows whose latent lies right of 0.5 at step 1
+        monkeypatch.setattr(dcr.sampling, "_BLOCK_VALUES", 7 * 36 * 2)
+        T = 100
+        sc = default_scenario()
+        cfg = SamplerConfig(T=T, guidance=sc.guidance, scheduler_kind=scheduler,
+                            seed=3)
+        be = {None: ToyDenoiser(sc, cosine_schedule(T)),
+              "backend failure": NaNRows(sc, cosine_schedule(T), {1, 8}, 37),
+              "non-finite latent": OverflowWhere(sc, cosine_schedule(T))}[fault]
+        batch, failures = self.check(be, TestTraceFree.ITEMS, cfg, 3)
+        if fault is None:
+            assert not failures and (batch.diagnostics[:, :, 3] > 0.0).any()
+        else:
+            assert set(failures.values()) == {fault} and len(failures) < len(batch)
+
+    @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
+    def test_equal_the_per_step_reference_at_9_latent_values(self, scheduler):
+        cfg = small_cfg(T=20, scheduler=scheduler)
+        items = [BatchItem("e", variant=v) for v in Variant]
+        batch, failures = self.check(Elementwise(cfg.T), items, cfg, 2)
+        assert not failures and batch.diagnostics.shape == (20, 12, 6)
 
 
 class TestBatchColumns:

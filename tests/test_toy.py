@@ -329,12 +329,17 @@ class TestEpsilonChannels:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_output(self, bad):
-        # 1e200 is finite, but its squared distance overflows
+        # 1e200 is finite, but its squared distance overflows. epsilon
+        # rejects the non-finite prediction through NoisePrediction;
+        # epsilon_channels returns it, for the sampling loop to check
         be = ToyDenoiser(default_scenario())
         x = np.zeros((4, 2))
         x[2, 1] = bad
         with pytest.raises(ValidationError, match="finite"):
-            be.epsilon_channels(x, 50, [UNCOND, TARGET])
+            be.epsilon(x, 50, TARGET)
+        stack = be.epsilon_channels(x, 50, [UNCOND, TARGET])
+        assert not np.isfinite(stack[:, 2]).all()
+        assert np.isfinite(np.delete(stack, 2, axis=1)).all()
 
     @pytest.mark.parametrize("t", [-1, 100])
     def test_t_out_of_range(self, t):
