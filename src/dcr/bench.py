@@ -1,5 +1,9 @@
-"""Benchmark data model: 8-category prompt suite, compositional-constraint
-evaluation, and attractor-prompt generation behind a mockable text client.
+"""Benchmark data model: 8-category prompt suite and compositional-constraint
+evaluation.
+
+Each suite item carries its ``attractor_prompt`` as data. ``REWRITE_TEMPLATE``
+is the paper's instruction for deriving one from a rare prompt with a text
+model; ``render_attractor_template`` fills it in for suite authors.
 """
 
 from __future__ import annotations
@@ -10,9 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import (ConfigurationError, PromptFormatError, SuiteFormatError,
-                     ValidationError)
-from .judge import post_json, service_endpoint, string_field
+from .errors import ConfigurationError, SuiteFormatError, ValidationError
 
 CANONICAL_PER_CATEGORY = 50
 CANONICAL_TOTAL = 400
@@ -122,33 +124,52 @@ class BenchSuite:
 _ITEM_FIELDS = {"id", "category", "prompt", "attractor_prompt", "factors"}
 
 
+def _string_set(raw, key, item_id, field) -> frozenset | None:
+    """``raw[key]`` as a frozenset, None when absent; SuiteFormatError unless
+    it is an array of strings."""
+    value = raw.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SuiteFormatError(f"{key} must be an array of strings", item=item_id,
+                               field=field)
+    return frozenset(value)
+
+
 def _parse_factor(raw, item_id, idx) -> FactorConstraint:
     if not isinstance(raw, dict):
         raise SuiteFormatError("factor must be an object", item=item_id, field="factors")
+    field = f"factors[{idx}]"
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise SuiteFormatError("factor needs a nonempty name", item=item_id,
-                               field=f"factors[{idx}].name")
-    allowed = raw.get("allowed")
-    threshold = raw.get("max")
-    attractor_set = raw.get("attractor_set")
+                               field=f"{field}.name")
     extra = set(raw) - {"name", "allowed", "max", "attractor_set"}
     if extra:
         raise SuiteFormatError(f"unknown factor keys {sorted(extra)}", item=item_id,
-                               field=f"factors[{idx}]")
+                               field=field)
+    threshold = raw.get("max")
+    if threshold is not None and (isinstance(threshold, bool)
+                                  or not isinstance(threshold, (int, float))):
+        raise SuiteFormatError(f"max must be a number, got {threshold!r}",
+                               item=item_id, field=f"{field}.max")
+    allowed = _string_set(raw, "allowed", item_id, f"{field}.allowed")
+    attractor_set = _string_set(raw, "attractor_set", item_id, f"{field}.attractor_set")
     try:
         return FactorConstraint(
-            name=name,
-            allowed=None if allowed is None else frozenset(allowed),
+            name=name, allowed=allowed,
             threshold=None if threshold is None else float(threshold),
-            attractor_set=None if attractor_set is None else frozenset(attractor_set))
+            attractor_set=attractor_set)
     except ValidationError as exc:
-        raise SuiteFormatError(str(exc), item=item_id, field=f"factors[{idx}]") from exc
+        raise SuiteFormatError(str(exc), item=item_id, field=field) from exc
 
 
 def load_suite(path, canonical: bool = False) -> BenchSuite:
     """Parse and validate a suite file: a JSON array of items carrying exactly
-    the five BenchPrompt fields. Duplicate ids are rejected; with
+    the five BenchPrompt fields. ``id``, ``prompt`` and ``attractor_prompt``
+    are nonempty strings, a factor's ``allowed`` and ``attractor_set`` arrays
+    of strings and its ``max`` a number; any other type, like a duplicate id,
+    raises SuiteFormatError naming the item and field. With
     ``canonical`` the 50-per-category / 400-total rule is enforced."""
     path = Path(path)
     try:
@@ -170,6 +191,10 @@ def load_suite(path, canonical: bool = False) -> BenchSuite:
         if extra:
             raise SuiteFormatError(f"unknown fields {sorted(extra)}",
                                    item=rec.get("id", pos))
+        for key in ("id", "prompt", "attractor_prompt"):
+            if not isinstance(rec[key], str) or not rec[key]:
+                raise SuiteFormatError(f"{key} must be a nonempty string, got {rec[key]!r}",
+                                       item=pos if key == "id" else rec["id"], field=key)
         item_id = rec["id"]
         if item_id in seen:
             raise SuiteFormatError("duplicate item id", item=item_id, field="id")
@@ -254,36 +279,3 @@ def render_attractor_template(p: str) -> str:
         raise ValidationError("prompt must be nonempty")
     return REWRITE_TEMPLATE.format(p=p)
 
-
-def generate_attractor_prompt(p: str, client) -> str:
-    """Ask the text model for the frequent counterpart of ``p``.
-
-    Sent with deterministic decoding (temperature 0, one completion). Empty
-    or multi-line completions raise PromptFormatError and are surfaced for
-    manual review; transport failures propagate as retryable TransportError.
-    """
-    instruction = render_attractor_template(p)
-    completion = client.complete(instruction, temperature=0.0, n=1)
-    text = completion.strip()
-    if not text:
-        raise PromptFormatError(f"empty completion for prompt {p!r}")
-    if "\n" in text:
-        raise PromptFormatError(f"multi-line completion for prompt {p!r}: {text!r}")
-    return text
-
-
-class HttpTextClient:
-    """Minimal JSON-over-HTTP text-model client.
-
-    Wire contract: POST {"instruction": str, "temperature": 0.0, "n": 1}
-    to the endpoint; the response carries {"completion": str}. The endpoint
-    is ``endpoint=`` or the value of its ``dcr.judge.SERVICES`` variable.
-    """
-
-    def __init__(self, endpoint: str | None = None):
-        self.endpoint = service_endpoint("text", endpoint)
-
-    def complete(self, instruction: str, temperature: float = 0.0, n: int = 1) -> str:
-        body = post_json("text", self.endpoint, {"instruction": instruction,
-                                                 "temperature": temperature, "n": n})
-        return string_field("text", body, "completion")

@@ -3,8 +3,8 @@ benchmark evaluation, all emitting manifest-linked, plot-ready tables.
 
 Configuration precedence: flags > config file > scenario preset > the
 ``GuidanceConfig`` defaults; sweeps skip the scenario preset and hold the axes
-they do not sweep at those defaults. The environment supplies only service
-endpoints and keys. Exit codes: 0 success, 1 usage/configuration error,
+they do not sweep at those defaults. The environment supplies only the
+judge's endpoint and key. Exit codes: 0 success, 1 usage/configuration error,
 2 runtime failure under --strict.
 """
 
@@ -29,8 +29,8 @@ from .bench import BenchPrompt, load_fixture_suite, load_suite
 from .errors import (ConfigurationError, SuiteFormatError, TransportError,
                      ValidationError, VerdictError)
 from .guidance import GuidanceConfig
-from .judge import (SERVICES, EncodedFrame, JudgeClientConfig, build_request,
-                    service_endpoint)
+from .judge import (ENDPOINT_VARIABLE, EncodedFrame, JudgeClientConfig,
+                    build_request, judge_endpoint)
 from .metrics import (ItemRow, aggregate_report, report_to_csv, report_to_json,
                       toy_collapse_fraction, wilson_interval)
 from .sampling import (BatchItem, SamplerConfig, SchedulerKind, Variant,
@@ -176,8 +176,7 @@ def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
         "command": command,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "args": args_dict,
-        "endpoints": {name: os.environ.get(variable)
-                      for name, (variable, _, _) in SERVICES.items()},
+        "endpoints": {"judge": os.environ.get(ENDPOINT_VARIABLE)},
         "sampler": dataclasses.asdict(cfg),
         "scenario": scenario_doc(scenario),
     } | extra
@@ -387,7 +386,7 @@ def _bench_rows(batch, suite, scenario: BiasScenario,
 
 def cmd_bench(args) -> int:
     cfg_file = _load_config_file(args.config)
-    endpoint = service_endpoint("judge") if args.with_judge else None
+    endpoint = judge_endpoint() if args.with_judge else None
     suite = load_suite(args.suite, canonical=args.canonical) if args.suite \
         else load_fixture_suite()
     if args.canonical and not args.suite:
@@ -398,7 +397,8 @@ def cmd_bench(args) -> int:
                               trace=False)
     outdir = _out_dir(args)
     # an earlier run's log goes, as its manifest does; this run's log is
-    # moved into place only when every verdict is in
+    # moved into place when the judging loop ends, missing verdicts included,
+    # so only an uncaught exception leaves no log
     (outdir / AUDIT_LOG).unlink(missing_ok=True)
     batch = run_batch(ToyDenoiser(scenario, cosine_schedule(cfg.T)),
                       [BatchItem(item.id, TARGET, ATTRACTOR) for item in suite.items],

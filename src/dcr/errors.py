@@ -36,12 +36,8 @@ class SuiteFormatError(ValueError):
         self.field = field
 
 
-class PromptFormatError(ValueError):
-    """A text-model completion is empty or multi-line and needs manual review."""
-
-
 class TransportError(RuntimeError):
-    """A transient transport failure talking to an external service; retryable."""
+    """A transient transport failure talking to the judge; retryable."""
 
 
 class VerdictError(RuntimeError):

@@ -1,6 +1,4 @@
-"""Client for an external multimodal judge, and the ``SERVICES`` table with the
-endpoint lookup, JSON POST and reply check that the judge and the text client
-(``dcr.bench.HttpTextClient``) share.
+"""Client for an external multimodal judge, the one external service.
 
 ``build_request`` assembles every ``JudgeRequest``: the target prompt, its
 compositional factors, the attractor prompt, and ``FRAMES_PER_REQUEST``
@@ -11,11 +9,14 @@ trailer ``score: <1-5>, collapsed: <true|false>`` on its final line. No
 verdict is ever synthesized client-side: every JudgeVerdict corresponds to
 exactly one successful remote response.
 
-Endpoints must be ``http://`` or ``https://`` URLs. ``post_json`` sends
-through ``urllib.request``, so the proxy variables (``http_proxy``,
-``no_proxy`` and the like) apply. The judge writes one JSON line per
-exchange to ``JudgeClientConfig.audit_log``: to a stream the caller opens
-and closes, or to a file it opens and appends to per exchange.
+The endpoint comes from ``JudgeClientConfig.endpoint`` or the variable
+``ENDPOINT_VARIABLE``, and must be an ``http://`` or ``https://`` URL
+(``judge_endpoint``). ``post_completion`` sends through ``urllib.request``,
+so the proxy variables (``http_proxy``, ``no_proxy`` and the like) apply,
+with the key of ``KEY_VARIABLE`` as a bearer token and a ``TIMEOUT_S``
+timeout. The judge writes one JSON line per exchange to
+``JudgeClientConfig.audit_log``: to a stream the caller opens and closes, or
+to a file it opens and appends to per exchange.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ _TRAILER = re.compile(r"score:\s*(-?\d+)\s*,\s*collapsed:\s*(true|false)\s*$",
 
 FRAMES_PER_REQUEST = 8
 BACKOFF_CAP_S = 4.0
+
+# The judge's endpoint and API key are set in the environment, never in code.
+ENDPOINT_VARIABLE = "DCR_JUDGE_ENDPOINT"
+KEY_VARIABLE = "DCR_JUDGE_API_KEY"
+TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,7 @@ def parse_verdict(raw_response: str) -> JudgeVerdict:
 
 @dataclass
 class JudgeClientConfig:
-    endpoint: str | None = None  # None: the judge's endpoint variable
+    endpoint: str | None = None  # None: the value of ENDPOINT_VARIABLE
     model: str = ""
     max_retries: int = 3
     backoff_base_s: float = 0.25
@@ -177,67 +183,50 @@ class JudgeClientConfig:
     transport: object = None  # callable(payload dict) -> str; None = HTTP
 
 
-# Each external service: the variables holding its endpoint and API key (set in
-# the environment, never in code) and its request timeout in seconds.
-SERVICES = {
-    "judge": ("DCR_JUDGE_ENDPOINT", "DCR_JUDGE_API_KEY", 60.0),
-    "text": ("DCR_TEXT_ENDPOINT", "DCR_TEXT_API_KEY", 30.0),
-}
-
-
-def service_endpoint(name: str, endpoint: str | None = None) -> str:
-    """``endpoint``, else the value of the service's endpoint variable;
-    ConfigurationError naming that variable when neither is set or the
-    endpoint is not an http:// or https:// URL with a host."""
-    variable = SERVICES[name][0]
-    endpoint = endpoint or os.environ.get(variable)
+def judge_endpoint(endpoint: str | None = None) -> str:
+    """``endpoint``, else the value of ``ENDPOINT_VARIABLE``; ConfigurationError
+    naming that variable when neither is set or the endpoint is not an
+    http:// or https:// URL with a host."""
+    endpoint = endpoint or os.environ.get(ENDPOINT_VARIABLE)
     if not endpoint:
-        raise ConfigurationError(f"{name} endpoint not configured (set {variable})")
+        raise ConfigurationError(f"judge endpoint not configured (set {ENDPOINT_VARIABLE})")
     url = urllib.parse.urlsplit(endpoint)
     if url.scheme not in ("http", "https") or not url.netloc:
-        raise ConfigurationError(f"{name} endpoint {endpoint!r} is not an http:// or "
-                                 f"https:// URL (set {variable})")
+        raise ConfigurationError(f"judge endpoint {endpoint!r} is not an http:// or "
+                                 f"https:// URL (set {ENDPOINT_VARIABLE})")
     return endpoint
 
 
-def post_json(service: str, endpoint: str, body: dict) -> dict:
-    """POST ``body`` as JSON to a ``SERVICES`` entry's endpoint, as
-    ``service_endpoint`` returns it, and return the decoded JSON object.
-    Sends a bearer token when the service's key variable is set; any
-    transport failure, error status or non-object response raises
+def post_completion(endpoint: str, body: dict) -> str:
+    """POST ``body`` as JSON to ``endpoint``, as ``judge_endpoint`` returns it,
+    and return the reply's ``completion`` string. Sends a bearer token when
+    ``KEY_VARIABLE`` is set; any transport failure, error status, or reply
+    that is not a JSON object with a string ``completion`` raises
     TransportError."""
-    _, key_env, timeout_s = SERVICES[service]
     req = urllib.request.Request(endpoint, data=serialize_payload(body),
                                  headers={"Content-Type": "application/json"})
-    key = os.environ.get(key_env)
+    key = os.environ.get(KEY_VARIABLE)
     if key:
         req.add_header("Authorization", f"Bearer {key}")
     try:
-        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+        with urllib.request.urlopen(req, timeout=TIMEOUT_S) as resp:
             doc = json.loads(resp.read().decode("utf-8"))
     except (OSError, ValueError) as exc:
         raise TransportError(f"request to {endpoint} failed: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TransportError(f"response from {endpoint} is not a JSON object: {doc!r}")
-    return doc
-
-
-def string_field(service: str, doc: dict, key: str) -> str:
-    """``doc[key]`` of a service's reply; TransportError unless it is a string."""
-    value = doc.get(key)
-    if not isinstance(value, str):
-        raise TransportError(f"malformed {service} response: {doc!r}")
-    return value
+    completion = doc.get("completion") if isinstance(doc, dict) else None
+    if not isinstance(completion, str):
+        raise TransportError(f"malformed judge response from {endpoint}: {doc!r}")
+    return completion
 
 
 def _http_transport(config: JudgeClientConfig):
-    endpoint = service_endpoint("judge", config.endpoint)
+    endpoint = judge_endpoint(config.endpoint)
 
     def send(payload: dict) -> str:
         body = dict(payload)
         if config.model:
             body["model"] = config.model
-        return string_field("judge", post_json("judge", endpoint, body), "completion")
+        return post_completion(endpoint, body)
 
     return send
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dcr.bench import (Category, FactorConstraint, REWRITE_TEMPLATE,
-                       eval_constraint, generate_attractor_prompt,
-                       load_fixture_suite, load_suite, render_attractor_template)
-from dcr.errors import (ConfigurationError, PromptFormatError, SuiteFormatError,
-                        TransportError, ValidationError)
+                       eval_constraint, load_fixture_suite, load_suite,
+                       render_attractor_template)
+from dcr.cli import main
+from dcr.errors import ConfigurationError, SuiteFormatError, ValidationError
 from dcr.toy import default_scenario, mode_assignment
 
 
@@ -84,6 +84,44 @@ class TestLoadSuite:
                        factors=[{"name": "crowd", "max": 0.5}])
         suite = load_suite(write_suite(tmp_path, [ok]))
         assert suite.items[0].factors[0].is_threshold
+
+    @pytest.mark.parametrize("change, item, field", [
+        ({"id": 7}, "0", "id"),
+        ({"id": ["x"]}, "0", "id"),
+        ({"id": ""}, "0", "id"),
+        ({"prompt": 5}, "x-001", "prompt"),
+        ({"attractor_prompt": None}, "x-001", "attractor_prompt"),
+        ({"factors": [{"name": "f", "allowed": "snow"}]}, "x-001",
+         "factors[0].allowed"),
+        ({"factors": [{"name": "f", "allowed": [["x"]]}]}, "x-001",
+         "factors[0].allowed"),
+        ({"factors": [{"name": "f", "allowed": ["a"], "attractor_set": "b"}]},
+         "x-001", "factors[0].attractor_set"),
+        ({"category": "DENS", "factors": [{"name": "f", "max": True}]}, "x-001",
+         "factors[0].max"),
+        ({"category": "DENS", "factors": [{"name": "f", "max": "5"}]}, "x-001",
+         "factors[0].max"),
+    ], ids=["int-id", "list-id", "empty-id", "int-prompt", "null-attractor-prompt",
+            "string-allowed", "nested-allowed", "string-attractor-set", "bool-max",
+            "string-max"])
+    def test_a_field_of_the_wrong_type_names_item_and_field(self, tmp_path, change,
+                                                            item, field):
+        path = write_suite(tmp_path, [item_dict() | change])
+        with pytest.raises(SuiteFormatError) as err:
+            load_suite(path)
+        assert (str(err.value.item), err.value.field) == (item, field)
+
+    def test_bench_reports_a_mistyped_suite_as_a_usage_error(self, tmp_path, capsys):
+        path = write_suite(tmp_path, [item_dict(id=["x"])])
+        out = tmp_path / "out"
+        assert main(["bench", "--suite", str(path), "--out", str(out)]) == 1
+        assert "[field 'id']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_integer_max_is_a_threshold(self, tmp_path):
+        ok = item_dict(category="DENS", factors=[{"name": "crowd", "max": 5}])
+        assert load_suite(write_suite(tmp_path, [ok])).items[0].factors[0].threshold \
+            == 5.0
 
     def test_canonical_count_enforced(self, tmp_path):
         cats = [c.value for c in Category]
@@ -168,38 +206,3 @@ class TestTemplate:
         with pytest.raises(ValidationError):
             render_attractor_template("")
 
-
-class FixedClient:
-    def __init__(self, reply):
-        self.reply = reply
-        self.calls = []
-
-    def complete(self, instruction, temperature=0.0, n=1):
-        self.calls.append((instruction, temperature, n))
-        return self.reply
-
-
-class TestGenerateAttractorPrompt:
-    def test_returns_completion(self):
-        client = FixedClient("a tropical beach with waves")
-        out = generate_attractor_prompt("a snowy beach with waves", client)
-        assert out == "a tropical beach with waves"
-        instruction, temperature, n = client.calls[0]
-        assert temperature == 0.0 and n == 1
-        assert "a snowy beach with waves" in instruction
-
-    def test_empty_completion_is_format_error(self):
-        with pytest.raises(PromptFormatError):
-            generate_attractor_prompt("p", FixedClient("   "))
-
-    def test_multiline_completion_is_format_error(self):
-        with pytest.raises(PromptFormatError):
-            generate_attractor_prompt("p", FixedClient("one\ntwo"))
-
-    def test_transport_error_propagates(self):
-        class Down:
-            def complete(self, instruction, temperature=0.0, n=1):
-                raise TransportError("boom")
-
-        with pytest.raises(TransportError):
-            generate_attractor_prompt("p", Down())

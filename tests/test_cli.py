@@ -103,14 +103,16 @@ class TestSample:
         assert not out.exists()
 
     def test_manifest_records_every_service_endpoint(self, tmp_path, monkeypatch):
-        variables = {"judge": "DCR_JUDGE_ENDPOINT", "text": "DCR_TEXT_ENDPOINT"}
-        for name, variable in variables.items():
-            monkeypatch.setenv(variable, f"http://127.0.0.1:9/{name}")
+        # the judge is the one external service
         out = tmp_path / "o"
+        monkeypatch.delenv("DCR_JUDGE_ENDPOINT", raising=False)
         assert run("sample", "--n", "1", *FAST, "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["endpoints"] == {name: f"http://127.0.0.1:9/{name}"
-                                         for name in variables}
+        assert manifest["endpoints"] == {"judge": None}
+        monkeypatch.setenv("DCR_JUDGE_ENDPOINT", "http://127.0.0.1:9/judge")
+        assert run("sample", "--n", "1", *FAST, "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["endpoints"] == {"judge": "http://127.0.0.1:9/judge"}
 
     def test_manifest_scenario_reloads_and_reproduces_the_run(self, tmp_path):
         from dcr.toy import (TARGET, PromptChannel, default_scenario, load_scenario,
@@ -177,15 +179,14 @@ class TestAblate:
 
     def test_report_does_not_depend_on_provider_endpoints(self, tmp_path,
                                                           monkeypatch):
-        # ablate calls no provider, so its report reads the same whether or
-        # not their endpoints are set
+        # ablate calls no judge, so its report reads the same whether or not
+        # the judge's endpoint is set
         reports = []
         for endpoint in (None, "http://127.0.0.1:9/"):
-            for variable in ("DCR_JUDGE_ENDPOINT", "DCR_TEXT_ENDPOINT"):
-                if endpoint is None:
-                    monkeypatch.delenv(variable, raising=False)
-                else:
-                    monkeypatch.setenv(variable, endpoint)
+            if endpoint is None:
+                monkeypatch.delenv("DCR_JUDGE_ENDPOINT", raising=False)
+            else:
+                monkeypatch.setenv("DCR_JUDGE_ENDPOINT", endpoint)
             out = tmp_path / f"r{len(reports)}"
             assert run("ablate", "--n", "4", "--seed", "3", *FAST,
                        "--out", str(out)) == 0
@@ -388,10 +389,11 @@ class TestBenchWithJudge:
             server.server_close()
 
 
-def judge_in_process(monkeypatch, fail_at=None):
+def judge_in_process(monkeypatch, fail_at=None, untrailed_at=None):
     """Answer ``dcr.judge.judge`` in process, through the real judge and its
-    audit, and raise RuntimeError on request number ``fail_at``; returns the
-    list of requests made."""
+    audit; raise RuntimeError on request number ``fail_at`` and reply without
+    a verdict trailer to request number ``untrailed_at``. Returns the list of
+    requests made."""
     real = dcr.judge.judge
     calls = []
 
@@ -399,9 +401,9 @@ def judge_in_process(monkeypatch, fail_at=None):
         calls.append(req)
         if len(calls) == fail_at:
             raise RuntimeError("judge crashed")
-        answer = dataclasses.replace(config, transport=lambda payload:
-                                     "score: 4, collapsed: false")
-        return real(req, answer)
+        reply = "no verdict" if len(calls) == untrailed_at \
+            else "score: 4, collapsed: false"
+        return real(req, dataclasses.replace(config, transport=lambda payload: reply))
 
     monkeypatch.setenv("DCR_JUDGE_ENDPOINT", "http://127.0.0.1:9/judge")
     monkeypatch.setattr(dcr.judge, "judge", fake)
@@ -429,6 +431,21 @@ class TestJudgeAudit:
                    for line in (out / "judge_audit.jsonl").read_text().splitlines()]
         assert len(entries) == len(calls) == 16
         assert all(list(e) == ["timestamp", "request", "response"] for e in entries)
+
+    def test_a_missing_verdict_still_moves_the_audit_log_into_place(
+            self, tmp_path, monkeypatch):
+        # the log is moved when the judging loop ends, missing verdicts included
+        calls = judge_in_process(monkeypatch, untrailed_at=3)
+        out = tmp_path / "wj"
+        assert run("bench", "--with-judge", "--n-per-item", "1", *FAST,
+                   "--out", str(out)) == 0
+        entries = [json.loads(line)
+                   for line in (out / "judge_audit.jsonl").read_text().splitlines()]
+        assert len(entries) == len(calls) == 16
+        assert [e["response"] for e in entries].count("no verdict") == 1
+        doc = json.loads((out / "bench_report.json").read_text())
+        assert "judge verdicts missing for 1 items" in doc["notes"]
+        assert (out / "manifest.json").is_file()
 
     def test_a_failing_judge_leaves_no_audit_log_and_no_manifest(
             self, tmp_path, monkeypatch):
@@ -507,6 +524,29 @@ class TestArtifacts:
         assert moved[-1] == "manifest.json"
         assert sorted(p.name for p in out.iterdir()) == \
             sorted([*artifacts, "manifest.json"])
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_text_model_variables_change_no_artifact(self, tmp_path, monkeypatch,
+                                                     name):
+        # no text-model service exists, so its old variables are not read
+        argv, _ = ARTIFACTS[name]
+        monkeypatch.setenv("DCR_JUDGE_ENDPOINT", "http://127.0.0.1:9/judge")
+        out = tmp_path / name
+
+        def artifacts():
+            assert run(*argv, "--seed", "1", *FAST, "--out", str(out)) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            assert manifest.pop("endpoints") == {"judge": "http://127.0.0.1:9/judge"}
+            manifest.pop("timestamp_utc")
+            return files, manifest
+
+        monkeypatch.delenv("DCR_TEXT_ENDPOINT", raising=False)
+        monkeypatch.delenv("DCR_TEXT_API_KEY", raising=False)
+        before = artifacts()
+        monkeypatch.setenv("DCR_TEXT_ENDPOINT", "http://127.0.0.1:9/text")
+        monkeypatch.setenv("DCR_TEXT_API_KEY", "sekrit")
+        assert artifacts() == before
 
     def test_a_failing_trace_writer_leaves_no_manifest_and_no_partial_file(
             self, tmp_path, monkeypatch, capsys):

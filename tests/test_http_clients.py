@@ -1,9 +1,8 @@
-"""The two JSON-over-HTTP clients, the judge and the text client, exercised
-over the wire against a loopback ``http.server``: the body each one sends,
-the bearer header when its key variable is set, the error type each raises
-on a server error, a malformed response or a failed connection, recovery
-once the server answers again, the endpoints they refuse and the proxy
-variable they follow."""
+"""The judge's JSON-over-HTTP client, exercised over the wire against a
+loopback ``http.server``: the body it sends, the bearer header when its key
+variable is set, the error it raises on a server error, a malformed response
+or a failed connection, recovery once the server answers again, the
+endpoints it refuses and the proxy variable it follows."""
 
 import functools
 import json
@@ -19,12 +18,10 @@ import pytest
 
 import dcr.cli
 import dcr.judge
-from dcr.bench import HttpTextClient
 from dcr.cli import main
 from dcr.errors import ConfigurationError, TransportError
-from dcr.judge import (SERVICES, EncodedFrame, JudgeClientConfig, JudgeRequest,
-                       build_rubric_message, judge)
-
+from dcr.judge import (ENDPOINT_VARIABLE, KEY_VARIABLE, EncodedFrame,
+                       JudgeClientConfig, JudgeRequest, build_rubric_message, judge)
 
 class Loopback:
     """One-thread HTTP server on 127.0.0.1 that records each request and
@@ -67,8 +64,7 @@ class Loopback:
 @pytest.fixture
 def server(monkeypatch):
     monkeypatch.setenv("no_proxy", "*")
-    for _, key_env, _ in SERVICES.values():
-        monkeypatch.delenv(key_env, raising=False)
+    monkeypatch.delenv(KEY_VARIABLE, raising=False)
     stub = Loopback()
     stub.thread.start()
     try:
@@ -93,38 +89,23 @@ def judge_client(url, max_retries=0):
     return functools.partial(judge, judge_request(), cfg)
 
 
-# Each client: (key variable, a call of one client object against the url,
-#               body it must send, reply that succeeds, check of the result,
-#               error type)
-CLIENTS = {
-    "judge": ("DCR_JUDGE_API_KEY", judge_client,
-              build_rubric_message(judge_request()) | {"model": "m1"},
-              {"completion": "ok\nscore: 4, collapsed: false"},
-              lambda v: v.score == 4 and v.collapsed is False, TransportError),
-    "text": ("DCR_TEXT_API_KEY",
-             lambda url: functools.partial(HttpTextClient(endpoint=url).complete,
-                                           "rewrite this"),
-             {"instruction": "rewrite this", "temperature": 0.0, "n": 1},
-             {"completion": "a tropical beach"},
-             lambda v: v == "a tropical beach", TransportError),
-}
+BODY = build_rubric_message(judge_request()) | {"model": "m1"}
+REPLY = {"completion": "ok\nscore: 4, collapsed: false"}
 
 
-ENDPOINT_VARIABLES = {"judge": "DCR_JUDGE_ENDPOINT", "text": "DCR_TEXT_ENDPOINT"}
+def is_reply(verdict):
+    return verdict.score == 4 and verdict.collapsed is False
 
 
-def test_every_service_has_a_client_under_test():
-    # a SERVICES row without a client here would be reached by no loopback test
-    assert ENDPOINT_VARIABLES == {name: SERVICES[name][0] for name in SERVICES}
-    assert set(CLIENTS) == set(SERVICES)
+def test_the_variables_are_the_documented_ones():
+    assert (ENDPOINT_VARIABLE, KEY_VARIABLE, dcr.judge.TIMEOUT_S) == \
+        ("DCR_JUDGE_ENDPOINT", "DCR_JUDGE_API_KEY", 60.0)
 
 
-@pytest.mark.parametrize("name", sorted(CLIENTS))
-def test_missing_endpoint_names_its_variable(monkeypatch, name):
-    variable = ENDPOINT_VARIABLES[name]
-    monkeypatch.delenv(variable, raising=False)
-    with pytest.raises(ConfigurationError, match=variable):
-        CLIENTS[name][1](None)()
+def test_missing_endpoint_names_its_variable(monkeypatch):
+    monkeypatch.delenv(ENDPOINT_VARIABLE, raising=False)
+    with pytest.raises(ConfigurationError, match=ENDPOINT_VARIABLE):
+        judge_client(None)()
 
 
 def verdict_file_uri(tmp_path) -> str:
@@ -134,17 +115,15 @@ def verdict_file_uri(tmp_path) -> str:
     return fake.as_uri()
 
 
-@pytest.mark.parametrize("name", sorted(CLIENTS))
 @pytest.mark.parametrize("given", [True, False])
-def test_an_endpoint_that_is_not_http_is_refused(monkeypatch, tmp_path, name, given):
+def test_an_endpoint_that_is_not_http_is_refused(monkeypatch, tmp_path, given):
     uri = verdict_file_uri(tmp_path)
-    variable = ENDPOINT_VARIABLES[name]
     if given:
-        monkeypatch.delenv(variable, raising=False)
+        monkeypatch.delenv(ENDPOINT_VARIABLE, raising=False)
     else:
-        monkeypatch.setenv(variable, uri)
-    with pytest.raises(ConfigurationError, match=variable):
-        CLIENTS[name][1](uri if given else None)()
+        monkeypatch.setenv(ENDPOINT_VARIABLE, uri)
+    with pytest.raises(ConfigurationError, match=ENDPOINT_VARIABLE):
+        judge_client(uri if given else None)()
 
 
 def test_bench_refuses_a_file_judge_endpoint_before_sampling(monkeypatch, tmp_path):
@@ -156,45 +135,37 @@ def test_bench_refuses_a_file_judge_endpoint_before_sampling(monkeypatch, tmp_pa
     assert sampled == [] and not out.exists()
 
 
-@pytest.mark.parametrize("name", sorted(CLIENTS))
-def test_sends_json_body_without_auth_by_default(server, name):
-    _, client, body, reply, check, _ = CLIENTS[name]
-    server.respond(reply)
-    assert check(client(server.url)())
+def test_sends_json_body_without_auth_by_default(server):
+    server.respond(REPLY)
+    assert is_reply(judge_client(server.url)())
     assert len(server.requests) == 1
     sent = server.requests[0]
-    assert sent["body"] == body
+    assert sent["body"] == BODY
     assert sent["headers"]["Content-Type"] == "application/json"
     assert "Authorization" not in sent["headers"]
 
 
-@pytest.mark.parametrize("name", sorted(CLIENTS))
-def test_bearer_header_when_key_is_set(server, monkeypatch, name):
-    key_env, client, _, reply, check, _ = CLIENTS[name]
-    monkeypatch.setenv(key_env, "sekrit")
-    server.respond(reply)
-    assert check(client(server.url)())
+def test_bearer_header_when_key_is_set(server, monkeypatch):
+    monkeypatch.setenv(KEY_VARIABLE, "sekrit")
+    server.respond(REPLY)
+    assert is_reply(judge_client(server.url)())
     assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
 
 
-@pytest.mark.parametrize("name", sorted(CLIENTS))
-def test_server_error_raises_client_error_type(server, name):
-    _, client, _, reply, _, error = CLIENTS[name]
-    server.respond(reply, status=503)
-    with pytest.raises(error, match="request to .* failed: HTTP Error 503"):
-        client(server.url)()
+def test_server_error_raises_transport_error(server):
+    server.respond(REPLY, status=503)
+    with pytest.raises(TransportError, match="request to .* failed: HTTP Error 503"):
+        judge_client(server.url)()
 
 
-@pytest.mark.parametrize("name", sorted(CLIENTS))
-def test_client_recovers_once_the_server_answers_again(server, name):
-    # the judge is called without retries here; the text client has none
-    _, client, _, reply, check, error = CLIENTS[name]
-    call = client(server.url)
-    server.respond(reply, status=500)
-    with pytest.raises(error):
+def test_client_recovers_once_the_server_answers_again(server):
+    # the judge is called without retries here
+    call = judge_client(server.url)
+    server.respond(REPLY, status=500)
+    with pytest.raises(TransportError):
         call()
-    server.respond(reply)
-    assert check(call())
+    server.respond(REPLY)
+    assert is_reply(call())
     assert len(server.requests) == 2
 
 
@@ -206,39 +177,36 @@ def closed_port() -> int:
 
 def test_a_refused_connection_is_retried_then_raised(monkeypatch):
     sleeps, posts = [], []
-    real = dcr.judge.post_json
+    real = dcr.judge.post_completion
 
     def spy(*args):
         posts.append(args)
         return real(*args)
 
     monkeypatch.setattr(dcr.judge.time, "sleep", sleeps.append)
-    monkeypatch.setattr(dcr.judge, "post_json", spy)
+    monkeypatch.setattr(dcr.judge, "post_completion", spy)
     with pytest.raises(TransportError, match="request to .* failed"):
         judge_client(f"http://127.0.0.1:{closed_port()}/judge", max_retries=2)()
     assert len(posts) == 3 and len(sleeps) == 2
 
 
-@pytest.mark.parametrize("name", sorted(CLIENTS))
-def test_the_endpoint_path_and_query_reach_the_server(server, name):
-    _, client, _, reply, check, _ = CLIENTS[name]
-    server.respond(reply)
-    assert check(client(server.url + "v1/judge?key=a%20b&x=1")())
+def test_the_endpoint_path_and_query_reach_the_server(server):
+    server.respond(REPLY)
+    assert is_reply(judge_client(server.url + "v1/judge?key=a%20b&x=1")())
     assert server.requests[0]["path"] == "/v1/judge?key=a%20b&x=1"
 
 
-@pytest.mark.parametrize("name", sorted(SERVICES))
-def test_a_proxy_variable_routes_the_request(server, name):
+def test_a_proxy_variable_routes_the_request(server):
     # in a fresh interpreter, because urllib reads the proxy variables once,
     # when it builds its shared opener; the loopback server stands in for the
     # proxy of an endpoint on a port where nothing listens
-    endpoint = f"http://127.0.0.1:{closed_port()}/v1/{name}"
+    endpoint = f"http://127.0.0.1:{closed_port()}/v1/judge"
     src = str(Path(dcr.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k.lower() != "no_proxy"}
     env |= {"PYTHONPATH": os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)}
     env |= {"http_proxy": server.url, "HTTP_PROXY": server.url}
     server.respond({"completion": "ok"})
-    code = f"import dcr.judge; dcr.judge.post_json({name!r}, {endpoint!r}, {{}})"
+    code = f"import dcr.judge; dcr.judge.post_completion({endpoint!r}, {{}})"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -247,30 +215,26 @@ def test_a_proxy_variable_routes_the_request(server, name):
 
 def test_https_to_a_plain_server_is_a_transport_error(server, monkeypatch):
     # a short timeout bounds the case where the server waits on the handshake
-    variable, key, _ = SERVICES["judge"]
-    monkeypatch.setitem(SERVICES, "judge", (variable, key, 5.0))
-    server.respond(CLIENTS["judge"][3])
+    monkeypatch.setattr(dcr.judge, "TIMEOUT_S", 5.0)
+    server.respond(REPLY)
     with pytest.raises(TransportError, match="request to https://"):
         judge_client(server.url.replace("http://", "https://"))()
 
 
 def test_judge_retry_recovers_from_one_server_error_in_one_call(server):
-    _, _, _, reply, check, _ = CLIENTS["judge"]
-    server.respond(reply)
+    server.respond(REPLY)
     server.fail_next = 1
-    assert check(judge_client(server.url, max_retries=1)())
+    assert is_reply(judge_client(server.url, max_retries=1)())
     assert len(server.requests) == 2
 
 
-@pytest.mark.parametrize("name", sorted(CLIENTS))
 @pytest.mark.parametrize("raw", [b"not json", b'{"unexpected": 1}',
                                  b'{"completion": 5}', b'{"completion": null}',
                                  b'{"caption": 5}', b'{"embedding": {"a": 1}}'])
-def test_malformed_body_raises_client_error_type(server, name, raw):
-    _, client, _, _, _, error = CLIENTS[name]
+def test_malformed_body_raises_transport_error(server, raw):
     server.respond(raw=raw)
-    with pytest.raises(error):
-        client(server.url)()
+    with pytest.raises(TransportError):
+        judge_client(server.url)()
 
 
 def test_bench_counts_a_non_string_judge_completion_as_missing(server, monkeypatch,
@@ -290,8 +254,7 @@ def test_bench_counts_a_non_string_judge_completion_as_missing(server, monkeypat
 def test_second_bench_run_starts_a_new_judge_audit_log(server, monkeypatch, tmp_path):
     # a rerun into the same directory must not find the earlier run's
     # exchanges in its log
-    _, _, _, reply, _, _ = CLIENTS["judge"]
-    server.respond(reply)
+    server.respond(REPLY)
     monkeypatch.setenv("DCR_JUDGE_ENDPOINT", server.url)
     out = tmp_path / "bench"
     for _ in range(2):

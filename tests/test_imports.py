@@ -3,6 +3,7 @@ imports modules in its own order, which can hide an import cycle that only
 shows when a module is the first one loaded."""
 
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,10 @@ import dcr
 
 MODULES = ("errors", "guidance", "toy", "sampling", "judge", "bench", "metrics",
            "cli")
+
+
+def test_every_module_is_listed():
+    assert set(MODULES) == {m.name for m in pkgutil.iter_modules(dcr.__path__)}
 
 
 @pytest.mark.parametrize("name", MODULES)
