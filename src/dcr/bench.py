@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -150,8 +151,9 @@ def _parse_factor(raw, item_id, idx) -> FactorConstraint:
                                field=field)
     threshold = raw.get("max")
     if threshold is not None and (isinstance(threshold, bool)
-                                  or not isinstance(threshold, (int, float))):
-        raise SuiteFormatError(f"max must be a number, got {threshold!r}",
+                                  or not isinstance(threshold, (int, float))
+                                  or not math.isfinite(threshold)):
+        raise SuiteFormatError(f"max must be a finite number, got {threshold!r}",
                                item=item_id, field=f"{field}.max")
     allowed = _string_set(raw, "allowed", item_id, f"{field}.allowed")
     attractor_set = _string_set(raw, "attractor_set", item_id, f"{field}.attractor_set")
@@ -168,8 +170,8 @@ def load_suite(path, canonical: bool = False) -> BenchSuite:
     """Parse and validate a suite file: a JSON array of items carrying exactly
     the five BenchPrompt fields. ``id``, ``prompt`` and ``attractor_prompt``
     are nonempty strings, a factor's ``allowed`` and ``attractor_set`` arrays
-    of strings and its ``max`` a number; any other type, like a duplicate id,
-    raises SuiteFormatError naming the item and field. With
+    of strings and its ``max`` a finite number; any other type or value, like
+    a duplicate id, raises SuiteFormatError naming the item and field. With
     ``canonical`` the 50-per-category / 400-total rule is enforced."""
     path = Path(path)
     try:

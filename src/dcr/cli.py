@@ -271,7 +271,7 @@ def cmd_ablate(args) -> int:
             raise ConfigurationError(f"unknown variant '{v}' (choose from {ALL_VARIANTS})")
     base = _sampler_config(args, cfg_file, scenario, variants[0])
     runs = [({"variant": v}, dataclasses.replace(base, variant=v)) for v in variants]
-    notes = ["collapse fractions only: ablate calls no judge or embedding provider"]
+    notes = ["collapse fractions only: ablate calls no judge"]
     rows = _collapse_report("ablate", args, cfg_file, scenario, runs,
                             {"variants": variants, "n": args.n}, {"notes": notes})
     for row in rows:

@@ -26,7 +26,7 @@ typed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,6 +97,9 @@ class GuidanceConfig:
     eps_stab: float = 1e-8
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(value := getattr(self, field.name)):
+                raise ValidationError(f"{field.name} must be finite, got {value}")
         if not (self.w > 0):
             raise ValidationError(f"w must be positive, got {self.w}")
         if not (0.0 <= self.w_attr < self.w):

@@ -193,7 +193,6 @@ class _Live(NamedTuple):
 
     ids: np.ndarray     # the row's index in the batch
     code: np.ndarray    # (m, 3): label index of its negative, text and probe branch
-    needs: np.ndarray   # (m, n_labels): whether it needs each label's prediction
     repel: np.ndarray
     probe: np.ndarray
     source: np.ndarray  # its column of the (T, k) alpha_t table
@@ -203,47 +202,39 @@ class _Live(NamedTuple):
         return _Live(*(a[mask] for a in self))
 
 
-def _branch_rows(backend, x: np.ndarray, t: int, labels: list[str],
-                 needs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-    """Each channel's prediction at the rows of x that need it, as an
-    (n_labels, m, D) array (rows that do not need a channel may hold any
-    value there), and the rows whose backend call failed, with the exception.
+def _finite(stack) -> np.ndarray:
+    """stack as float64; ValidationError if it holds a NaN or an infinity."""
+    stack = np.asarray(stack, dtype=np.float64)
+    if not np.isfinite(stack).all():
+        raise ValidationError("latent values must be finite (no NaN/Inf)")
+    return stack
 
-    ``needs[j, k]`` says whether row j needs channel labels[k]. A backend
-    with ``epsilon_channels`` evaluates every label on every row in one call;
-    otherwise one ``epsilon`` call per channel takes all rows that need it.
-    If any call raises, the step is retried row by row at latent_shape,
-    through ``epsilon`` and for the channels the row needs only, so only the
-    rows that fail alone leave the batch. A non-finite value in the stack
-    ``epsilon_channels`` returns counts as a raise, whatever the backend.
+
+def _branch_rows(channels, x: np.ndarray, t: int, labels: list[str],
+                 code: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Each label's prediction at the rows of x, as an (n_labels, m, D)
+    array, and the rows whose backend call failed, with the exception.
+
+    ``channels`` is the backend's ``epsilon_channels``: one call evaluates
+    every label on every row, and a non-finite value in the stack it returns
+    counts as a raise. If that call fails, the step is retried row by row
+    through the same method, on the one-row slice x[j:j+1] and for the labels
+    in code[j] alone, so only the rows that fail alone leave the batch. After
+    a retry, a row's entries at labels it does not need, and a failed row's
+    entries, hold any value.
     """
     m, size = x.shape[0], x[0].size
-    channels = getattr(backend, "epsilon_channels", None)
     try:
-        if channels is not None:
-            stack = np.asarray(channels(x, t, labels), dtype=np.float64)
-            if not np.isfinite(stack).all():
-                raise ValidationError("latent values must be finite (no NaN/Inf)")
-            return stack.reshape(len(labels), m, size), {}
-        preds = np.empty((len(labels), m, size))
-        for k, label in enumerate(labels):
-            rows = needs[:, k]
-            if rows.all():
-                preds[k] = backend.epsilon(x, t, label).values.reshape(m, size)
-            elif rows.any():
-                xk = x[rows]
-                preds[k, rows] = backend.epsilon(xk, t, label).values.reshape(
-                    len(xk), size)
-        return preds, {}
+        return _finite(channels(x, t, labels)).reshape(len(labels), m, size), {}
     except Exception:  # any failure: retried row by row below
         pass
     preds = np.empty((len(labels), m, size))
     failed: dict[int, Exception] = {}
     for j in range(m):
+        ks = np.unique(code[j])
         try:
-            for k, label in enumerate(labels):
-                if needs[j, k]:
-                    preds[k, j] = backend.epsilon(x[j], t, label).values.reshape(size)
+            stack = _finite(channels(x[j:j + 1], t, [labels[k] for k in ks]))
+            preds[ks, j] = stack.reshape(len(ks), size)
         except Exception as exc:  # fails this row only; reported in its result
             failed[j] = exc
     return preds, failed
@@ -256,12 +247,11 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
 
     Row r is replicate rows[r][1] of item rows[r][0] and runs the item's
     channels under its variant (cfg.variant when the item names none); the
-    rows share cfg's T, scheduler and guidance. Each
-    step evaluates the channels of the live rows in one backend call (or one
-    call per channel, on the rows that need it, for a backend without
-    ``epsilon_channels``) and builds every row's negative, text and probe
-    branches from them, so a row's result is bitwise that of a batch of its
-    own.
+    rows share cfg's T, scheduler and guidance. Each step evaluates the
+    channels of the live rows in one ``epsilon_channels`` call, the one
+    backend method the loop calls, looked up once before the first step,
+    and builds every row's negative, text and probe branches from them, so a
+    row's result is bitwise that of a batch of its own.
 
     Row r draws from rngs[r] what a lone trajectory draws, in the same
     order: one standard_normal((T-1, *latent_shape)) draw under the
@@ -287,6 +277,7 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     diagnostics.
     """
     sched: NoiseScheduleSpec = backend.schedule
+    channels = backend.epsilon_channels
     if sched.T != cfg.T:
         raise ConfigurationError(
             f"sampler T={cfg.T} does not match backend schedule T={sched.T}")
@@ -305,7 +296,8 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     items = [item for item, _ in rows]
     parts = [_VARIANT_PARTS[item.variant or cfg.variant] for item in items]
     # per row, the channel of its negative, text and probe branch; a row
-    # without a probe reads its text channel there, which the step ignores
+    # without a probe reads its text channel there, which the step ignores,
+    # so a row's codes name exactly the channels it needs
     branch_labels = [
         (item.attractor_channel if p.negative == ATTRACTOR else UNCOND,
          item.prompt_channel,
@@ -314,9 +306,6 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     labels = list(dict.fromkeys(label for row in branch_labels for label in row))
     code = np.array([[labels.index(label) for label in row] for row in branch_labels])
     probe = np.array([p.probe is not None for p in parts])
-    needs = np.zeros((n, len(labels)), dtype=bool)
-    needs[ids, code[:, 0]] = needs[ids, code[:, 1]] = True
-    needs[ids[probe], code[probe, 2]] = True
     # one alpha_t column per distinct source, None standing for the schedule,
     # and per row the index of its column
     sources = list(dict.fromkeys(p.alpha for p in parts))
@@ -326,8 +315,7 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     if not ((0.0 <= alpha) & (alpha <= 1.0)).all():
         raise ValidationError(f"alpha_t must lie in [0,1], got {alpha}")
     source = np.array([sources.index(p.alpha) for p in parts])
-    live = _Live(ids, code, needs, np.array([p.repel for p in parts]), probe, source,
-                 draws)
+    live = _Live(ids, code, np.array([p.repel for p in parts]), probe, source, draws)
     x = draws[:, 0].copy()  # the live rows' latents
     size = draws[0, 0].size
     if cfg.trace:
@@ -343,7 +331,7 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
         if not live.ids.size:
             break
         t = T - 1 - i
-        preds, failed = _branch_rows(backend, x, t, labels, live.needs)
+        preds, failed = _branch_rows(channels, x, t, labels, live.code)
         if failed:
             for j, exc in failed.items():
                 err = TrajectoryError(f"backend failure: {exc}", step=i)

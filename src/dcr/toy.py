@@ -49,12 +49,12 @@ class MixtureSpec:
             raise ValidationError("component means must be finite")
         if weights.shape != (means.shape[0],):
             raise ValidationError("weights must match the component count")
-        if np.any(weights <= 0) or np.any(weights > 1):
+        if not np.all((0 < weights) & (weights <= 1)):  # NaN fails too
             raise ValidationError("base weights must lie in (0, 1]")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValidationError(f"weights must sum to 1, got {weights.sum()!r}")
-        if not (self.sigma0 > 0):
-            raise ValidationError(f"sigma0 must be positive, got {self.sigma0}")
+        if not (0 < self.sigma0 < np.inf):
+            raise ValidationError(f"sigma0 must be positive and finite, got {self.sigma0}")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
 
@@ -81,8 +81,8 @@ class PromptChannel:
             raise ValidationError("channel label must be nonempty")
         if self.weights_override is not None:
             w = np.asarray(self.weights_override, dtype=np.float64)
-            if np.any(w < 0):
-                raise ValidationError("override weights must be non-negative")
+            if not np.all((0 <= w) & (w <= 1)):  # NaN fails too
+                raise ValidationError("override weights must lie in [0, 1]")
             if abs(float(w.sum()) - 1.0) > 1e-12:
                 raise ValidationError("override weights must sum to 1")
             object.__setattr__(self, "weights_override", w)

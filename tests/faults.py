@@ -1,9 +1,10 @@
 """Instrumented and fault-injecting backends for the sampling tests.
 
-The sampling loop evaluates a ToyDenoiser's channels through
-``epsilon_channels``, and its row-by-row retry goes through ``epsilon``,
-whose ToyDenoiser form is the one-channel case of ``epsilon_channels``. So
-the faults and counters below sit on ``epsilon_channels`` and act on both.
+``epsilon_channels`` is the one backend method the sampling loop calls: once
+per step on all live rows, and again, on one-row slices, when it retries a
+failed step row by row. ``ToyDenoiser.epsilon``, which the reference
+trajectories in tests/oracles.py call, is its one-channel case. So the faults
+and counters below sit on ``epsilon_channels`` and act on all of these.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ class NaNRows(ToyDenoiser):
     batch from step index ``k`` onward, so the call raises: on every channel,
     or on the ``label`` channel alone when one is given.
 
-    Rows are chosen by their index in the first batched call at step k (all
-    rows are still live there); after that a row is recognised by its
-    latent, so the row-by-row retry of the same step finds it too.
+    Rows are chosen by their index in the first call at step k, the batched
+    one (all rows are still live there); after that a row is recognised by
+    its latent, so the row-by-row retry of the same step finds it too.
     """
 
     def __init__(self, scenario, sched, rows, k: int, label: str | None = None):
@@ -35,15 +36,15 @@ class NaNRows(ToyDenoiser):
         self.rows = set(rows)
         self.t_bad = sched.T - 1 - k
         self.label = label
-        self.poisoned: set[bytes] = set()
+        self.poisoned: set[bytes] | None = None
 
     def epsilon_channels(self, x_t, t, labels):
         x = np.asarray(x_t, dtype=np.float64)
         values = super().epsilon_channels(x, t, labels)
         if t <= self.t_bad:
             rows = x.reshape(-1, x.shape[-1])
-            if t == self.t_bad and x.ndim == 2:
-                self.poisoned |= {rows[r].tobytes() for r in self.rows}
+            if self.poisoned is None:
+                self.poisoned = {rows[r].tobytes() for r in self.rows}
             bad = [j for j, row in enumerate(rows) if row.tobytes() in self.poisoned]
             for c, label in enumerate(labels):
                 if self.label in (None, label):
@@ -83,17 +84,3 @@ class CountingBackend(ToyDenoiser):
         for label in labels:
             self.calls[label] = self.calls.get(label, 0) + 1
         return super().epsilon_channels(x_t, t, labels)
-
-
-class PerChannelCounting:
-    """A ToyDenoiser seen through ``epsilon`` alone, so the loop takes its
-    per-channel path; counts its calls per channel label."""
-
-    def __init__(self, *args):
-        self._toy = ToyDenoiser(*args)
-        self.schedule, self.latent_shape = self._toy.schedule, self._toy.latent_shape
-        self.calls = {}
-
-    def epsilon(self, x_t, t, channel_label):
-        self.calls[channel_label] = self.calls.get(channel_label, 0) + 1
-        return self._toy.epsilon(x_t, t, channel_label)

@@ -25,6 +25,7 @@ def read_csv(path):
 
 
 FAST = ["--steps", "12", "--scheduler", "deterministic-ddim"]
+NAN, INF = float("nan"), float("inf")
 
 
 class TestSample:
@@ -90,7 +91,11 @@ class TestSample:
         ("not json", "Expecting value"),
         (json.dumps(scenario_doc(default_scenario()) | {"sigma0": "wide"}),
          "could not convert string to float"),
-    ], ids=["empty-object", "not-json", "non-numeric"])
+        (json.dumps(scenario_doc(default_scenario()) | {"weights": [NAN, 0.02, 0.08]}),
+         "base weights must lie in (0, 1]"),
+        (json.dumps(scenario_doc(default_scenario()) | {"sigma0": INF}),
+         "sigma0 must be positive and finite"),
+    ], ids=["empty-object", "not-json", "non-numeric", "nan-weight", "inf-sigma0"])
     def test_malformed_scenario_file_is_usage_error(self, tmp_path, capsys, text,
                                                     detail):
         path = tmp_path / "scenario.json"
@@ -100,6 +105,14 @@ class TestSample:
                    "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert f"dcr: error: scenario file {path}: " in err and detail in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [("--eta", "nan"), ("--w", "inf")])
+    def test_a_non_finite_guidance_value_is_usage_error(self, tmp_path, capsys,
+                                                        option, value):
+        out = tmp_path / "o"
+        assert run("sample", option, value, "--n", "2", *FAST, "--out", str(out)) == 1
+        assert f"{option[2:]} must be finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_records_every_service_endpoint(self, tmp_path, monkeypatch):
@@ -193,7 +206,7 @@ class TestAblate:
             reports.append((out / "ablate_report.json").read_bytes())
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["notes"] == [
-            "collapse fractions only: ablate calls no judge or embedding provider"]
+            "collapse fractions only: ablate calls no judge"]
 
     def test_one_backend_call_per_channel_and_step(self, tmp_path, monkeypatch):
         # all six variants step as one batch: 3 calls per step, not 15

@@ -32,7 +32,7 @@ PINNED = {
         "ablate_report.csv":
             "f0a3a43ee35b23aa5b176ca764d07c3105a26414fe9dccda803c73c570470b9a",
         "ablate_report.json":
-            "898983db3d356e06f0b14ee9fbadf2bba64c5da6697caa8ed07ee32f1ffb555e",
+            "ed3ddabc400191be76793b171f2df612ddd86f064b3150e0272b613c6c953073",
     }),
     "sweep-interval": (["sweep", "--axis", "interval", "--values", "0.2:0.8,0.5:1.0",
                         "--w", "3.5", "--n", "10", "--seed", "4", *FAST], {

@@ -61,6 +61,14 @@ class TestTypes:
             cfg(eta=-1.0)
         assert cfg(w_attr=0.0).w_attr == 0.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(GuidanceConfig)])
+    def test_config_rejects_non_finite(self, field, value):
+        # every comparison with nan is False, so eta=nan passes `eta < 0`
+        # unrejected; w=inf passes `w > 0`
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            cfg(**{field: value})
+
     def test_step_position(self):
         with pytest.raises(ValidationError):
             StepPosition(index=0, total=1)

@@ -1,0 +1,42 @@
+"""The names perfbench/layers.py wraps exist, and its tracer restores them.
+
+The traced benchmark times each layer by patching module attributes of
+``dcr`` for the span of one operation. A refactor that deletes or renames one
+of them would break only the traced benchmark, outside this suite; these
+tests build the tracer and enter and leave one operation without running
+anything, so the break shows here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from dcr.toy import ToyDenoiser
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_tracer_patches_every_name_and_restores_it():
+    tracer = load_layers().Tracer()  # looks up every wrapped name
+    patches = tracer._patches
+    originals = [getattr(mod, name) for mod, name, _ in patches]
+    with tracer.op():
+        for mod, name, wrapped in patches:
+            assert getattr(mod, name) is wrapped, f"{mod.__name__}.{name}"
+    for (mod, name, _), orig in zip(patches, originals):
+        assert getattr(mod, name) is orig, f"{mod.__name__}.{name} not restored"
+
+
+def test_the_timed_denoiser_overrides_only_methods_the_denoiser_has():
+    # the toy layer is a ToyDenoiser subclass: a method it wraps that the
+    # denoiser lost would build, and never fire
+    timed = load_layers()._toy_class([None])
+    methods = [name for name, value in vars(timed).items()
+               if callable(value) and not name.startswith("__")]
+    assert methods and all(callable(getattr(ToyDenoiser, name, None)) for name in methods)

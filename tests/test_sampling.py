@@ -4,7 +4,7 @@ import json
 import numpy as np
 import oracles
 import pytest
-from faults import CountingBackend, NaNRows, NaNWhere, PerChannelCounting
+from faults import CountingBackend, NaNRows, NaNWhere
 
 import dcr.guidance
 import dcr.sampling
@@ -203,16 +203,17 @@ class TestRunSampling:
             def __init__(self):
                 self.calls = 0
 
-            def epsilon(self, x, t, channel):
+            def epsilon_channels(self, x, t, labels):
                 self.calls += 1
-                if self.calls > 4:
+                if self.calls > 2:
                     raise RuntimeError("backend fell over")
-                return NP(np.zeros(2))
+                return np.zeros((len(labels), *np.shape(x)))
 
         with pytest.raises(TrajectoryError) as err:
             run_sampling(Boom(), (TARGET, ATTRACTOR),
                          small_cfg(T=8, variant=Variant.PLAIN_CFG))
-        assert err.value.step >= 1
+        assert err.value.step == 2
+        assert str(err.value) == "backend failure: backend fell over (step 2)"
 
 
 def record_bytes(trace) -> bytes:
@@ -259,16 +260,17 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("n_per_item", [1, 3])
     def test_failures_do_not_abort_batch(self, n_per_item):
-        # Flaky accepts one latent only: every batched call raises and each
+        # Flaky accepts one row only: every batched call raises and each
         # step is retried row by row
         class Flaky:
             schedule = cosine_schedule(6)
             latent_shape = (2,)
 
-            def epsilon(self, x, t, channel):
-                if abs(float(x[0])) > 0.8:
+            def epsilon_channels(self, x, t, labels):
+                [row] = x
+                if abs(float(row[0])) > 0.8:
                     raise RuntimeError("no")
-                return NP(np.zeros(2))
+                return np.zeros((len(labels), 1, 2))
 
         cfg = small_cfg(T=6, variant=Variant.PLAIN_CFG)
         results = run_batch(Flaky(), [BatchItem(f"x{k}") for k in range(10)], cfg,
@@ -308,7 +310,7 @@ class TestRunBatch:
         class SilentNaN(ToyDenoiser):
             def epsilon_channels(self, x_t, t, labels):
                 eps = super().epsilon_channels(x_t, t, labels)
-                if t == T - 1 - k and np.ndim(x_t) == 2:
+                if t == T - 1 - k and len(x_t) > 1:
                     eps = eps.copy()
                     eps[:, 0] = np.nan
                 return eps
@@ -477,6 +479,89 @@ class TestMixedBatch:
         assert record_bytes(item.trace) == record_bytes(plain.trace)
 
 
+class RowByRow(ToyDenoiser):
+    """A ToyDenoiser whose calls on more than one row raise, so the loop
+    retries every step row by row. Logs each call's t, row count and labels,
+    and returns NaN, without raising, from the one-row call of live row
+    ``bad`` at step index ``k``."""
+
+    def __init__(self, scenario, sched, bad=None, k=None):
+        super().__init__(scenario, sched)
+        self.log = []
+        self.bad, self.t_bad = bad, None if k is None else sched.T - 1 - k
+
+    def epsilon_channels(self, x_t, t, labels):
+        self.log.append((t, len(x_t), tuple(labels)))
+        if len(x_t) > 1:
+            raise RuntimeError("one row at a time")
+        eps = super().epsilon_channels(x_t, t, labels)
+        row = sum(1 for call in self.log if call[:2] == (t, 1)) - 1
+        if t == self.t_bad and row == self.bad:
+            eps[:] = np.nan
+        return eps
+
+
+class TestRowByRowRetry:
+    """A failed batched call is retried through epsilon_channels, one call
+    per live row on its one-row slice, for the channels that row needs."""
+
+    T, K = 10, 4
+    # rows 0-2 run plain CFG, which never reads the attractor channel; rows
+    # 3-5 run full DCR, which does
+    ITEMS = [BatchItem("p", variant=Variant.PLAIN_CFG),
+             BatchItem("f", variant=Variant.FULL_DCR)]
+
+    def run(self, **fault):
+        sc = default_scenario()
+        cfg = small_cfg(T=self.T, seed=2)
+        be = RowByRow(sc, cosine_schedule(self.T), **fault)
+        clean = run_batch(ToyDenoiser(sc, cosine_schedule(self.T)), self.ITEMS, cfg, 3)
+        return be, run_batch(be, self.ITEMS, cfg, 3), clean
+
+    def test_one_one_row_call_per_live_row_for_the_channels_it_needs(self):
+        be, got, clean = self.run()
+        plain, full = (UNCOND, TARGET), (UNCOND, TARGET, ATTRACTOR)
+        for t in range(self.T):
+            calls = [(rows, labels) for step, rows, labels in be.log if step == t]
+            assert calls == [(6, full)] + [(1, plain)] * 3 + [(1, full)] * 3
+        assert got.errors == {}
+        assert got.finals.tobytes() == clean.finals.tobytes()
+        for res, ref in zip(got, clean):
+            assert record_bytes(res.trace) == record_bytes(ref.trace)
+
+    @pytest.mark.parametrize("bad", [1, 4])
+    def test_a_row_whose_own_stack_is_not_finite_fails_alone(self, bad):
+        be, got, clean = self.run(bad=bad, k=self.K)
+        assert {r: (str(e), e.step) for r, e in got.errors.items()} == {bad: (
+            f"backend failure: latent values must be finite (no NaN/Inf) (step {self.K})",
+            self.K)}
+        # the failed row is not asked again
+        after = [rows for t, rows, _ in be.log if t < self.T - 1 - self.K and rows == 1]
+        assert len(after) == 5 * (self.T - 1 - self.K)
+        for r in set(range(6)) - {bad}:
+            assert got[r].final.tobytes() == clean[r].final.tobytes()
+            assert record_bytes(got[r].trace) == record_bytes(clean[r].trace)
+
+    def test_a_backend_without_epsilon_channels_fails_before_any_step(self):
+        class EpsilonOnly:
+            schedule = cosine_schedule(8)
+            latent_shape = (2,)
+
+            def __init__(self):
+                self.calls = 0
+
+            def epsilon(self, x, t, channel):
+                self.calls += 1
+                return NP(np.zeros(np.shape(x)))
+
+        be = EpsilonOnly()
+        with pytest.raises(AttributeError, match="epsilon_channels"):
+            run_batch(be, [BatchItem("e")], small_cfg(T=8), 2)
+        with pytest.raises(AttributeError, match="epsilon_channels"):
+            run_sampling(be, (TARGET, ATTRACTOR), small_cfg(T=8))
+        assert be.calls == 0
+
+
 class TestTraceFree:
     """A run without SamplerConfig.trace returns the finals, ok and errors
     of the traced run, bitwise, and records no diagnostics."""
@@ -556,16 +641,20 @@ class OverflowWhere(ToyDenoiser):
 class Elementwise:
     """A backend of latent shape (3, 3), 9 values, so every sum over a
     latent has the 8 terms from which numpy sums pairwise. Each channel is
-    an elementwise map of x, so a row depends on its own latent alone."""
+    an elementwise map of x, so a row depends on its own latent alone.
+    ``epsilon`` is its one-channel case, for tests/oracles.py."""
 
     SCALE = {UNCOND: 0.8, TARGET: 1.1, ATTRACTOR: 1.6}
 
     def __init__(self, T):
         self.schedule, self.latent_shape = cosine_schedule(T), (3, 3)
 
-    def epsilon(self, x_t, t, channel_label):
+    def epsilon_channels(self, x_t, t, labels):
         x = np.asarray(x_t, dtype=np.float64)
-        return NP(np.tanh(self.SCALE[channel_label] * x) + 0.01 * t)
+        return np.stack([np.tanh(self.SCALE[label] * x) + 0.01 * t for label in labels])
+
+    def epsilon(self, x_t, t, channel_label):
+        return NP(self.epsilon_channels(x_t, t, [channel_label])[0])
 
 
 class TestDiagnosticsPass:
@@ -907,22 +996,16 @@ class TestGuidedStep:
         "no-schedule": {"uncond": 1, "target": 1, "attractor": 1},
     }
 
-    # CountingBackend takes the one-call path through epsilon_channels,
-    # PerChannelCounting the per-channel path through epsilon alone; both
-    # must see the same evaluations
-    BACKENDS = (CountingBackend, PerChannelCounting)
-
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     def test_backend_calls_per_step(self, variant):
         T = 12
-        for backend in self.BACKENDS:
-            be = backend(default_scenario(), cosine_schedule(T))
-            run_sampling(be, (TARGET, ATTRACTOR), small_cfg(variant, T=T))
-            assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
-            # a batch makes the same calls: each takes all rows of the item
-            be.calls = {}
-            run_batch(be, [BatchItem("calls")], small_cfg(variant, T=T), 4)
-            assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
+        be = CountingBackend(default_scenario(), cosine_schedule(T))
+        run_sampling(be, (TARGET, ATTRACTOR), small_cfg(variant, T=T))
+        assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
+        # a batch makes the same calls: each takes all rows of the item
+        be.calls = {}
+        run_batch(be, [BatchItem("calls")], small_cfg(variant, T=T), 4)
+        assert be.calls == {ch: n * T for ch, n in self.PER_STEP[variant].items()}
 
     @pytest.mark.parametrize("scheduler", [k.value for k in SchedulerKind])
     def test_the_loop_steps_through_the_module_names(self, monkeypatch, scheduler):
@@ -944,11 +1027,9 @@ class TestGuidedStep:
         # the ablation shape: six variants of one item; per-variant batches
         # would make 15 calls per step
         T = 12
-        for backend in self.BACKENDS:
-            be = backend(default_scenario(), cosine_schedule(T))
-            run_batch(be, [BatchItem("calls", variant=v) for v in Variant],
-                      small_cfg(T=T), 4)
-            assert be.calls == {"uncond": T, "target": T, "attractor": T}
-            if backend is CountingBackend:
-                # all three channels of a step come from one call
-                assert be.channel_calls == T
+        be = CountingBackend(default_scenario(), cosine_schedule(T))
+        run_batch(be, [BatchItem("calls", variant=v) for v in Variant],
+                  small_cfg(T=T), 4)
+        assert be.calls == {"uncond": T, "target": T, "attractor": T}
+        # all three channels of a step come from one call
+        assert be.channel_calls == T

@@ -50,6 +50,22 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             PromptChannel("x", np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("weights, sigma0", [
+        ([np.nan, 0.5], 1.0), ([np.inf, 0.5], 1.0), ([0.5, 0.5], np.inf),
+        ([0.5, 0.5], np.nan)],
+        ids=["nan-weight", "inf-weight", "inf-sigma0", "nan-sigma0"])
+    def test_mixture_rejects_non_finite(self, weights, sigma0):
+        # abs(nan - 1) > 1e-12 is False, so the weight sum check alone lets
+        # a NaN weight through
+        with pytest.raises(ValidationError):
+            MixtureSpec(means=np.array([[-3.0, 0.0], [3.0, 0.0]]),
+                        weights=np.array(weights), sigma0=sigma0)
+
+    @pytest.mark.parametrize("override", [[np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan]])
+    def test_channel_override_rejects_non_finite(self, override):
+        with pytest.raises(ValidationError):
+            PromptChannel("x", np.array(override))
+
     def test_schedule_monotone(self):
         with pytest.raises(ValidationError):
             NoiseScheduleSpec(T=3, alpha_bar=np.array([0.9, 0.95, 0.5]))
