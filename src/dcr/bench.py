@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -150,9 +150,10 @@ def _parse_factor(raw, item_id, idx) -> FactorConstraint:
         raise SuiteFormatError(f"unknown factor keys {sorted(extra)}", item=item_id,
                                field=field)
     threshold = raw.get("max")
+    # the bound refuses NaN, the infinities and integers beyond float range
     if threshold is not None and (isinstance(threshold, bool)
                                   or not isinstance(threshold, (int, float))
-                                  or not math.isfinite(threshold)):
+                                  or not abs(threshold) <= sys.float_info.max):
         raise SuiteFormatError(f"max must be a finite number, got {threshold!r}",
                                item=item_id, field=f"{field}.max")
     allowed = _string_set(raw, "allowed", item_id, f"{field}.allowed")

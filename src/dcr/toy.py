@@ -154,47 +154,41 @@ class BiasScenario:
     """A mixture with a dominant mode, a rare mode the Target channel prefers,
     and the leakage that models default completion bias.
 
-    The Target channel puts 1-leakage_beta on the rare mode and leakage_beta
-    on the dominant one; the Attractor channel puts at least pi_major on the
-    dominant mode; the unconditional weight of the dominant mode is pi_major.
+    Four read-only attributes are worked out from the weights:
+    ``dominant_index`` is the heaviest base component, which must carry more
+    than half the weight, and ``pi_major`` its base weight; ``rare_index`` is
+    the one other component the Target channel weights, and ``leakage_beta``
+    the Target weight on the dominant mode, so 1-leakage_beta is on the rare
+    one. The Attractor channel must put at least pi_major on the dominant mode.
     """
 
     base: MixtureSpec
-    dominant_index: int
-    rare_index: int
-    pi_major: float
-    leakage_beta: float
     channels: dict[str, PromptChannel]
     guidance: GuidanceConfig | None = None
     steps: int = 100
 
     def __post_init__(self):
-        k = self.base.n_components
-        if not (0 <= self.dominant_index < k and 0 <= self.rare_index < k):
-            raise ValidationError("dominant/rare indices out of range")
-        if self.dominant_index == self.rare_index:
-            raise ValidationError("dominant and rare indices must differ")
-        if not (0.5 < self.pi_major < 1.0):
-            raise ValidationError(f"pi_major must lie in (0.5, 1), got {self.pi_major}")
-        if not (0.0 <= self.leakage_beta < 1.0):
-            raise ValidationError(f"leakage_beta must lie in [0, 1), got {self.leakage_beta}")
-        if abs(self.base.weights[self.dominant_index] - self.pi_major) > 1e-12:
-            raise ValidationError("base weight of the dominant mode must equal pi_major")
         for label in (UNCOND, TARGET, ATTRACTOR):
             if label not in self.channels:
                 raise ValidationError(f"scenario must define the '{label}' channel")
+        dom = int(np.argmax(self.base.weights))
+        pi_major = float(self.base.weights[dom])
+        if not pi_major > 0.5:
+            raise ValidationError(f"the heaviest base weight must exceed 0.5, got {pi_major}")
         tw = self.channels[TARGET].weights_for(self.base)
-        if abs(tw[self.rare_index] - (1.0 - self.leakage_beta)) > 1e-12 or \
-                abs(tw[self.dominant_index] - self.leakage_beta) > 1e-12:
-            raise ValidationError(
-                "Target channel must place 1-leakage_beta on the rare mode and "
-                "leakage_beta on the dominant mode")
+        rare = [k for k in np.flatnonzero(tw) if k != dom]
+        if len(rare) != 1:
+            raise ValidationError("Target channel must weight exactly one component "
+                                  "besides the dominant mode")
         aw = self.channels[ATTRACTOR].weights_for(self.base)
-        if aw[self.dominant_index] < self.pi_major - 1e-12:
+        if aw[dom] < pi_major - 1e-12:
             raise ValidationError(
                 "Attractor channel must place at least pi_major on the dominant mode")
         if self.steps < 2:
             raise ValidationError("steps must be >= 2")
+        # plain attributes, not fields: replace() derives them again
+        self.__dict__.update(dominant_index=dom, rare_index=int(rare[0]),
+                             pi_major=pi_major, leakage_beta=float(tw[dom]))
 
     @property
     def dim(self) -> int:
@@ -230,9 +224,7 @@ def default_scenario() -> BiasScenario:
     }
     guidance = GuidanceConfig(w=1.5, w_attr=1.45, eta=64.0, gamma=2.0,
                               r_s=0.1, r_e=0.7, eps_stab=1e-8)
-    return BiasScenario(base=base, dominant_index=0, rare_index=1,
-                        pi_major=0.9, leakage_beta=0.35, channels=channels,
-                        guidance=guidance, steps=100)
+    return BiasScenario(base=base, channels=channels, guidance=guidance, steps=100)
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -427,11 +419,23 @@ def save_scenario(scenario: BiasScenario, path) -> None:
                           encoding="utf-8")
 
 
+# the keys scenario_doc writes, and how far each derived value, which a file
+# may leave out, may lie from the one its weights give
+_DERIVED_TOLERANCE = {"dominant_index": 0, "rare_index": 0,
+                      "pi_major": 1e-12, "leakage_beta": 1e-12}
+_SCENARIO_KEYS = {"means", "weights", "sigma0", "channels", "guidance", "steps",
+                  *_DERIVED_TOLERANCE}
+
+
 def load_scenario(path) -> BiasScenario:
-    """ValidationError names the file when it is not JSON, lacks a key or
-    holds a value of the wrong type."""
+    """ValidationError names the file when it is not JSON, lacks a key, has a
+    key ``scenario_doc`` does not write or a value of the wrong type, or
+    gives a derived value that its weights do not (naming the key)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        unknown = doc.keys() - _SCENARIO_KEYS
+        if unknown:
+            raise ValidationError(f"unknown keys {sorted(unknown)}")
         base = MixtureSpec(means=np.array(doc["means"], dtype=np.float64),
                            weights=np.array(doc["weights"], dtype=np.float64),
                            sigma0=float(doc["sigma0"]))
@@ -440,17 +444,17 @@ def load_scenario(path) -> BiasScenario:
             for label, ov in doc["channels"].items()
         }
         guidance = GuidanceConfig(**doc["guidance"]) if "guidance" in doc else None
-        return BiasScenario(base=base,
-                            dominant_index=int(doc["dominant_index"]),
-                            rare_index=int(doc["rare_index"]),
-                            pi_major=float(doc["pi_major"]),
-                            leakage_beta=float(doc["leakage_beta"]),
-                            channels=channels,
-                            guidance=guidance,
-                            steps=int(doc.get("steps", BiasScenario.steps)))
+        scenario = BiasScenario(base=base, channels=channels, guidance=guidance,
+                                steps=int(doc.get("steps", BiasScenario.steps)))
+        for key, tol in _DERIVED_TOLERANCE.items():
+            value, derived = doc.get(key), getattr(scenario, key)
+            if key in doc and not (isinstance(value, (int, float))
+                                   and derived - tol <= value <= derived + tol):
+                raise ValidationError(f"{key} is {value!r}, but the weights give {derived!r}")
+        return scenario
     except KeyError as exc:
         raise ValidationError(f"scenario file {path}: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"scenario file {path}: {exc}") from None
 
 

@@ -107,9 +107,11 @@ class TestLoadSuite:
          "x-001", "factors[0].max"),
         ({"category": "DENS", "factors": [{"name": "f", "max": float("inf")}]},
          "x-001", "factors[0].max"),
+        ({"category": "DENS", "factors": [{"name": "f", "max": 10**400}]},
+         "x-001", "factors[0].max"),
     ], ids=["int-id", "list-id", "empty-id", "int-prompt", "null-attractor-prompt",
             "string-allowed", "nested-allowed", "string-attractor-set", "bool-max",
-            "string-max", "nan-max", "infinite-max"])
+            "string-max", "nan-max", "infinite-max", "beyond-float-max"])
     def test_a_field_of_the_wrong_type_names_item_and_field(self, tmp_path, change,
                                                             item, field):
         path = write_suite(tmp_path, [item_dict() | change])

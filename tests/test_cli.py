@@ -132,7 +132,7 @@ class TestSample:
                              save_scenario)
         base = default_scenario()
         scenario = dataclasses.replace(
-            base, leakage_beta=0.3,
+            base,
             channels=base.channels | {TARGET: PromptChannel(TARGET,
                                                             np.array([0.3, 0.7, 0.0]))},
             guidance=dataclasses.replace(base.guidance, eta=32.0), steps=40)

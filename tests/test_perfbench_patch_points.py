@@ -1,4 +1,5 @@
-"""The names perfbench/layers.py wraps exist, and its tracer restores them.
+"""The names perfbench/layers.py wraps exist, and its tracer restores them;
+the scenario attributes perfbench reads exist too.
 
 The traced benchmark times each layer by patching module attributes of
 ``dcr`` for the span of one operation. A refactor that deletes or renames one
@@ -10,7 +11,9 @@ anything, so the break shows here.
 import importlib.util
 from pathlib import Path
 
-from dcr.toy import ToyDenoiser
+import numpy as np
+
+from dcr.toy import ToyDenoiser, default_scenario
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -40,3 +43,10 @@ def test_the_timed_denoiser_overrides_only_methods_the_denoiser_has():
     methods = [name for name, value in vars(timed).items()
                if callable(value) and not name.startswith("__")]
     assert methods and all(callable(getattr(ToyDenoiser, name, None)) for name in methods)
+
+
+def test_the_default_scenario_exposes_what_the_judge_stub_reads():
+    # perfbench/run.py and perfbench/pin.py start their judge stub from these
+    sc = default_scenario()
+    np.testing.assert_array_equal(sc.base.means, [[3.8, 0.0], [-2.0, 1.5], [1.5, 0.0]])
+    assert (sc.dominant_index, sc.rare_index) == (0, 1)

@@ -1,7 +1,11 @@
+import json
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dcr.errors import ValidationError
 from dcr.guidance import GuidanceConfig
@@ -10,7 +14,7 @@ from dcr.toy import (ATTRACTOR, TARGET, UNCOND, BiasScenario, MixtureSpec,
                      cosine_schedule, default_scenario, epsilon_prediction,
                      forward_noising, load_scenario, mode_assignment,
                      posterior_mean, responsibilities, sample_channel,
-                     save_scenario)
+                     save_scenario, scenario_doc)
 from oracles import np_posterior_evaluate, weighted_posterior_mean_mc
 
 
@@ -28,8 +32,7 @@ def scenario_of(base, target=(0.35, 0.65), attr=None, dom=0, rare=1):
     if attr is not None:
         aw = np.asarray(attr, dtype=float)
     return BiasScenario(
-        base=base, dominant_index=dom, rare_index=rare,
-        pi_major=float(base.weights[dom]), leakage_beta=float(tw[dom]),
+        base=base,
         channels={UNCOND: PromptChannel(UNCOND),
                   TARGET: PromptChannel(TARGET, tw),
                   ATTRACTOR: PromptChannel(ATTRACTOR, aw)})
@@ -81,15 +84,6 @@ class TestSpecs:
         base = two_mode(w0=0.9)
         sc = scenario_of(base)
         assert sc.pi_major == 0.9
-        # Target channel must match the leakage split
-        bad_target = np.array([0.5, 0.5])
-        with pytest.raises(ValidationError):
-            BiasScenario(base=base, dominant_index=0, rare_index=1,
-                         pi_major=0.9, leakage_beta=0.35,
-                         channels={UNCOND: PromptChannel(UNCOND),
-                                   TARGET: PromptChannel(TARGET, bad_target),
-                                   ATTRACTOR: PromptChannel(ATTRACTOR,
-                                                            np.array([1.0, 0.0]))})
         # Attractor channel must carry at least pi_major on the dominant mode
         with pytest.raises(ValidationError):
             scenario_of(base, attr=(0.5, 0.5))
@@ -264,6 +258,122 @@ class TestScenarioIO:
         assert load_scenario(path).guidance is None
 
 
+DERIVED = ("dominant_index", "rare_index", "pi_major", "leakage_beta")
+
+
+def derived(sc):
+    return tuple(getattr(sc, key) for key in DERIVED)
+
+
+def channels_of(target, attr):
+    return {UNCOND: PromptChannel(UNCOND), TARGET: PromptChannel(TARGET, np.array(target)),
+            ATTRACTOR: PromptChannel(ATTRACTOR, np.array(attr))}
+
+
+@st.composite
+def scenario_cases(draw):
+    """A scenario with K components in d dimensions and the four values its
+    weights must give: a dominant mode heavier than one half, a Target on it
+    and one rare mode, and an Attractor with at least pi_major on it."""
+    K, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    dom, rare = draw(st.permutations(range(K)))[:2]
+    pi_major = draw(st.floats(0.5, 0.99, exclude_min=True))
+    rest = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=K - 1, max_size=K - 1)))
+    weights = np.insert(rest / rest.sum() * (1.0 - pi_major), dom, pi_major)
+    beta, attr_major = draw(st.floats(0.0, 0.99)), draw(st.floats(pi_major, 1.0))
+    target = np.zeros(K)
+    target[dom], target[rare] = beta, 1.0 - beta
+    attr = np.full(K, (1.0 - attr_major) / (K - 1))
+    attr[dom] = attr_major
+    base = MixtureSpec(means=draw(hnp.arrays(np.float64, (K, d),
+                                             elements=st.floats(-10.0, 10.0))),
+                       weights=weights, sigma0=draw(st.floats(0.05, 2.0)))
+    guidance = draw(st.sampled_from([None, default_scenario().guidance]))
+    sc = BiasScenario(base=base, channels=channels_of(target, attr), guidance=guidance,
+                      steps=draw(st.integers(2, 200)))
+    return sc, (dom, rare, pi_major, beta)
+
+
+class TestDerivedValues:
+    MEANS = np.array([[3.8, 0.0], [-2.0, 1.5], [1.5, 0.0]])
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_the_suite_scenarios_derive_what_their_helpers_passed(self):
+        one_d = MixtureSpec(means=np.array([[-1.0], [1.0]]),
+                            weights=np.array([0.7, 0.3]), sigma0=0.1)
+        sharp = MixtureSpec(means=np.array([[-3.0, 0.0], [3.0, 0.0]]),
+                            weights=np.array([0.7, 0.3]), sigma0=1e-6)
+        cases = [(default_scenario(), 0.9, 0.35), (scenario_of(two_mode()), 0.7, 0.35),
+                 (scenario_of(two_mode(w0=0.9)), 0.9, 0.35),
+                 (scenario_of(two_mode(sigma0=0.7)), 0.7, 0.35),
+                 (scenario_of(one_d), 0.7, 0.35), (scenario_of(sharp), 0.7, 0.35)]
+        cases += [(_grid_scenario(d, K), 0.6, 0.3)
+                  for K in (2, 3, 7, 8, 9) for d in (1, 2, 7, 8, 16)]
+        for sc, pi_major, leakage_beta in cases:
+            assert derived(sc) == (0, 1, pi_major, leakage_beta)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario_cases())
+    def test_save_and_load_round_trip_the_values_and_the_bytes(self, tmp_path, case):
+        sc, want = case
+        assert derived(sc) == want
+        path, again = tmp_path / "a.json", tmp_path / "b.json"
+        save_scenario(sc, path)
+        back = load_scenario(path)
+        assert derived(back) == want
+        save_scenario(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_a_file_with_or_without_the_derived_keys_loads(self, tmp_path):
+        doc = scenario_doc(default_scenario())
+        for kept in (doc, {key: v for key, v in doc.items() if key not in DERIVED},
+                     doc | {"pi_major": 0.9 + 5e-13, "dominant_index": 0.0}):
+            assert derived(load_scenario(self.write(tmp_path, kept))) == (0, 1, 0.9, 0.35)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dominant_index", 2), ("rare_index", 2), ("pi_major", 0.9 + 2e-12),
+        ("leakage_beta", 0.3), ("pi_major", "0.9"), ("leakage_beta", 10**400),
+        ("rare_index", None)])
+    def test_a_derived_key_that_disagrees_is_refused(self, tmp_path, key, value):
+        path = self.write(tmp_path, scenario_doc(default_scenario()) | {key: value})
+        with pytest.raises(ValidationError) as err:
+            load_scenario(path)
+        assert f"scenario file {path}: {key} is {value!r}" in str(err.value)
+
+    @pytest.mark.parametrize("typo, key", [("guidnace", "guidance"), ("step", "steps")])
+    def test_an_unknown_key_is_refused(self, tmp_path, typo, key):
+        doc = scenario_doc(default_scenario())
+        doc[typo] = doc.pop(key)
+        path = self.write(tmp_path, doc)
+        with pytest.raises(ValidationError) as err:
+            load_scenario(path)
+        assert f"scenario file {path}: unknown keys ['{typo}']" in str(err.value)
+
+    def test_an_integer_beyond_float_range_is_refused(self, tmp_path):
+        path = self.write(tmp_path, scenario_doc(default_scenario()) | {"sigma0": 10**400})
+        with pytest.raises(ValidationError, match="too large"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("weights, target, attr", [
+        ([0.9, 0.02, 0.08], [0.3, 0.6, 0.1], [1.0, 0.0, 0.0]),
+        ([0.9, 0.02, 0.08], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.9, 0.02, 0.08], [0.35, 0.65, 0.0], [0.8, 0.1, 0.1]),
+        ([0.45, 0.35, 0.2], [0.35, 0.65, 0.0], [1.0, 0.0, 0.0]),
+        ([0.5, 0.3, 0.2], [0.35, 0.65, 0.0], [1.0, 0.0, 0.0]),
+    ], ids=["target-on-a-third-mode", "target-on-no-rare-mode", "weak-attractor",
+            "no-majority", "half-is-no-majority"])
+    def test_a_scenario_without_one_dominant_and_one_rare_mode_is_refused(
+            self, weights, target, attr):
+        base = MixtureSpec(means=self.MEANS, weights=np.array(weights), sigma0=0.33)
+        with pytest.raises(ValidationError):
+            BiasScenario(base=base, channels=channels_of(target, attr))
+
+
 class TestBackend:
     def test_epsilon_contract(self):
         sc = default_scenario()
@@ -287,8 +397,7 @@ def _grid_scenario(d: int, K: int) -> BiasScenario:
                        weights=np.r_[0.6, rest / rest.sum() * 0.4], sigma0=0.4)
     target, attr = np.zeros(K), np.r_[0.8, np.full(K - 1, 0.2 / (K - 1))]
     target[:2] = 0.3, 0.7
-    return BiasScenario(base=base, dominant_index=0, rare_index=1, pi_major=0.6,
-                        leakage_beta=0.3,
+    return BiasScenario(base=base,
                         channels={UNCOND: PromptChannel(UNCOND),
                                   TARGET: PromptChannel(TARGET, target),
                                   ATTRACTOR: PromptChannel(ATTRACTOR, attr / attr.sum())})
