@@ -226,9 +226,10 @@ def _collapse_report(name: str, args, cfg_file: dict, scenario: BiasScenario,
     """Sample each ``(label, cfg)`` run, write the manifest (recording the
     first run's sampler) and ``<name>_report.{csv,json}``, one row per run:
     the label's columns, then n, failures and the collapse fraction with its
-    Wilson interval. Runs whose configs differ only in the variant are
-    sampled as one batch. The reports read finals only, so the runs record
-    no trace."""
+    Wilson interval, all three None (null, an empty cell) for a run whose
+    every trajectory failed. Runs whose configs differ only in the variant
+    are sampled as one batch. The reports read finals only, so the runs
+    record no trace."""
     outdir = _out_dir(args)
     runs = [(label, dataclasses.replace(cfg, trace=False)) for label, cfg in runs]
     groups: dict[SamplerConfig, list[int]] = {}
@@ -243,8 +244,10 @@ def _collapse_report(name: str, args, cfg_file: dict, scenario: BiasScenario,
         for j, k in enumerate(ks):
             span = slice(j * n, (j + 1) * n)
             finals = batch.finals[span][ok[span]]
-            frac = toy_collapse_fraction(finals, scenario)
-            lo, hi = wilson_interval(int(round(frac * len(finals))), len(finals))
+            frac = lo = hi = None
+            if len(finals):
+                frac = toy_collapse_fraction(finals, scenario)
+                lo, hi = wilson_interval(int(round(frac * len(finals))), len(finals))
             rows[k] = runs[k][0] | {"n": len(finals), "failures": n - len(finals),
                                     "collapse_fraction": frac, "wilson_lo": lo,
                                     "wilson_hi": hi}
@@ -255,6 +258,11 @@ def _collapse_report(name: str, args, cfg_file: dict, scenario: BiasScenario,
                            indent=2) + "\n")
     _write_manifest(outdir, name, args, cfg_file, runs[0][1], scenario, manifest_extra)
     return rows
+
+
+def _no_collapse(row: dict) -> str:
+    """The stdout text of a report row whose every trajectory failed."""
+    return f"collapse=n/a (all {row['failures']} trajectories failed)"
 
 
 def cmd_ablate(args) -> int:
@@ -275,8 +283,10 @@ def cmd_ablate(args) -> int:
     rows = _collapse_report("ablate", args, cfg_file, scenario, runs,
                             {"variants": variants, "n": args.n}, {"notes": notes})
     for row in rows:
-        print(f"{row['variant']}: collapse={row['collapse_fraction']:.4f} "
-              f"[{row['wilson_lo']:.4f}, {row['wilson_hi']:.4f}]")
+        print(f"{row['variant']}: " + (
+            f"collapse={row['collapse_fraction']:.4f} "
+            f"[{row['wilson_lo']:.4f}, {row['wilson_hi']:.4f}]" if row["n"]
+            else _no_collapse(row)))
     return 0
 
 
@@ -313,7 +323,8 @@ def cmd_sweep(args) -> int:
                             {"axis": args.axis, "values": values,
                              "w": runs[0][1].guidance.w}, {})
     for row in rows:
-        print(f"{row['axis']}={row['value']}: collapse={row['collapse_fraction']:.4f}")
+        print(f"{row['axis']}={row['value']}: " + (
+            f"collapse={row['collapse_fraction']:.4f}" if row["n"] else _no_collapse(row)))
     return 0
 
 

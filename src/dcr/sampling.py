@@ -526,16 +526,44 @@ def write_traces_jsonl(traces, path, manifest_ref: str | None = None) -> None:
                                  "final": np.asarray(trace.final).tolist()}) + "\n")
 
 
+# characters of trace lines per json.loads call of read_traces_jsonl: beyond
+# the records it returns, the reader holds about two chunks of text (the lines
+# and their joined copy), however large the file
+_READ_CHARS = 1 << 16
+
+
+def _load_line(path, number: int, line: str):
+    """json.loads of line ``number`` of a trace file; ValidationError naming
+    the file and the line if it is not one JSON value."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"trace file {path}: line {number} is not one JSON record: {exc.msg}") from exc
+
+
 def read_traces_jsonl(path) -> tuple[dict, list[dict]]:
     """Returns (header, records) for a trace file written by write_traces_jsonl;
-    ValidationError if it does not start with a dcr-trace@1 header."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    try:
-        header = json.loads(lines[0]) if lines else None
+    ValidationError naming the file if it does not start with a dcr-trace@1
+    header or a later line is not one JSON record. Records are split on "\\n"
+    only, as JSON Lines separates them, and parsed in chunks of whole lines of
+    about ``_READ_CHARS`` characters, so the file is never held whole."""
+    with Path(path).open(encoding="utf-8", newline="\n") as fh:
+        first = fh.readline()
+        header = _load_line(path, 1, first) if first else None
         if not isinstance(header, dict) or header.get("schema") != TRACE_SCHEMA:
-            first = lines[0][:80] if lines else ""
+            shown = first.rstrip("\r\n")[:80]
             raise ValidationError(
-                f"trace file {path}: first line {first!r} is not a {TRACE_SCHEMA} header")
-        return header, json.loads("[" + ",".join(lines[1:]) + "]")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"trace file {path}: not JSON lines: {exc}") from exc
+                f"trace file {path}: first line {shown!r} is not a {TRACE_SCHEMA} header")
+        records, number = [], 2  # number: the line number of chunk[0] in the file
+        while chunk := fh.readlines(_READ_CHARS):
+            try:
+                parsed = json.loads("[" + ",".join(chunk) + "]")
+            except json.JSONDecodeError:
+                parsed = None
+            if parsed is None or len(parsed) != len(chunk):
+                # a line is not one JSON value: parse line by line to name it
+                parsed = [_load_line(path, n, line) for n, line in enumerate(chunk, number)]
+            records += parsed
+            number += len(chunk)
+        return header, records

@@ -26,6 +26,22 @@ def read_csv(path):
 
 FAST = ["--steps", "12", "--scheduler", "deterministic-ddim"]
 NAN, INF = float("nan"), float("inf")
+# a guidance weight this large overflows every trajectory
+ALL_FAIL = ["--n", "4", "--steps", "20", "--w", "1e300", "--w-attr", "1"]
+STATS = ("n", "failures", "collapse_fraction", "wilson_lo", "wilson_hi")
+
+
+def assert_every_run_failed(out, name, runs, stdout):
+    """The reports give each of ``runs`` rows no collapse statistics, the
+    manifest is written, and stdout says why."""
+    rows = json.loads((out / f"{name}_report.json").read_text())["rows"]
+    assert [tuple(r[k] for k in STATS) for r in rows] == [(0, 4, None, None, None)] * runs
+    assert [tuple(r[k] for k in STATS) for r in read_csv(out / f"{name}_report.csv")] == \
+        [("0", "4", "", "", "")] * runs
+    assert json.loads((out / "manifest.json").read_text())["command"] == name
+    lines = stdout.splitlines()
+    assert len(lines) == runs
+    assert all(line.endswith(": collapse=n/a (all 4 trajectories failed)") for line in lines)
 
 
 class TestSample:
@@ -221,6 +237,12 @@ class TestAblate:
         assert [be.calls for be in backends] == [
             {"uncond": 12, "target": 12, "attractor": 12}]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_variant_whose_every_trajectory_fails_still_reports(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run("ablate", *ALL_FAIL, "--out", str(out)) == 0
+        assert_every_run_failed(out, "ablate", 6, capsys.readouterr().out)
+
 
 class TestSweep:
     def test_eta_zero_row_equals_plain_cfg(self, tmp_path):
@@ -289,6 +311,13 @@ class TestSweep:
     def test_w_required(self, tmp_path):
         assert run("sweep", "--axis", "eta", "--values", "1", "--out",
                    str(tmp_path / "now")) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_value_whose_every_trajectory_fails_still_reports(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run("sweep", "--axis", "eta", "--values", "0,1", *ALL_FAIL,
+                   "--out", str(out)) == 0
+        assert_every_run_failed(out, "sweep", 2, capsys.readouterr().out)
 
 
 class TestBench:

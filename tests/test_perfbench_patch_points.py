@@ -1,5 +1,5 @@
 """The names perfbench/layers.py wraps exist, and its tracer restores them;
-the scenario attributes perfbench reads exist too.
+the scenario attributes and trace records perfbench reads exist too.
 
 The traced benchmark times each layer by patching module attributes of
 ``dcr`` for the span of one operation. A refactor that deletes or renames one
@@ -9,10 +9,14 @@ anything, so the break shows here.
 """
 
 import importlib.util
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
+from dcr.cli import main
+from dcr.sampling import read_traces_jsonl
 from dcr.toy import ToyDenoiser, default_scenario
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -50,3 +54,15 @@ def test_the_default_scenario_exposes_what_the_judge_stub_reads():
     sc = default_scenario()
     np.testing.assert_array_equal(sc.base.means, [[3.8, 0.0], [-2.0, 1.5], [1.5, 0.0]])
     assert (sc.dominant_index, sc.rare_index) == (0, 1)
+
+
+def test_the_trace_reader_returns_a_list_of_the_records_the_workload_reads(tmp_path):
+    # perfbench's _read_traces wrapper takes len(records), and workloads.observe
+    # iterates them twice, once for "final" and once for "step"
+    out = tmp_path / "s"
+    with redirect_stdout(StringIO()):
+        assert main(["sample", "--n", "2", "--steps", "5", "--out", str(out)]) == 0
+    _, records = read_traces_jsonl(out / "traces.jsonl")
+    assert isinstance(records, list)
+    assert sum("step" in r for r in records) == 2 * 5
+    assert [len(r["final"]) for r in records if "final" in r] == [2, 2]

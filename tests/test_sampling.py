@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -840,13 +841,16 @@ class TestTraceExport:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("case", ["real-ddim", "real-ddpm", "special", "repeated",
-                                      "empty"])
-    def test_bytes_and_reading_equal_the_reference(self, tmp_path, case):
+                                      "empty", "one-line-chunks"])
+    def test_bytes_and_reading_equal_the_reference(self, tmp_path, monkeypatch, case):
+        if case == "one-line-chunks":  # every record is a chunk of its own
+            monkeypatch.setattr(dcr.sampling, "_READ_CHARS", 1)
         traces = {"real-ddim": lambda: real_traces(),
                   "real-ddpm": lambda: real_traces("ancestral-ddpm"),
                   "special": hand_built_traces,
                   "repeated": repeated_column_traces,
-                  "empty": lambda: []}[case]()
+                  "empty": lambda: [],
+                  "one-line-chunks": lambda: real_traces() + hand_built_traces()}[case]()
         ref = 'manifest "x"\\.json' if case == "special" else None
         ours, theirs = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
         write_traces_jsonl(traces, ours, manifest_ref=ref)
@@ -882,6 +886,61 @@ class TestTraceExport:
         path.write_text(json.dumps({"schema": "other@9", "manifest": None}) + "\n")
         with pytest.raises(ValidationError, match="foreign.jsonl"):
             read_traces_jsonl(path)
+
+    @pytest.mark.parametrize("bad, error", [
+        ('{"trajectory_id": "a/0", "step": 3, "alpha_t": 0.5, "lambda_t"', "Expecting ':'"),
+        ("", "Expecting value"),
+        ('{"trajectory_id": "a/0", "final": [0.0]}, {"step": 1}', "Extra data")],
+        ids=["truncated", "blank", "two-records"])
+    @pytest.mark.parametrize("chars", [1, None])
+    def test_a_bad_line_is_rejected_by_file_and_line(self, tmp_path, monkeypatch, bad,
+                                                     error, chars):
+        # truncated, blank, and two records on one line, each at line 9: in the
+        # eighth chunk at one line per chunk, in the first at the default size
+        if chars:
+            monkeypatch.setattr(dcr.sampling, "_READ_CHARS", chars)
+        path = tmp_path / "bad.jsonl"
+        write_traces_jsonl(real_traces(), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[8] = bad
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=f"bad.jsonl: line 9 is not one JSON record: {error}"):
+            read_traces_jsonl(path)
+
+    def test_records_are_split_on_newlines_only(self, tmp_path):
+        # str.splitlines also splits on U+2028, U+2029 and U+0085, which JSON
+        # allows raw inside strings; a writer other than write_traces_jsonl
+        # (ensure_ascii=False) leaves them unescaped. The last line ends in
+        # "\r\n".
+        odd = "a\u2028b\x85c\u2029d"
+        path = tmp_path / "raw.jsonl"
+        header = {"schema": dcr.sampling.TRACE_SCHEMA, "manifest": odd}
+        record = {"trajectory_id": odd, "final": [0.0]}
+        path.write_bytes("\n".join(json.dumps(doc, ensure_ascii=False) for doc in
+                                   (header, record, record)).encode("utf-8")
+                         + b"\r\n")
+        assert read_traces_jsonl(path) == (header, [record, record])
+
+    def test_the_reader_holds_a_bounded_share_of_the_file(self, tmp_path):
+        # the records are the result; beyond them the reader holds one chunk,
+        # not the file's text, its lines and their joined copy (2.4x the file)
+        cols = np.random.default_rng(0).standard_normal((100, 80, 6))
+        traces = [TrajectoryTrace(f"t/{r}", TraceRecords(cols, r), cols[-1, r, :2])
+                  for r in range(80)]
+        path = tmp_path / "big.jsonl"
+        write_traces_jsonl(traces, path)
+        size = path.stat().st_size
+        assert size >= 1 << 20
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result = read_traces_jsonl(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result[1]) == 80 * 101
+        assert peak - retained < size / 4
 
 
 class TestSeeds:
