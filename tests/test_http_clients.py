@@ -1,10 +1,12 @@
 """The judge's JSON-over-HTTP client, exercised over the wire against a
-loopback ``http.server``: the body it sends, the bearer header when its key
+loopback ``http.server``: the body it sends, the bytes of every body a
+``dcr bench --with-judge`` run sends, the bearer header when its key
 variable is set, the error it raises on a server error, a malformed response
 or a failed connection, recovery once the server answers again, the
 endpoints it refuses and the proxy variable it follows."""
 
 import functools
+import hashlib
 import json
 import os
 import socket
@@ -39,7 +41,7 @@ class Loopback:
             def do_POST(self):
                 body = self.rfile.read(int(self.headers["Content-Length"]))
                 stub.requests.append({"path": self.path, "body": json.loads(body),
-                                      "headers": dict(self.headers)})
+                                      "raw": body, "headers": dict(self.headers)})
                 status = 500 if stub.fail_next else stub.status
                 stub.fail_next = max(stub.fail_next - 1, 0)
                 self.send_response(status)
@@ -262,3 +264,18 @@ def test_second_bench_run_starts_a_new_judge_audit_log(server, monkeypatch, tmp_
                      "--steps", "4", "--out", str(out)]) == 0
     assert len(server.requests) == 2 * 16
     assert len((out / "judge_audit.jsonl").read_text().splitlines()) == 16
+
+
+def test_bench_judge_request_bodies_are_pinned(server, monkeypatch, tmp_path):
+    # the bytes of every request body, in arrival order: the bench loop, the
+    # request builder and the transport must keep them; headers are left
+    # out, since User-Agent names the Python version
+    server.respond(REPLY)
+    monkeypatch.setenv("DCR_JUDGE_ENDPOINT", server.url)
+    assert main(["bench", "--with-judge", "--n-per-item", "2", "--steps", "6",
+                 "--seed", "5", "--out", str(tmp_path / "bench")]) == 0
+    assert len(server.requests) == 32
+    assert not any("model" in r["body"] for r in server.requests)
+    bodies = b"\n".join(r["raw"] for r in server.requests)
+    assert hashlib.sha256(bodies).hexdigest() == \
+        "71219b4618044f3e40798298226a742099b37bcef0dc52ac958e336a12a11930"
