@@ -13,7 +13,7 @@ from .sampling import (Batch, BatchItem, SamplerConfig, SchedulerKind, Trajector
                        Variant, run_batch, run_sampling, scheduler_step)
 from .toy import (ATTRACTOR, TARGET, UNCOND, BiasScenario, MixtureSpec,
                   NoiseScheduleSpec, PromptChannel, ToyDenoiser, cosine_schedule,
-                  default_scenario, epsilon_prediction, forward_noising,
-                  load_scenario, mode_assignment, posterior_mean, save_scenario)
+                  default_scenario, epsilon_prediction, load_scenario,
+                  mode_assignment, posterior_mean, save_scenario)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,12 +31,13 @@ from .errors import (ConfigurationError, SuiteFormatError, TransportError,
 from .guidance import GuidanceConfig
 from .judge import (ENDPOINT_VARIABLE, EncodedFrame, JudgeClientConfig,
                     build_request, judge_endpoint)
-from .metrics import (ItemRow, aggregate_report, report_to_csv, report_to_json,
-                      toy_collapse_fraction, wilson_interval)
+from .metrics import (GroupStats, ItemRow, ScoreReport, aggregate_report,
+                      report_to_csv, report_to_json, toy_collapse_fraction,
+                      wilson_interval)
 from .sampling import (BatchItem, SamplerConfig, SchedulerKind, Variant,
                        run_batch, write_traces_jsonl)
-from .toy import (ATTRACTOR, TARGET, BiasScenario, ToyDenoiser, cosine_schedule,
-                  default_scenario, load_scenario, mode_assignment, scenario_doc)
+from .toy import (BiasScenario, ToyDenoiser, cosine_schedule, default_scenario,
+                  load_scenario, mode_assignment, scenario_doc)
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the documented contract
@@ -183,12 +184,10 @@ def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
     _write_text(outdir / MANIFEST, json.dumps(doc, indent=2) + "\n")
 
 
-def _run_scenario_batch(scenario, cfg: SamplerConfig, n: int, variants=(None,)):
-    """n trajectories of the scenario per variant, as one batch with shared
-    seeds (None: cfg's variant)."""
-    backend = ToyDenoiser(scenario, cosine_schedule(cfg.T))
-    return run_batch(backend, [BatchItem("scenario", TARGET, ATTRACTOR, v)
-                               for v in variants], cfg, n)
+def _run_toy_batch(scenario, cfg: SamplerConfig, items, n: int):
+    """n trajectories per batch item on the scenario's toy denoiser, as one
+    batch with shared seeds."""
+    return run_batch(ToyDenoiser(scenario, cosine_schedule(cfg.T)), items, cfg, n)
 
 
 def cmd_sample(args) -> int:
@@ -196,7 +195,7 @@ def cmd_sample(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     cfg = _sampler_config(args, cfg_file, scenario, args.variant)
     outdir = _out_dir(args)
-    batch = _run_scenario_batch(scenario, cfg, args.n)
+    batch = _run_toy_batch(scenario, cfg, [BatchItem("scenario")], args.n)
     good = np.flatnonzero(batch.ok).tolist()
     failures = len(batch) - len(good)
     with _artifact(outdir / "traces.jsonl") as tmp:
@@ -239,7 +238,8 @@ def _collapse_report(name: str, args, cfg_file: dict, scenario: BiasScenario,
     rows = [None] * len(runs)
     n = args.n
     for cfg, ks in groups.items():
-        batch = _run_scenario_batch(scenario, cfg, n, [runs[k][1].variant for k in ks])
+        items = [BatchItem("scenario", variant=runs[k][1].variant) for k in ks]
+        batch = _run_toy_batch(scenario, cfg, items, n)
         ok = batch.ok
         for j, k in enumerate(ks):
             span = slice(j * n, (j + 1) * n)
@@ -411,9 +411,8 @@ def cmd_bench(args) -> int:
     # moved into place when the judging loop ends, missing verdicts included,
     # so only an uncaught exception leaves no log
     (outdir / AUDIT_LOG).unlink(missing_ok=True)
-    batch = run_batch(ToyDenoiser(scenario, cosine_schedule(cfg.T)),
-                      [BatchItem(item.id, TARGET, ATTRACTOR) for item in suite.items],
-                      cfg, args.n_per_item)
+    batch = _run_toy_batch(scenario, cfg, [BatchItem(item.id) for item in suite.items],
+                           args.n_per_item)
     with contextlib.ExitStack() as audit:
         judge_cfg = None
         if endpoint is not None:
@@ -421,7 +420,12 @@ def cmd_bench(args) -> int:
             log = audit.enter_context(tmp.open("w", encoding="utf-8"))
             judge_cfg = JudgeClientConfig(endpoint=endpoint, audit_log=log)
         rows, judge_failures = _bench_rows(batch, suite, scenario, judge_cfg)
-    report = aggregate_report(rows, by_category=True, method=cfg.variant.value)
+    all_failed = f"all {len(batch)} trajectories failed"
+    if rows:
+        report = aggregate_report(rows, by_category=True, method=cfg.variant.value)
+    else:  # no row to aggregate: a report with n 0 and no means
+        report = ScoreReport(cfg.variant.value, 0, GroupStats(0, {}, {}),
+                             notes=[all_failed])
     if judge_failures:
         report.notes.append(f"judge verdicts missing for {judge_failures} items")
     _write_text(outdir / "bench_report.csv",
@@ -431,8 +435,8 @@ def cmd_bench(args) -> int:
     _write_text(outdir / "bench_report.json", json.dumps(doc, indent=2) + "\n")
     _write_manifest(outdir, "bench", args, cfg_file, cfg, scenario,
                     {"suite_items": len(suite.items), "n_per_item": args.n_per_item})
-    print(f"evaluated {len(rows)} trajectories over {len(suite.items)} items; "
-          f"cvr={report.overall.mean.get('cvr', float('nan')):.4f}")
+    print(f"evaluated {len(rows)} trajectories over {len(suite.items)} items; " + (
+        f"cvr={report.overall.mean['cvr']:.4f}" if rows else f"cvr=n/a ({all_failed})"))
     return 0
 
 

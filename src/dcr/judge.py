@@ -21,6 +21,7 @@ to a file it opens and appends to per exchange.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -173,7 +174,6 @@ def parse_verdict(raw_response: str) -> JudgeVerdict:
 @dataclass
 class JudgeClientConfig:
     endpoint: str | None = None  # None: the value of ENDPOINT_VARIABLE
-    model: str = ""
     max_retries: int = 3
     backoff_base_s: float = 0.25
     # receives one JSON line per exchange whose reply arrived, parsable or
@@ -219,18 +219,6 @@ def post_completion(endpoint: str, body: dict) -> str:
     return completion
 
 
-def _http_transport(config: JudgeClientConfig):
-    endpoint = judge_endpoint(config.endpoint)
-
-    def send(payload: dict) -> str:
-        body = dict(payload)
-        if config.model:
-            body["model"] = config.model
-        return post_completion(endpoint, body)
-
-    return send
-
-
 def _audit(config: JudgeClientConfig, payload: dict, response: str) -> None:
     if config.audit_log is None:
         return
@@ -247,7 +235,8 @@ def judge(req: JudgeRequest, config: JudgeClientConfig) -> JudgeVerdict:
     """Issue the request with deterministic decoding; retry transient
     transport failures with bounded exponential backoff; parse strictly."""
     payload = build_rubric_message(req)
-    transport = config.transport or _http_transport(config)
+    transport = config.transport or functools.partial(
+        post_completion, judge_endpoint(config.endpoint))
     attempt = 0
     while True:
         try:

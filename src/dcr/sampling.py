@@ -240,6 +240,9 @@ def _branch_rows(channels, x: np.ndarray, t: int, labels: list[str],
     return preds, failed
 
 
+# the loop turns every non-finite value into a per-row failure, so numpy's
+# floating-point warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
                  rngs, trajectory_ids) -> "Batch":
     """The sampling loop: steps the live rows together as one

@@ -138,11 +138,16 @@ class NoiseScheduleSpec:
         return out
 
 
-def cosine_schedule(T: int, s: float = 0.008) -> NoiseScheduleSpec:
-    """Cosine-like alpha-bar evaluated at interval midpoints so that
-    alpha_bar[0] < 1 and alpha_bar[T-1] > 0 strictly."""
+_COSINE_OFFSET = 0.008  # the cosine schedule's small offset s
+
+
+def cosine_schedule(T: int) -> NoiseScheduleSpec:
+    """Cosine-like alpha-bar, offset by ``_COSINE_OFFSET``, evaluated at
+    interval midpoints so that alpha_bar[0] < 1 and alpha_bar[T-1] > 0
+    strictly."""
     if T < 2:
         raise ValidationError(f"T must be >= 2, got {T}")
+    s = _COSINE_OFFSET
     u = (np.arange(T, dtype=np.float64) + 0.5) / T
     f = np.cos((u + s) / (1.0 + s) * np.pi / 2.0) ** 2
     f0 = np.cos((s / (1.0 + s)) * np.pi / 2.0) ** 2
@@ -360,16 +365,6 @@ def epsilon_prediction(x_t: np.ndarray, t: int, channel: PromptChannel,
     """Exact optimal noise prediction (x_t - sqrt(ab)*E[x0|x_t]) / sqrt(1-ab)."""
     post, log_w = _channel_posterior(channel, scenario, sched)
     return NoisePrediction.from_array(post.epsilon_channels(x_t, t, log_w)[0])
-
-
-def forward_noising(x0: np.ndarray, t: int, sched: NoiseScheduleSpec,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Draw x_t = sqrt(ab)*x0 + sqrt(1-ab)*z with z standard normal."""
-    if not (0 <= t < sched.T):
-        raise ValidationError(f"t must lie in [0, {sched.T - 1}], got {t}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    ab = sched.alpha_bar[t]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * rng.standard_normal(x0.shape)
 
 
 def sample_channel(scenario: BiasScenario, label: str, n: int,

@@ -237,7 +237,6 @@ class TestAblate:
         assert [be.calls for be in backends] == [
             {"uncond": 12, "target": 12, "attractor": 12}]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_variant_whose_every_trajectory_fails_still_reports(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert run("ablate", *ALL_FAIL, "--out", str(out)) == 0
@@ -312,7 +311,6 @@ class TestSweep:
         assert run("sweep", "--axis", "eta", "--values", "1", "--out",
                    str(tmp_path / "now")) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_value_whose_every_trajectory_fails_still_reports(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert run("sweep", "--axis", "eta", "--values", "0,1", *ALL_FAIL,
@@ -348,6 +346,29 @@ class TestBench:
     def test_with_judge_requires_endpoint(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DCR_JUDGE_ENDPOINT", raising=False)
         assert run("bench", "--with-judge", "--out", str(tmp_path / "j")) == 1
+
+    @pytest.mark.parametrize("with_judge", [False, True])
+    def test_a_run_whose_every_trajectory_fails_still_reports(
+            self, tmp_path, monkeypatch, capsys, with_judge):
+        calls = judge_in_process(monkeypatch)
+        out = tmp_path / "b"
+        judged = ["--with-judge"] if with_judge else []
+        assert run("bench", *judged, "--n-per-item", "2", *ALL_FAIL[2:],
+                   "--out", str(out)) == 0
+        assert calls == []
+        doc = json.loads((out / "bench_report.json").read_text())
+        assert (doc["n"], doc["overall"], doc["by_category"]) == \
+            (0, {"n": 0, "mean": {}, "sd": {}}, {})
+        assert doc["notes"] == ["all 32 trajectories failed"]
+        assert read_csv(out / "bench_report.csv") == [
+            {"method": "full-dcr", "group": "overall", "n": "0", "ccs": "", "ccs_sd": "",
+             "cvr": "", "cvr_sd": ""}]
+        assert json.loads((out / "manifest.json").read_text())["command"] == "bench"
+        assert capsys.readouterr().out == "evaluated 0 trajectories over 16 items; " \
+            "cvr=n/a (all 32 trajectories failed)\n"
+        audit = out / "judge_audit.jsonl"
+        assert audit.is_file() == with_judge
+        assert not with_judge or audit.read_text() == ""
 
 
 class TestConfigPrecedence:

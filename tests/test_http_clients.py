@@ -86,12 +86,11 @@ def judge_request():
 
 
 def judge_client(url, max_retries=0):
-    cfg = JudgeClientConfig(endpoint=url, model="m1", max_retries=max_retries,
-                            backoff_base_s=0.0)
+    cfg = JudgeClientConfig(endpoint=url, max_retries=max_retries, backoff_base_s=0.0)
     return functools.partial(judge, judge_request(), cfg)
 
 
-BODY = build_rubric_message(judge_request()) | {"model": "m1"}
+BODY = build_rubric_message(judge_request())
 REPLY = {"completion": "ok\nscore: 4, collapsed: false"}
 
 

@@ -1,5 +1,4 @@
 import json
-import math
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -12,9 +11,9 @@ from dcr.guidance import GuidanceConfig
 from dcr.toy import (ATTRACTOR, TARGET, UNCOND, BiasScenario, MixtureSpec,
                      NoiseScheduleSpec, PromptChannel, ToyDenoiser,
                      cosine_schedule, default_scenario, epsilon_prediction,
-                     forward_noising, load_scenario, mode_assignment,
-                     posterior_mean, responsibilities, sample_channel,
-                     save_scenario, scenario_doc)
+                     load_scenario, mode_assignment, posterior_mean,
+                     responsibilities, sample_channel, save_scenario,
+                     scenario_doc)
 from oracles import np_posterior_evaluate, weighted_posterior_mean_mc
 
 
@@ -176,32 +175,6 @@ class TestEpsilonPrediction:
         err = np.mean((eps_hat.reshape() - z) ** 2)
         const = np.mean(z ** 2)  # zero predictor = best constant (E[z] = 0)
         assert err < const
-
-
-class TestForwardNoising:
-    def test_near_clean_returns_x0(self):
-        sched = cosine_schedule(100)
-        rng = np.random.default_rng(0)
-        x0 = np.array([1.0, -2.0])
-        out = forward_noising(x0, 0, sched, rng)
-        assert np.all(np.abs(out - x0) < 0.2)
-
-    def test_variance_matches_schedule(self):
-        sched = cosine_schedule(100)
-        rng = np.random.default_rng(1)
-        t = 60
-        x0 = np.zeros((200_000, 1))
-        out = forward_noising(x0, t, sched, rng)
-        want = 1.0 - sched.alpha_bar[t]
-        got = float(out.var())
-        se = want * math.sqrt(2.0 / out.size)
-        assert abs(got - want) <= 3 * se
-
-    def test_reproducible_with_seed(self):
-        sched = cosine_schedule(10)
-        a = forward_noising(np.ones(3), 5, sched, np.random.default_rng(42))
-        b = forward_noising(np.ones(3), 5, sched, np.random.default_rng(42))
-        assert np.array_equal(a, b)
 
 
 class TestModeAssignment:
