@@ -420,9 +420,12 @@ def cmd_bench(args) -> int:
             log = audit.enter_context(tmp.open("w", encoding="utf-8"))
             judge_cfg = JudgeClientConfig(endpoint=endpoint, audit_log=log)
         rows, judge_failures = _bench_rows(batch, suite, scenario, judge_cfg)
+    failures = len(batch) - len(rows)
     all_failed = f"all {len(batch)} trajectories failed"
     if rows:
         report = aggregate_report(rows, by_category=True, method=cfg.variant.value)
+        if failures:
+            report.notes.append(f"{failures} of {len(batch)} trajectories failed")
     else:  # no row to aggregate: a report with n 0 and no means
         report = ScoreReport(cfg.variant.value, 0, GroupStats(0, {}, {}),
                              notes=[all_failed])
@@ -434,7 +437,8 @@ def cmd_bench(args) -> int:
     doc["manifest"] = MANIFEST
     _write_text(outdir / "bench_report.json", json.dumps(doc, indent=2) + "\n")
     _write_manifest(outdir, "bench", args, cfg_file, cfg, scenario,
-                    {"suite_items": len(suite.items), "n_per_item": args.n_per_item})
+                    {"suite_items": len(suite.items), "n_per_item": args.n_per_item,
+                     "failures": failures})
     print(f"evaluated {len(rows)} trajectories over {len(suite.items)} items; " + (
         f"cvr={report.overall.mean['cvr']:.4f}" if rows else f"cvr=n/a ({all_failed})"))
     return 0

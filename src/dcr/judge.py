@@ -11,17 +11,21 @@ exactly one successful remote response.
 
 The endpoint comes from ``JudgeClientConfig.endpoint`` or the variable
 ``ENDPOINT_VARIABLE``, and must be an ``http://`` or ``https://`` URL
-(``judge_endpoint``). ``post_completion`` sends through ``urllib.request``,
-so the proxy variables (``http_proxy``, ``no_proxy`` and the like) apply,
-with the key of ``KEY_VARIABLE`` as a bearer token and a ``TIMEOUT_S``
-timeout. The judge writes one JSON line per exchange to
-``JudgeClientConfig.audit_log``: to a stream the caller opens and closes, or
-to a file it opens and appends to per exchange.
+(``judge_endpoint``). ``post_completion`` sends each request over one
+``http.client`` connection, with the key of ``KEY_VARIABLE`` as a bearer
+token and a ``TIMEOUT_S`` timeout, and follows no redirect. The proxy
+variables (``http_proxy``, ``https_proxy``, ``no_proxy`` and the like),
+read once per process, apply as urllib applies them. The judge writes one
+JSON line per exchange to ``JudgeClientConfig.audit_log``: to a stream the
+caller opens and closes, or to a file it opens and appends to per exchange.
 """
 
 from __future__ import annotations
 
+import base64
+import contextlib
 import functools
+import http.client
 import json
 import logging
 import os
@@ -197,21 +201,59 @@ def judge_endpoint(endpoint: str | None = None) -> str:
     return endpoint
 
 
+@functools.cache
+def _proxies() -> dict[str, str]:
+    """The proxy table, read from the environment once per process, as
+    urllib's shared opener reads it."""
+    return urllib.request.getproxies()
+
+
 def post_completion(endpoint: str, body: dict) -> str:
     """POST ``body`` as JSON to ``endpoint``, as ``judge_endpoint`` returns it,
     and return the reply's ``completion`` string. Sends a bearer token when
-    ``KEY_VARIABLE`` is set; any transport failure, error status, or reply
-    that is not a JSON object with a string ``completion`` raises
-    TransportError."""
-    req = urllib.request.Request(endpoint, data=serialize_payload(body),
-                                 headers={"Content-Type": "application/json"})
+    ``KEY_VARIABLE`` is set; any transport failure, malformed or non-2xx
+    reply (a redirect is not followed), or reply that is not a JSON object
+    with a string ``completion`` raises TransportError.
+
+    One ``http.client`` connection per request, closed after the reply. The
+    proxy variables apply as urllib applies them: ``no_proxy`` bypasses, an
+    ``http://`` endpoint is sent to its proxy as an absolute URL, an
+    ``https://`` one through a CONNECT tunnel, and ``user:pass@`` in the
+    proxy URL is sent as ``Proxy-Authorization: Basic``."""
+    url = urllib.parse.urlsplit(endpoint)
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    headers = {"Content-Type": "application/json", "Connection": "close"}
     key = os.environ.get(KEY_VARIABLE)
     if key:
-        req.add_header("Authorization", f"Bearer {key}")
+        headers["Authorization"] = f"Bearer {key}"
+    host, scheme, tunnel = url.netloc, url.scheme, None
+    proxy = _proxies().get(url.scheme)
+    if proxy and not urllib.request.proxy_bypass_environment(url.netloc, _proxies()):
+        purl = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+        auth = {}
+        if purl.username and purl.password:
+            creds = (f"{urllib.parse.unquote(purl.username)}:"
+                     f"{urllib.parse.unquote(purl.password)}").encode()
+            auth["Proxy-Authorization"] = f"Basic {base64.b64encode(creds).decode('ascii')}"
+        host = purl.netloc.rpartition("@")[2]
+        if url.scheme == "https":
+            tunnel = auth
+        else:
+            scheme = purl.scheme or url.scheme
+            target = endpoint.partition("#")[0]
+            headers |= auth
+    cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
     try:
-        with urllib.request.urlopen(req, timeout=TIMEOUT_S) as resp:
-            doc = json.loads(resp.read().decode("utf-8"))
-    except (OSError, ValueError) as exc:
+        with contextlib.closing(cls(host, timeout=TIMEOUT_S)) as conn:
+            if tunnel is not None:
+                conn.set_tunnel(url.netloc, headers=tunnel)
+            conn.request("POST", target, serialize_payload(body), headers)
+            with conn.getresponse() as resp:
+                if not 200 <= resp.status < 300:
+                    raise TransportError(f"request to {endpoint} failed: "
+                                         f"HTTP Error {resp.status}: {resp.reason}")
+                doc = json.loads(resp.read().decode("utf-8"))
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise TransportError(f"request to {endpoint} failed: {exc}") from exc
     completion = doc.get("completion") if isinstance(doc, dict) else None
     if not isinstance(completion, str):

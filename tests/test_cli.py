@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from faults import CountingBackend, NaNRows
+from faults import CountingBackend, NaNRows, NaNWhere
 
 import dcr.cli
 import dcr.judge
@@ -369,6 +369,25 @@ class TestBench:
         audit = out / "judge_audit.jsonl"
         assert audit.is_file() == with_judge
         assert not with_judge or audit.read_text() == ""
+
+    def test_a_run_with_some_failed_trajectories_counts_them(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # NaN at t=5 for every row whose latent has a positive first coordinate
+        monkeypatch.setattr(dcr.cli, "ToyDenoiser",
+                            lambda scenario, sched: NaNWhere(scenario, sched, sched.T - 6))
+        out = tmp_path / "b"
+        assert run("bench", "--n-per-item", "2", "--steps", "10", "--out", str(out)) == 0
+        doc = json.loads((out / "bench_report.json").read_text())
+        assert (doc["n"], doc["notes"]) == (24, ["8 of 32 trajectories failed"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["failures"], manifest["n_per_item"]) == (8, 2)
+        assert capsys.readouterr().out.startswith("evaluated 24 trajectories over 16 items")
+
+    def test_a_run_without_failures_records_none(self, tmp_path):
+        out = tmp_path / "b"
+        assert run("bench", "--n-per-item", "1", *FAST, "--out", str(out)) == 0
+        assert json.loads((out / "bench_report.json").read_text())["notes"] == []
+        assert json.loads((out / "manifest.json").read_text())["failures"] == 0
 
 
 class TestConfigPrecedence:

@@ -5,10 +5,13 @@ variable is set, the error it raises on a server error, a malformed response
 or a failed connection, recovery once the server answers again, the
 endpoints it refuses and the proxy variable it follows."""
 
+import base64
 import functools
 import hashlib
+import http.client
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -26,29 +29,36 @@ from dcr.judge import (ENDPOINT_VARIABLE, KEY_VARIABLE, EncodedFrame,
                        JudgeClientConfig, JudgeRequest, build_rubric_message, judge)
 
 class Loopback:
-    """One-thread HTTP server on 127.0.0.1 that records each request and
-    answers with the configured status and raw body, or with a 500 to the
-    next ``fail_next`` requests."""
+    """One-thread HTTP server on 127.0.0.1 that records each request, of any
+    method, and answers with the configured status, extra headers and raw
+    body, or with a 500 to the next ``fail_next`` requests. Header lookups on
+    a recorded request ignore case, as HTTP does."""
 
     def __init__(self):
         self.requests: list[dict] = []
         self.status = 200
         self.reply = b"{}"
+        self.extra_headers: dict[str, str] = {}
         self.fail_next = 0
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
-                body = self.rfile.read(int(self.headers["Content-Length"]))
-                stub.requests.append({"path": self.path, "body": json.loads(body),
-                                      "raw": body, "headers": dict(self.headers)})
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                stub.requests.append({"method": self.command, "path": self.path,
+                                      "body": json.loads(body) if body else None,
+                                      "raw": body, "headers": self.headers})
                 status = 500 if stub.fail_next else stub.status
                 stub.fail_next = max(stub.fail_next - 1, 0)
                 self.send_response(status)
+                for name, value in stub.extra_headers.items():
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(stub.reply)))
                 self.end_headers()
                 self.wfile.write(stub.reply)
+
+            do_GET = do_CONNECT = do_POST
 
             def log_message(self, *args):
                 pass
@@ -191,27 +201,143 @@ def test_a_refused_connection_is_retried_then_raised(monkeypatch):
     assert len(posts) == 3 and len(sleeps) == 2
 
 
+class RawReply:
+    """One-thread TCP server on 127.0.0.1 that reads each request whole and
+    answers it with the same raw bytes, HTTP or not, then closes the
+    connection; ``connections`` counts the requests."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.connections = 0
+        self.stop = threading.Event()
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.01)
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}/"
+        self.thread = threading.Thread(target=self.serve, daemon=True)
+
+    def serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                head = b""
+                while b"\r\n\r\n" not in head and (chunk := conn.recv(65536)):
+                    head += chunk
+                head, _, body = head.partition(b"\r\n\r\n")
+                length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+                while len(body) < length and (chunk := conn.recv(65536)):
+                    body += chunk
+                self.connections += 1
+                conn.sendall(self.reply)
+
+
+@pytest.fixture
+def raw_server():
+    servers = []
+
+    def start(reply):
+        servers.append(RawReply(reply))
+        servers[-1].thread.start()
+        return servers[-1]
+
+    yield start
+    for srv in servers:
+        srv.stop.set()
+        srv.thread.join(timeout=5)
+        srv.sock.close()
+        assert not srv.thread.is_alive()
+
+
+@pytest.mark.parametrize("reply, cause", [
+    (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 100\r\n\r\n{\"completion\": \"ok", http.client.IncompleteRead),
+    (b"garbage\r\n\r\n", http.client.BadStatusLine),
+], ids=["truncated-body", "garbage-status-line"])
+def test_a_malformed_reply_is_retried_then_raised(raw_server, monkeypatch, reply, cause):
+    # a ResourceWarning, an error under pytest.ini, would show a leaked socket
+    sleeps = []
+    monkeypatch.setattr(dcr.judge.time, "sleep", sleeps.append)
+    srv = raw_server(reply)
+    with pytest.raises(TransportError, match="request to .* failed") as raised:
+        judge_client(srv.url, max_retries=2)()
+    assert isinstance(raised.value.__cause__, cause)
+    assert srv.connections == 3 and len(sleeps) == 2
+
+
+def test_a_redirect_is_not_followed(server):
+    # urllib re-sent a redirected POST as a GET without its body
+    server.respond(REPLY, status=302)
+    server.extra_headers = {"Location": server.url + "moved"}
+    with pytest.raises(TransportError, match="request to .* failed: HTTP Error 302: Found"):
+        judge_client(server.url)()
+    assert [(r["method"], r["path"]) for r in server.requests] == [("POST", "/")]
+
+
 def test_the_endpoint_path_and_query_reach_the_server(server):
     server.respond(REPLY)
     assert is_reply(judge_client(server.url + "v1/judge?key=a%20b&x=1")())
     assert server.requests[0]["path"] == "/v1/judge?key=a%20b&x=1"
 
 
-def test_a_proxy_variable_routes_the_request(server):
-    # in a fresh interpreter, because urllib reads the proxy variables once,
-    # when it builds its shared opener; the loopback server stands in for the
-    # proxy of an endpoint on a port where nothing listens
-    endpoint = f"http://127.0.0.1:{closed_port()}/v1/judge"
+def post_in_fresh_interpreter(endpoint, **proxy_variables):
+    """Run ``post_completion(endpoint, {})`` in a fresh interpreter whose
+    proxy variables are ``proxy_variables`` alone, each set in lower and upper
+    case. A fresh interpreter, because the judge reads the proxy variables
+    once per process."""
     src = str(Path(dcr.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k.lower() != "no_proxy"}
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
     env |= {"PYTHONPATH": os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)}
-    env |= {"http_proxy": server.url, "HTTP_PROXY": server.url}
-    server.respond({"completion": "ok"})
+    for name, value in proxy_variables.items():
+        env |= {name: value, name.upper(): value}
     code = f"import dcr.judge; dcr.judge.post_completion({endpoint!r}, {{}})"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_a_proxy_variable_routes_the_request(server):
+    # in a fresh interpreter, because the judge reads the proxy variables
+    # once per process; the loopback server stands in for the proxy of an
+    # endpoint on a port where nothing listens
+    endpoint = f"http://127.0.0.1:{closed_port()}/v1/judge"
+    server.respond({"completion": "ok"})
+    proc = post_in_fresh_interpreter(endpoint, http_proxy=server.url)
     assert proc.returncode == 0, proc.stderr
     assert [r["path"] for r in server.requests] == [endpoint]
+
+
+def test_an_https_proxy_variable_opens_a_connect_tunnel(server):
+    # the proxy refuses the tunnel, so no TLS handshake follows
+    server.respond(status=403)
+    proc = post_in_fresh_interpreter("https://judge.invalid:8443/v1/judge",
+                                     https_proxy=server.url)
+    assert "TransportError" in proc.stderr and "Tunnel connection failed: 403" in proc.stderr
+    assert [(r["method"], r["path"]) for r in server.requests] == \
+        [("CONNECT", "judge.invalid:8443")]
+
+
+def test_no_proxy_naming_the_host_bypasses_the_proxy(server):
+    server.respond({"completion": "ok"})
+    proc = post_in_fresh_interpreter(server.url + "v1/judge", no_proxy="127.0.0.1",
+                                     http_proxy=f"http://127.0.0.1:{closed_port()}")
+    assert proc.returncode == 0, proc.stderr
+    assert [r["path"] for r in server.requests] == ["/v1/judge"]
+
+
+@pytest.mark.parametrize("scheme", ["http", "https"])
+def test_proxy_credentials_arrive_as_basic_proxy_authorization(server, scheme):
+    # percent-escapes in the proxy URL are undone before encoding, as urllib
+    # does; over https the header goes with the CONNECT, not the request
+    proxy = server.url.replace("http://", "http://us%40er:p%3Ass@")
+    server.respond({"completion": "ok"}, status=200 if scheme == "http" else 403)
+    post_in_fresh_interpreter(f"{scheme}://judge.invalid:8443/v1/judge",
+                              **{f"{scheme}_proxy": proxy})
+    [sent] = server.requests
+    assert sent["method"] == ("POST" if scheme == "http" else "CONNECT")
+    assert sent["headers"]["Proxy-Authorization"] == \
+        "Basic " + base64.b64encode(b"us@er:p:ss").decode("ascii")
 
 
 def test_https_to_a_plain_server_is_a_transport_error(server, monkeypatch):
