@@ -326,6 +326,8 @@ class TestBench:
         doc = json.loads((out / "bench_report.json").read_text())
         assert len(doc["by_category"]) == 8
         assert doc["overall"]["n"] == 32
+        assert doc["notes"] == []
+        assert json.loads((out / "manifest.json").read_text())["failures"] == 0
         csv_lines = (out / "bench_report.csv").read_text().splitlines()
         assert csv_lines[0].startswith("# manifest:")
 
@@ -382,12 +384,6 @@ class TestBench:
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["failures"], manifest["n_per_item"]) == (8, 2)
         assert capsys.readouterr().out.startswith("evaluated 24 trajectories over 16 items")
-
-    def test_a_run_without_failures_records_none(self, tmp_path):
-        out = tmp_path / "b"
-        assert run("bench", "--n-per-item", "1", *FAST, "--out", str(out)) == 0
-        assert json.loads((out / "bench_report.json").read_text())["notes"] == []
-        assert json.loads((out / "manifest.json").read_text())["failures"] == 0
 
 
 class TestConfigPrecedence:
