@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .guidance import (GuidanceConfig, GuidanceUpdate, NoisePrediction,
                        RepulsionDiagnostics, StepPosition, attractor_drift,
                        cfg_update, corrected_update, dcr_guided_prediction,
-                       dcr_guided_rows,
                        probe_prediction, repulsion_coefficient, schedule_alpha,
                        target_prediction)
 from .sampling import (Batch, BatchItem, SamplerConfig, SchedulerKind, TrajectoryTrace,

@@ -49,6 +49,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# the settings a config file may hold; any other key is refused, so that a
+# misspelt one is not silently ignored
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(GuidanceConfig)} | {
+    "steps", "seed", "scheduler"}
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
@@ -58,6 +64,8 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config file must hold a JSON object")
+    if unknown := doc.keys() - _CONFIG_KEYS:
+        raise ConfigurationError(f"config file: unknown keys {sorted(unknown)}")
     return doc
 
 
@@ -115,7 +123,7 @@ def _sampler_config(args, cfg_file, scenario, variant) -> SamplerConfig:
                     for f in dataclasses.fields(GuidanceConfig)}
     settings |= {"steps": scenario.steps, "seed": SamplerConfig.seed,
                  "scheduler": SamplerConfig.scheduler_kind.value}
-    settings |= {k: _config_value(k, v) for k, v in cfg_file.items() if k in settings}
+    settings |= {k: _config_value(k, v) for k, v in cfg_file.items()}
     settings |= {k: v for k in ("w", "w_attr", "eta", "gamma", "steps", "seed",
                                 "scheduler") if (v := getattr(args, k)) is not None}
     if settings["w"] is None:

@@ -15,12 +15,11 @@ fully flattened latent vector in float64. The per-step pipeline is
 Only positive alignment is penalized; with lambda == 0 the corrected update
 is bit-identical to the plain CFG update.
 
-Each equation is written once, over (N, D) rows or one (D,) latent:
-``dcr_guided_rows`` composes them (the sampling loop calls its unchecked
-core, ``_guided_rows``, checks its arguments once per run, and applies
-``_step_diagnostics`` to a traced run's steps after the last one), and the
-public functions on one latent add only the shape and range checks of their
-typed inputs.
+Each equation is written once, over (N, D) rows or one (D,) latent. The one
+row-wise step is ``_guided_rows`` and ``_step_diagnostics``: the sampling loop
+checks its arguments once per run and runs it, and ``dcr_guided_prediction``
+is its checked one-latent case. The other public functions on one latent add
+only the shape and range checks of their typed inputs.
 """
 
 from __future__ import annotations
@@ -316,38 +315,21 @@ def dcr_guided_prediction(eps_uncond: NoisePrediction, eps_text: NoisePrediction
                           ) -> tuple[NoisePrediction, RepulsionDiagnostics]:
     """Full per-step pipeline; returns the corrected prediction and diagnostics.
 
-    The one-row case of ``dcr_guided_rows`` at ``schedule_alpha(pos, cfg)``.
-    The drift is evaluated in the expanded two-branch form (identical to
-    probe-minus-target up to rounding) so the diagnostics stay meaningful
-    when the conditional branches nearly coincide.
+    The one-row case of ``_guided_rows`` and ``_step_diagnostics``, with
+    repulsion and probe on, at ``schedule_alpha(pos, cfg)``. The drift is
+    evaluated in the expanded two-branch form (identical to probe-minus-target
+    up to rounding) so the diagnostics stay meaningful when the conditional
+    branches nearly coincide.
     """
     shape = _require_same_shape(eps_uncond, eps_text, eps_attr)
     alpha_t = schedule_alpha(pos, cfg)
-    rows = dcr_guided_rows(eps_uncond.values[None], eps_text.values[None],
-                           eps_attr.values[None], alpha_t, cfg)
-    return (NoisePrediction(rows.eps_star[0], shape),
-            RepulsionDiagnostics(float(rows.s_t[0]), float(rows.n_t[0]), alpha_t,
-                                 float(rows.lambda_t[0]), float(rows.residual[0])))
-
-
-@dataclass(frozen=True)
-class GuidedRows:
-    """The DCR step of N stacked latents: ``eps_star`` (N, D) and the
-    per-row diagnostics (N,) that RepulsionDiagnostics holds for one row."""
-
-    eps_star: np.ndarray
-    s_t: np.ndarray
-    n_t: np.ndarray
-    lambda_t: np.ndarray
-    residual: np.ndarray
-
-
-def _per_row(value, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(value)
-    if arr.shape not in ((), (n,)):
-        raise ShapeMismatchError(f"{name} must be a scalar or of shape ({n},), "
-                                 f"got {arr.shape}")
-    return arr
+    eps_star, lambda_t, s_t, drift, delta_ref = _guided_rows(
+        eps_uncond.values[None], eps_text.values[None], eps_attr.values[None],
+        np.asarray(alpha_t), cfg, None, None)
+    s_t, n_t, residual = _step_diagnostics(drift, delta_ref, s_t, None, cfg)
+    return (NoisePrediction(eps_star[0], shape),
+            RepulsionDiagnostics(float(s_t[0]), float(n_t[0]), alpha_t,
+                                 float(lambda_t[0]), float(residual[0])))
 
 
 def _row_mask(mask: np.ndarray) -> np.ndarray | None:
@@ -356,41 +338,16 @@ def _row_mask(mask: np.ndarray) -> np.ndarray | None:
     return None if mask.all() else mask
 
 
-def dcr_guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray,
-                    alpha_t, cfg: GuidanceConfig, repel=True, probe=True) -> GuidedRows:
-    """The DCR step of ``dcr_guided_prediction`` over (N, D) branch outputs.
-
-    ``eps_neg`` is the CFG negative branch. ``alpha_t``, ``repel`` and
-    ``probe`` are scalars or per-row (N,) arrays, so rows of different
-    variants can share one call. Rows with ``probe`` False take the plain
-    CFG step with the diagnostics of a zero drift (n_t = eps_stab); their
-    ``eps_attr`` rows are ignored but must be finite. Rows with ``repel``
-    False keep the diagnostics but have lambda_t zeroed and not applied.
-    Inputs are not checked for finiteness: the caller validates the backend
-    outputs.
-    """
-    if eps_neg.ndim != 2 or not eps_neg.shape == eps_text.shape == eps_attr.shape:
-        raise ShapeMismatchError("branch outputs must share one (N, D) shape")
-    n = eps_neg.shape[0]
-    alpha_t = _per_row(alpha_t, n, "alpha_t")
-    if not ((0.0 <= alpha_t) & (alpha_t <= 1.0)).all():
-        raise ValidationError(f"alpha_t must lie in [0,1], got {alpha_t}")
-    probe = _row_mask(_per_row(probe, n, "probe"))
-    eps_star, lambda_t, s_t, drift, delta_ref = _guided_rows(
-        eps_neg, eps_text, eps_attr, alpha_t, cfg,
-        _row_mask(_per_row(repel, n, "repel")), probe)
-    s_t, n_t, residual = _step_diagnostics(drift, delta_ref, s_t, probe, cfg)
-    return GuidedRows(eps_star, s_t, n_t, lambda_t, residual)
-
-
 def _guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray,
                  alpha_t: np.ndarray, cfg: GuidanceConfig, repel: np.ndarray | None,
                  probe: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """``dcr_guided_rows`` without its argument checks and its diagnostics,
-    for a caller that has made the checks: (N, D) branch outputs and
-    alpha_t in [0, 1], with alpha_t an array of shape () or (N,), and repel
-    and probe each either such a boolean array or None when every row repels
-    or probes, which skips its masks.
+    """The DCR step of N stacked latents, without argument checks or the
+    diagnostics only a traced run needs. The caller has checked them: (N, D)
+    branch outputs (``eps_neg`` the CFG negative branch), alpha_t in [0, 1]
+    of shape () or (N,), and ``repel`` and ``probe`` each a boolean (N,)
+    array, or None when every row repels or probes, which skips its mask.
+    Rows without ``probe`` take the plain CFG step, their ``eps_attr`` rows
+    ignored; rows without ``repel`` have lambda_t zeroed and not applied.
 
     Returns what the step computes anyway: ``eps_star`` (N, D), the masked
     ``lambda_t`` (N,), the unmasked ``s_t`` (N,), and the ``drift`` and

@@ -30,6 +30,7 @@ import json
 import logging
 import os
 import re
+import ssl
 import time
 import urllib.parse
 import urllib.request
@@ -208,6 +209,17 @@ def _proxies() -> dict[str, str]:
     return urllib.request.getproxies()
 
 
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """The TLS context of every ``https`` connection, built on the first one
+    (building it loads the CA store) as ``http.client`` builds its default."""
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])
+    if context.post_handshake_auth is not None:
+        context.post_handshake_auth = True
+    return context
+
+
 def post_completion(endpoint: str, body: dict) -> str:
     """POST ``body`` as JSON to ``endpoint``, as ``judge_endpoint`` returns it,
     and return the reply's ``completion`` string. Sends a bearer token when
@@ -215,8 +227,9 @@ def post_completion(endpoint: str, body: dict) -> str:
     reply (a redirect is not followed), or reply that is not a JSON object
     with a string ``completion`` raises TransportError.
 
-    One ``http.client`` connection per request, closed after the reply. The
-    proxy variables apply as urllib applies them: ``no_proxy`` bypasses, an
+    One ``http.client`` connection per request, closed after the reply;
+    ``https`` connections share one TLS context per process. The proxy
+    variables apply as urllib applies them: ``no_proxy`` bypasses, an
     ``http://`` endpoint is sent to its proxy as an absolute URL, an
     ``https://`` one through a CONNECT tunnel, and ``user:pass@`` in the
     proxy URL is sent as ``Proxy-Authorization: Basic``."""
@@ -244,7 +257,8 @@ def post_completion(endpoint: str, body: dict) -> str:
             headers |= auth
     cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
     try:
-        with contextlib.closing(cls(host, timeout=TIMEOUT_S)) as conn:
+        tls = {"context": _tls_context()} if scheme == "https" else {}
+        with contextlib.closing(cls(host, timeout=TIMEOUT_S, **tls)) as conn:
             if tunnel is not None:
                 conn.set_tunnel(url.netloc, headers=tunnel)
             conn.request("POST", target, serialize_payload(body), headers)

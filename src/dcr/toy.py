@@ -422,29 +422,47 @@ _SCENARIO_KEYS = {"means", "weights", "sigma0", "channels", "guidance", "steps",
                   *_DERIVED_TOLERANCE}
 
 
+def _numbers(key: str, value):
+    """``value`` if it is a JSON number or nested lists of them: the strings
+    and booleans that float() and np.array would convert are refused."""
+    if isinstance(value, list):
+        for v in value:
+            _numbers(key, v)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key}: {value!r} is not a number")
+    return value
+
+
 def load_scenario(path) -> BiasScenario:
     """ValidationError names the file when it is not JSON, lacks a key, has a
-    key ``scenario_doc`` does not write or a value of the wrong type, or
-    gives a derived value that its weights do not (naming the key)."""
+    key ``scenario_doc`` does not write, or has a value of the wrong type or
+    a derived value that its weights do not give; the last two name the
+    key, and a string or a boolean where a number belongs is the wrong type."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         unknown = doc.keys() - _SCENARIO_KEYS
         if unknown:
             raise ValidationError(f"unknown keys {sorted(unknown)}")
-        base = MixtureSpec(means=np.array(doc["means"], dtype=np.float64),
-                           weights=np.array(doc["weights"], dtype=np.float64),
-                           sigma0=float(doc["sigma0"]))
-        channels = {
-            label: PromptChannel(label, None if ov is None else np.array(ov, dtype=np.float64))
-            for label, ov in doc["channels"].items()
-        }
-        guidance = GuidanceConfig(**doc["guidance"]) if "guidance" in doc else None
+        base = MixtureSpec(
+            means=np.array(_numbers("means", doc["means"]), dtype=np.float64),
+            weights=np.array(_numbers("weights", doc["weights"]), dtype=np.float64),
+            sigma0=float(_numbers("sigma0", doc["sigma0"])))
+        channels = {label: PromptChannel(label, None if ov is None else np.array(
+            _numbers(f"channels.{label}", ov), dtype=np.float64))
+            for label, ov in doc["channels"].items()}
+        guidance = GuidanceConfig(**{k: _numbers(f"guidance.{k}", v)
+                                     for k, v in doc["guidance"].items()}) \
+            if "guidance" in doc else None
+        steps = doc.get("steps", BiasScenario.steps)
+        if isinstance(steps, bool) or not isinstance(steps, int):
+            raise ValidationError(f"steps: {steps!r} is not an integer")
         scenario = BiasScenario(base=base, channels=channels, guidance=guidance,
-                                steps=int(doc.get("steps", BiasScenario.steps)))
+                                steps=steps)
         for key, tol in _DERIVED_TOLERANCE.items():
             value, derived = doc.get(key), getattr(scenario, key)
-            if key in doc and not (isinstance(value, (int, float))
-                                   and derived - tol <= value <= derived + tol):
+            if key in doc and (isinstance(value, bool) or not (
+                    isinstance(value, (int, float))
+                    and derived - tol <= value <= derived + tol)):
                 raise ValidationError(f"{key} is {value!r}, but the weights give {derived!r}")
         return scenario
     except KeyError as exc:

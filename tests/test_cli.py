@@ -106,7 +106,7 @@ class TestSample:
         ("{}", "missing key 'means'"),
         ("not json", "Expecting value"),
         (json.dumps(scenario_doc(default_scenario()) | {"sigma0": "wide"}),
-         "could not convert string to float"),
+         "sigma0: 'wide' is not a number"),
         (json.dumps(scenario_doc(default_scenario()) | {"weights": [NAN, 0.02, 0.08]}),
          "base weights must lie in (0, 1]"),
         (json.dumps(scenario_doc(default_scenario()) | {"sigma0": INF}),
@@ -415,6 +415,22 @@ class TestConfigPrecedence:
         out = tmp_path / "o"
         assert run("sample", "--config", str(cfg), "--n", "1", "--out", str(out)) == 1
         assert f"dcr: error: config file: {next(iter(doc))} must be" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sample"], ["ablate"], ["sweep", "--axis", "eta", "--values", "1", "--w", "3.5"],
+        ["bench"]])
+    @pytest.mark.parametrize("key, value", [("etaa", 5), ("interval", "0.2:0.8"),
+                                            ("variant", "plain-cfg")])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, command, key,
+                                               value):
+        # a key outside the settings used to be dropped without a word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value, "eta": 5.0}))
+        out = tmp_path / "o"
+        assert run(*command, "--config", str(cfg), "--out", str(out)) == 1
+        assert f"dcr: error: config file: unknown keys ['{key}']" in \
             capsys.readouterr().err
         assert not out.exists()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from typing import NamedTuple
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from dcr.errors import ShapeMismatchError, ValidationError
 from dcr.guidance import (GuidanceConfig, GuidanceUpdate, NoisePrediction,
-                          StepPosition, attractor_drift, attractor_drift_expanded,
-                          cfg_update, collinearity_residual, corrected_update,
-                          dcr_guided_prediction, dcr_guided_rows, probe_prediction,
+                          StepPosition, _guided_rows, _row_mask, _step_diagnostics,
+                          attractor_drift, attractor_drift_expanded, cfg_update,
+                          collinearity_residual, corrected_update,
+                          dcr_guided_prediction, probe_prediction,
                           repulsion_coefficient, schedule_alpha, target_prediction)
 from oracles import (np_cfg_update, np_corrected_update, np_drift_expanded,
                      np_guided_step, scalar_chain, scalar_scale_diff)
@@ -29,6 +31,31 @@ def cfg(**kw):
                 eps_stab=1e-8)
     base.update(kw)
     return GuidanceConfig(**base)
+
+
+class Rows(NamedTuple):
+    """One row-wise step: eps_star (N, D) and its per-row diagnostics (N,)."""
+
+    eps_star: np.ndarray
+    s_t: np.ndarray
+    n_t: np.ndarray
+    lambda_t: np.ndarray
+    residual: np.ndarray
+
+
+def guided_rows(e_neg, e_text, e_attr, alpha, g, repel=None, probe=None) -> Rows:
+    """The row-wise step as the sampling loop runs it: ``_guided_rows``, then
+    ``_step_diagnostics`` with the same probe mask. ``repel`` and ``probe``
+    are per-row boolean arrays, or None when every row repels or probes."""
+    eps_star, lambda_t, s_t, drift, delta_ref = _guided_rows(
+        e_neg, e_text, e_attr, np.asarray(alpha), g, repel, probe)
+    s_t, n_t, residual = _step_diagnostics(drift, delta_ref, s_t, probe, g)
+    return Rows(eps_star, s_t, n_t, lambda_t, residual)
+
+
+def flag(n: int, on: bool):
+    """The same switch for each of n rows, as the loop passes it."""
+    return _row_mask(np.full(n, on))
 
 
 class TestTypes:
@@ -272,7 +299,7 @@ class TestCollinearityResidual:
         g = cfg(r_s=0.0, r_e=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = dcr_guided_rows(e_neg, e_text, e_attr, 0.5, g)
+            rows = guided_rows(e_neg, e_text, e_attr, 0.5, g)
             drifts = np_drift_expanded(e_neg, e_text, e_attr, g.w, g.w_attr)
             deltas = np_cfg_update(e_neg, e_text, g.w)
             single = [(collinearity_residual(G(a), G(dr)),
@@ -423,10 +450,11 @@ def _assert_scalar_functions_equal_oracle(u, t, a, g, pos):
 
 
 class TestGuidedRows:
-    """``dcr_guided_rows``, the row-wise DCR step whose unchecked core the
-    sampling loop runs and the public scalar functions compute through,
-    checked row by row against the numpy 1-D reference step in
-    tests/oracles.py. The step removes from
+    """The row-wise DCR step, ``_guided_rows`` and ``_step_diagnostics``,
+    which the sampling loop runs and ``dcr_guided_prediction`` computes
+    through, checked row by row against the numpy 1-D reference step in
+    tests/oracles.py, and the public scalar functions against their
+    references. The step removes from
     the CFG update its positive projection on the attractor drift; APG
     (Sadat et al. 2024, arXiv:2410.02416) analyses guidance corrections of
     this projection form."""
@@ -435,7 +463,8 @@ class TestGuidedRows:
     @given(guided_rows_case(), st.booleans())
     def test_rows_equal_scalar_pipeline(self, case, repel):
         e_neg, e_text, e_attr, g, alpha = case
-        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel)
+        rows = guided_rows(e_neg, e_text, e_attr, alpha, g,
+                           repel=flag(len(e_neg), repel))
         for r in range(e_neg.shape[0]):
             star, s_t, n_t, lam, res = _oracle_step(e_neg[r], e_text[r], e_attr[r],
                                                     g, alpha, repel)
@@ -475,7 +504,7 @@ class TestGuidedRows:
         e_neg, e_text, e_attr, g, _ = case
         pos = StepPosition(data.draw(st.integers(0, total - 1)), total)
         alpha = schedule_alpha(pos, g)
-        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g)
+        rows = guided_rows(e_neg, e_text, e_attr, alpha, g)
         for r in range(e_neg.shape[0]):
             star, diag = dcr_guided_prediction(NP(e_neg[r]), NP(e_text[r]),
                                                NP(e_attr[r]), pos, g)
@@ -489,7 +518,8 @@ class TestGuidedRows:
     @given(guided_rows_case())
     def test_no_probe_rows_equal_plain_cfg(self, case):
         e_neg, e_text, e_attr, g, alpha = case
-        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, probe=False)
+        rows = guided_rows(e_neg, e_text, e_attr, alpha, g,
+                           probe=flag(len(e_neg), False))
         for r in range(e_neg.shape[0]):
             plain = e_neg[r] + np_cfg_update(e_neg[r], e_text[r], g.w)
             assert rows.eps_star[r].tobytes() == plain.tobytes()
@@ -504,28 +534,12 @@ class TestGuidedRows:
             alpha = 0.0
         elif gate == "eta":
             g = dataclasses.replace(g, eta=0.0)
-        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g,
-                               repel=gate != "repel")
-        plain = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, probe=False)
+        n = len(e_neg)
+        rows = guided_rows(e_neg, e_text, e_attr, alpha, g,
+                           repel=flag(n, gate != "repel"))
+        plain = guided_rows(e_neg, e_text, e_attr, alpha, g, probe=flag(n, False))
         assert np.all(rows.lambda_t == 0.0)
         assert rows.eps_star.tobytes() == plain.eps_star.tobytes()
-
-    def test_rejects_bad_alpha_and_shapes(self):
-        z = np.zeros((2, 3))
-        with pytest.raises(ValidationError):
-            dcr_guided_rows(z, z, z, 1.5, cfg())
-        with pytest.raises(ShapeMismatchError):
-            dcr_guided_rows(z, np.zeros((2, 2)), z, 0.5, cfg())
-        with pytest.raises(ShapeMismatchError):
-            dcr_guided_rows(np.zeros(3), np.zeros(3), np.zeros(3), 0.5, cfg())
-        with pytest.raises(ValidationError):
-            dcr_guided_rows(z, z, z, np.array([0.5, 1.5]), cfg())
-        with pytest.raises(ShapeMismatchError):
-            dcr_guided_rows(z, z, z, np.full(3, 0.5), cfg())
-        with pytest.raises(ShapeMismatchError):
-            dcr_guided_rows(z, z, z, 0.5, cfg(), repel=np.array([True]))
-        with pytest.raises(ShapeMismatchError):
-            dcr_guided_rows(z, z, z, 0.5, cfg(), probe=np.ones((2, 1), dtype=bool))
 
 
 @st.composite
@@ -565,12 +579,12 @@ class TestGuidedRowsProperties:
         alpha = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
         repel = data.draw(hnp.arrays(np.bool_, n))
         probe = data.draw(hnp.arrays(np.bool_, n))
-        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel,
-                               probe=probe)
+        rows = guided_rows(e_neg, e_text, e_attr, alpha, g, repel=_row_mask(repel),
+                           probe=_row_mask(probe))
         for r in range(n):
-            one = dcr_guided_rows(e_neg[r:r + 1], e_text[r:r + 1], e_attr[r:r + 1],
-                                  float(alpha[r]), g, repel=bool(repel[r]),
-                                  probe=bool(probe[r]))
+            one = guided_rows(e_neg[r:r + 1], e_text[r:r + 1], e_attr[r:r + 1],
+                              float(alpha[r]), g, repel=flag(1, bool(repel[r])),
+                              probe=flag(1, bool(probe[r])))
             for name in ("eps_star", "s_t", "n_t", "lambda_t", "residual"):
                 assert getattr(rows, name)[r].tobytes() == \
                     getattr(one, name)[0].tobytes(), name
@@ -581,8 +595,9 @@ class TestGuidedRowsProperties:
         # |delta* - delta_ref| = lambda |drift| <= alpha eta |delta_ref| by
         # Cauchy-Schwarz; the slack covers rounding of the sums around it
         e_neg, e_text, e_attr, g, alpha = case
-        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel)
-        plain = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g, probe=False)
+        n = len(e_neg)
+        rows = guided_rows(e_neg, e_text, e_attr, alpha, g, repel=flag(n, repel))
+        plain = guided_rows(e_neg, e_text, e_attr, alpha, g, probe=flag(n, False))
         delta_ref = g.w * (e_text - e_neg)
         bound = alpha * g.eta * _norms(delta_ref)
         slack = 1e-12 * (_norms(e_neg) + _norms(delta_ref) + bound)
@@ -597,7 +612,7 @@ class TestGuidedRowsProperties:
         # <delta*, drift> = s_t - lambda_t |drift|^2 < s_t whenever lambda_t > 0;
         # checked where that decrease exceeds the rounding of the dot product
         e_neg, e_text, e_attr, g, alpha = case
-        rows = dcr_guided_rows(e_neg, e_text, e_attr, alpha, g)
+        rows = guided_rows(e_neg, e_text, e_attr, alpha, g)
         drift = g.w_attr * (e_attr - e_neg) - g.w * (e_text - e_neg)
         after = ((rows.eps_star - e_neg) * drift).sum(axis=1)
         decrease = rows.lambda_t * (drift * drift).sum(axis=1)

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -346,6 +347,37 @@ def test_https_to_a_plain_server_is_a_transport_error(server, monkeypatch):
     server.respond(REPLY)
     with pytest.raises(TransportError, match="request to https://"):
         judge_client(server.url.replace("http://", "https://"))()
+
+
+def test_https_requests_share_one_tls_context(monkeypatch):
+    # building a context loads the CA store, which costs tens of ms: the
+    # judge builds one on its first https request, not on every request
+    built, passed = [], []
+    build = ssl.create_default_context
+
+    def counted(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    init = http.client.HTTPSConnection.__init__
+
+    def recording(self, *args, **kwargs):
+        passed.append(kwargs.get("context"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setattr(ssl, "create_default_context", counted)
+    monkeypatch.setattr(http.client.HTTPSConnection, "__init__", recording)
+    dcr.judge._tls_context.cache_clear()
+    try:
+        endpoint = f"https://127.0.0.1:{closed_port()}/judge"
+        for _ in range(2):
+            with pytest.raises(TransportError, match="request to https://"):
+                dcr.judge.post_completion(endpoint, {})
+    finally:
+        dcr.judge._tls_context.cache_clear()
+    assert len(built) == 1 and passed == built * 2
+    assert built[0].verify_mode == ssl.CERT_REQUIRED and built[0].check_hostname
 
 
 def test_judge_retry_recovers_from_one_server_error_in_one_call(server):

@@ -311,7 +311,7 @@ class TestDerivedValues:
     @pytest.mark.parametrize("key, value", [
         ("dominant_index", 2), ("rare_index", 2), ("pi_major", 0.9 + 2e-12),
         ("leakage_beta", 0.3), ("pi_major", "0.9"), ("leakage_beta", 10**400),
-        ("rare_index", None)])
+        ("rare_index", None), ("rare_index", True), ("dominant_index", False)])
     def test_a_derived_key_that_disagrees_is_refused(self, tmp_path, key, value):
         path = self.write(tmp_path, scenario_doc(default_scenario()) | {key: value})
         with pytest.raises(ValidationError) as err:
@@ -326,6 +326,31 @@ class TestDerivedValues:
         with pytest.raises(ValidationError) as err:
             load_scenario(path)
         assert f"scenario file {path}: unknown keys ['{typo}']" in str(err.value)
+
+    @pytest.mark.parametrize("where, value, named", [
+        (["steps"], 99.9, "steps: 99.9 is not an integer"),
+        (["steps"], "100", "steps: '100' is not an integer"),
+        (["steps"], True, "steps: True is not an integer"),
+        (["sigma0"], "0.33", "sigma0: '0.33' is not a number"),
+        (["sigma0"], True, "sigma0: True is not a number"),
+        (["means", 1, 0], "-2.0", "means: '-2.0' is not a number"),
+        (["weights", 2], "0.08", "weights: '0.08' is not a number"),
+        (["weights"], [True, False, False], "weights: True is not a number"),
+        (["channels", "target", 1], "0.65", "channels.target: '0.65' is not a number"),
+        (["guidance", "eta"], "64.0", "guidance.eta: '64.0' is not a number"),
+        (["guidance", "w"], True, "guidance.w: True is not a number")])
+    def test_a_mistyped_number_is_refused(self, tmp_path, where, value, named):
+        # strings and booleans used to load as the numbers they convert to
+        doc = scenario_doc(default_scenario())
+        *parents, last = where
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        path = self.write(tmp_path, doc)
+        with pytest.raises(ValidationError) as err:
+            load_scenario(path)
+        assert f"scenario file {path}: {named}" in str(err.value)
 
     def test_an_integer_beyond_float_range_is_refused(self, tmp_path):
         path = self.write(tmp_path, scenario_doc(default_scenario()) | {"sigma0": 10**400})
