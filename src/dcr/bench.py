@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -235,29 +235,21 @@ def load_fixture_suite() -> BenchSuite:
 
 
 @dataclass(frozen=True)
-class FactorOutcome:
-    value: object
-    satisfied: bool
-    collapsed: bool
-
-
-@dataclass(frozen=True)
 class ConstraintResult:
     satisfied: bool
     collapsed: bool
-    per_factor: dict[str, FactorOutcome]
 
 
 def eval_constraint(x0, item: BenchPrompt, extractors) -> ConstraintResult:
     """Conjunction over the item's factors: set membership for discrete
     factors, value <= threshold for density factors. The collapse flag is
     raised when any extracted value lies in a factor's declared attractor set.
+    Every factor's value is extracted; only the two flags are kept.
     """
     missing = sorted({f.name for f in item.factors} - set(extractors))
     if missing:
         raise ConfigurationError(
             f"no extractor for factor(s) {missing} of item '{item.id}'")
-    per_factor: dict[str, FactorOutcome] = {}
     satisfied = True
     collapsed = False
     for fc in item.factors:
@@ -268,11 +260,9 @@ def eval_constraint(x0, item: BenchPrompt, extractors) -> ConstraintResult:
         else:
             ok = value in fc.allowed
             hit = fc.attractor_set is not None and value in fc.attractor_set
-        per_factor[fc.name] = FactorOutcome(value=value, satisfied=ok, collapsed=hit)
         satisfied = satisfied and ok
         collapsed = collapsed or hit
-    return ConstraintResult(satisfied=satisfied, collapsed=collapsed,
-                            per_factor=per_factor)
+    return ConstraintResult(satisfied=satisfied, collapsed=collapsed)
 
 
 def render_attractor_template(p: str) -> str:

@@ -2,16 +2,19 @@
 
 ``build_request`` assembles every ``JudgeRequest``: the target prompt, its
 compositional factors, the attractor prompt, and ``FRAMES_PER_REQUEST``
-uniformly spaced frames. The payload carries rubric ``RUBRIC_VERSION``;
-transport failures are retried with exponential backoff capped at
-``BACKOFF_CAP_S``. The judge must answer with a strict machine-readable
-trailer ``score: <1-5>, collapsed: <true|false>`` on its final line. No
-verdict is ever synthesized client-side: every JudgeVerdict corresponds to
-exactly one successful remote response.
+uniformly spaced frames. The payload carries rubric ``RUBRIC_VERSION``; a
+transport failure is retried up to ``MAX_RETRIES`` times, after a backoff
+that doubles from ``BACKOFF_BASE_S`` up to ``BACKOFF_CAP_S``. The judge must
+answer with a strict machine-readable trailer ``score: <1-5>, collapsed:
+<true|false>`` on its final line. No verdict is ever synthesized
+client-side: every JudgeVerdict corresponds to exactly one successful remote
+response.
 
 The endpoint comes from ``JudgeClientConfig.endpoint`` or the variable
-``ENDPOINT_VARIABLE``, and must be an ``http://`` or ``https://`` URL
-(``judge_endpoint``). ``post_completion`` sends each request over one
+``ENDPOINT_VARIABLE``. ``judge_endpoint`` checks that a request to it can be
+sent: an ``http://`` or ``https://`` URL with a host, without user
+credentials, with a port in 1..65535 and of printable ASCII only, and a key
+an HTTP header can carry. ``post_completion`` sends each request over one
 ``http.client`` connection, with the key of ``KEY_VARIABLE`` as a bearer
 token and a ``TIMEOUT_S`` timeout, and follows no redirect. The proxy
 variables (``http_proxy``, ``https_proxy``, ``no_proxy`` and the like),
@@ -57,12 +60,20 @@ _TRAILER = re.compile(r"score:\s*(-?\d+)\s*,\s*collapsed:\s*(true|false)\s*$",
                       re.IGNORECASE)
 
 FRAMES_PER_REQUEST = 8
+MAX_RETRIES = 3
+BACKOFF_BASE_S = 0.25
 BACKOFF_CAP_S = 4.0
 
 # The judge's endpoint and API key are set in the environment, never in code.
 ENDPOINT_VARIABLE = "DCR_JUDGE_ENDPOINT"
 KEY_VARIABLE = "DCR_JUDGE_API_KEY"
 TIMEOUT_S = 60.0
+
+# the characters a request cannot carry: in the endpoint, any but printable
+# ASCII (an IDN host is given in its ASCII form); in the key, sent in a
+# header, any but printable latin-1
+_UNSENDABLE_URL = re.compile(r"[^\x21-\x7e]")
+_UNSENDABLE_KEY = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 
 
 @dataclass(frozen=True)
@@ -179,8 +190,6 @@ def parse_verdict(raw_response: str) -> JudgeVerdict:
 @dataclass
 class JudgeClientConfig:
     endpoint: str | None = None  # None: the value of ENDPOINT_VARIABLE
-    max_retries: int = 3
-    backoff_base_s: float = 0.25
     # receives one JSON line per exchange whose reply arrived, parsable or
     # not: a writable text stream, which the caller owns, or a path the judge
     # appends to per exchange; None: no audit
@@ -189,16 +198,39 @@ class JudgeClientConfig:
 
 
 def judge_endpoint(endpoint: str | None = None) -> str:
-    """``endpoint``, else the value of ``ENDPOINT_VARIABLE``; ConfigurationError
-    naming that variable when neither is set or the endpoint is not an
-    http:// or https:// URL with a host."""
+    """``endpoint``, else the value of ``ENDPOINT_VARIABLE``, once a request
+    to it can be sent. ConfigurationError naming the variable when neither is
+    set; when the endpoint is not an http:// or https:// URL with a host, or
+    has user credentials, a port that is not an integer in 1..65535 or a
+    character other than printable ASCII; or when the key of ``KEY_VARIABLE``
+    has a character other than printable latin-1. Neither the credentials nor
+    the key is quoted."""
     endpoint = endpoint or os.environ.get(ENDPOINT_VARIABLE)
     if not endpoint:
         raise ConfigurationError(f"judge endpoint not configured (set {ENDPOINT_VARIABLE})")
-    url = urllib.parse.urlsplit(endpoint)
-    if url.scheme not in ("http", "https") or not url.netloc:
-        raise ConfigurationError(f"judge endpoint {endpoint!r} is not an http:// or "
-                                 f"https:// URL (set {ENDPOINT_VARIABLE})")
+
+    def refused(reason):
+        return ConfigurationError(f"judge endpoint {reason} (set {ENDPOINT_VARIABLE})")
+
+    try:
+        url = urllib.parse.urlsplit(endpoint)
+    except ValueError as exc:  # a malformed IPv6 host
+        raise refused(f"is not a URL: {exc}") from None
+    if "@" in url.netloc:  # http.client would take them for the host
+        raise refused("has user credentials, which are never sent")
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise refused(f"{endpoint!r} is not an http:// or https:// URL with a host")
+    try:
+        port = url.port
+    except ValueError:  # not an integer in 0..65535
+        port = 0
+    if port == 0:
+        raise refused(f"{endpoint!r} has a port that is not an integer in 1..65535")
+    if _UNSENDABLE_URL.search(endpoint):
+        raise refused(f"{endpoint!r} has a character other than printable ASCII")
+    if _UNSENDABLE_KEY.search(os.environ.get(KEY_VARIABLE, "")):
+        raise ConfigurationError(f"{KEY_VARIABLE} has a character other than printable "
+                                 "latin-1, which an HTTP header cannot carry")
     return endpoint
 
 
@@ -300,11 +332,11 @@ def judge(req: JudgeRequest, config: JudgeClientConfig) -> JudgeVerdict:
             break
         except TransportError as exc:
             attempt += 1
-            if attempt > config.max_retries:
+            if attempt > MAX_RETRIES:
                 raise
-            delay = min(config.backoff_base_s * 2 ** (attempt - 1), BACKOFF_CAP_S)
+            delay = min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_CAP_S)
             log.warning("judge transport failure (attempt %d/%d), retrying in %.2fs: %s",
-                        attempt, config.max_retries, delay, exc)
+                        attempt, MAX_RETRIES, delay, exc)
             time.sleep(delay)
     _audit(config, payload, raw)
     return parse_verdict(raw)

@@ -92,8 +92,8 @@ class ItemRow:
     collapsed: bool | None = None
 
 
-# report column -> the ItemRow field it averages (a collapse flag as 0/1)
-_METRICS = {"ccs": "judge_score", "cvr": "collapsed"}
+# report column -> the ItemRow field it reads and the metric that averages it
+_METRICS = {"ccs": ("judge_score", ccs), "cvr": ("collapsed", cvr)}
 
 
 @dataclass(frozen=True)
@@ -112,34 +112,34 @@ class ScoreReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _mean_sd(values: list[float]) -> tuple[float, float]:
+def _sd(values: list, mean: float) -> float:
+    """Sample standard deviation of ``values`` about their ``mean``; 0 for
+    one value."""
     n = len(values)
-    mean = math.fsum(values) / n
     if n < 2:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var)
+        return 0.0
+    return math.sqrt(math.fsum((float(v) - mean) ** 2 for v in values) / (n - 1))
 
 
 def _group_stats(rows: list[ItemRow]) -> GroupStats:
     mean, sd = {}, {}
-    for column, name in _METRICS.items():
-        values = [float(v) for r in rows if (v := getattr(r, name)) is not None]
+    for column, (name, metric) in _METRICS.items():
+        values = [v for r in rows if (v := getattr(r, name)) is not None]
         if values:
-            mean[column], sd[column] = _mean_sd(values)
+            mean[column] = metric(values)
+            sd[column] = _sd(values, mean[column])
     return GroupStats(n=len(rows), mean=mean, sd=sd)
 
 
 def aggregate_report(rows, by_category: bool = False, method: str = "") -> ScoreReport:
     """Means and sample standard deviations per metric, overall and (when
-    requested) per category. Score-3 items are never dropped; empty
-    categories are omitted with a note."""
+    requested) per category. Each mean is ``ccs`` or ``cvr`` of the rows that
+    carry the value, so a judge score that is not an integer in 1..5 raises
+    ValidationError. Score-3 items are never dropped; empty categories are
+    omitted with a note."""
     rows = list(rows)
     if not rows:
         raise ValidationError("need at least one row to aggregate")
-    for r in rows:
-        if r.judge_score is not None and not (1 <= r.judge_score <= 5):
-            raise ValidationError(f"judge score out of range: {r.judge_score}")
     report = ScoreReport(method=method, n=len(rows), overall=_group_stats(rows))
     if by_category:
         cats = sorted({r.category for r in rows if r.category is not None})

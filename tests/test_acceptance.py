@@ -433,8 +433,7 @@ def test_criterion_9_bench_judge_plumbing(tmp_path):
         sent.append(payload)
         return f"score: {1 + len(sent) % 5}, collapsed: {'true' if len(sent) % 2 else 'false'}"
 
-    cfg = JudgeClientConfig(endpoint="https://judge.invalid", transport=transport,
-                            backoff_base_s=0.0)
+    cfg = JudgeClientConfig(endpoint="https://judge.invalid", transport=transport)
     frames = (EncodedFrame(data_b64="Zg==", width=8, height=8,
                            source_width=64, source_height=64),)
     verdicts = []

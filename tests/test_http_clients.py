@@ -96,9 +96,15 @@ def judge_request():
                         attractor="a tropical beach", frames=(frame,))
 
 
-def judge_client(url, max_retries=0):
-    cfg = JudgeClientConfig(endpoint=url, max_retries=max_retries, backoff_base_s=0.0)
-    return functools.partial(judge, judge_request(), cfg)
+@pytest.fixture
+def judge_client(monkeypatch):
+    """``judge_client(url, retries=0)``: a call of ``judge`` on one request to
+    ``url`` that retries a transport failure ``retries`` times, at once."""
+    def make(url, retries=0):
+        monkeypatch.setattr(dcr.judge, "MAX_RETRIES", retries)
+        monkeypatch.setattr(dcr.judge, "BACKOFF_BASE_S", 0.0)
+        return functools.partial(judge, judge_request(), JudgeClientConfig(endpoint=url))
+    return make
 
 
 BODY = build_rubric_message(judge_request())
@@ -114,7 +120,7 @@ def test_the_variables_are_the_documented_ones():
         ("DCR_JUDGE_ENDPOINT", "DCR_JUDGE_API_KEY", 60.0)
 
 
-def test_missing_endpoint_names_its_variable(monkeypatch):
+def test_missing_endpoint_names_its_variable(monkeypatch, judge_client):
     monkeypatch.delenv(ENDPOINT_VARIABLE, raising=False)
     with pytest.raises(ConfigurationError, match=ENDPOINT_VARIABLE):
         judge_client(None)()
@@ -128,7 +134,8 @@ def verdict_file_uri(tmp_path) -> str:
 
 
 @pytest.mark.parametrize("given", [True, False])
-def test_an_endpoint_that_is_not_http_is_refused(monkeypatch, tmp_path, given):
+def test_an_endpoint_that_is_not_http_is_refused(monkeypatch, tmp_path, given,
+                                                 judge_client):
     uri = verdict_file_uri(tmp_path)
     if given:
         monkeypatch.delenv(ENDPOINT_VARIABLE, raising=False)
@@ -147,7 +154,47 @@ def test_bench_refuses_a_file_judge_endpoint_before_sampling(monkeypatch, tmp_pa
     assert sampled == [] and not out.exists()
 
 
-def test_sends_json_body_without_auth_by_default(server):
+KEY = "s3kr1t"
+
+
+@pytest.mark.parametrize("endpoint, key", [
+    ("http://127.0.0.1:notaport/judge", KEY),
+    ("http://127.0.0.1:99999/judge", KEY),
+    ("http://127.0.0.1:0/judge", KEY),
+    ("http://:80/judge", KEY),
+    ("http://user:pw@127.0.0.1:9/judge", KEY),
+    ("http://[::1/judge", KEY),
+    ("http://127.0.0.1:9/a b", KEY),
+    ("http://127.0.0.1:9/caf\u00e9", KEY),
+    ("http://127.0.0.1:9/judge", KEY + "\r\nX-Injected: 1"),
+    ("http://127.0.0.1:9/judge", KEY + "\u2603"),
+], ids=["port-not-a-number", "port-above-65535", "port-0", "no-host", "credentials",
+        "unclosed-ipv6-bracket", "space", "non-ascii", "key-crlf", "key-not-latin-1"])
+def test_bench_refuses_an_unsendable_judge_endpoint_or_key(monkeypatch, tmp_path,
+                                                           capsys, endpoint, key):
+    # each request to it would fail and be retried with backoff; the check
+    # refuses it before sampling, without quoting the key or the credentials
+    monkeypatch.setenv(ENDPOINT_VARIABLE, endpoint)
+    monkeypatch.setenv(KEY_VARIABLE, key)
+    sampled, sleeps = [], []
+    monkeypatch.setattr(dcr.cli, "run_batch", lambda *a: sampled.append(a))
+    monkeypatch.setattr(dcr.judge.time, "sleep", sleeps.append)
+    out = tmp_path / "bench"
+    assert main(["bench", "--with-judge", "--n-per-item", "1", "--out", str(out)]) == 1
+    assert sampled == [] and sleeps == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert ENDPOINT_VARIABLE in err or KEY_VARIABLE in err
+    assert KEY not in err and "pw" not in err
+
+
+@pytest.mark.parametrize("endpoint", ["http://[::1]:8080/x", "https://judge.example/v1",
+                                      "http://h:/x"])
+def test_a_sendable_endpoint_is_accepted(monkeypatch, endpoint):
+    monkeypatch.setenv(KEY_VARIABLE, "Ab-9._~+/= \u00e9")
+    assert dcr.judge.judge_endpoint(endpoint) == endpoint
+
+
+def test_sends_json_body_without_auth_by_default(server, judge_client):
     server.respond(REPLY)
     assert is_reply(judge_client(server.url)())
     assert len(server.requests) == 1
@@ -157,20 +204,20 @@ def test_sends_json_body_without_auth_by_default(server):
     assert "Authorization" not in sent["headers"]
 
 
-def test_bearer_header_when_key_is_set(server, monkeypatch):
+def test_bearer_header_when_key_is_set(server, monkeypatch, judge_client):
     monkeypatch.setenv(KEY_VARIABLE, "sekrit")
     server.respond(REPLY)
     assert is_reply(judge_client(server.url)())
     assert server.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
 
 
-def test_server_error_raises_transport_error(server):
+def test_server_error_raises_transport_error(server, judge_client):
     server.respond(REPLY, status=503)
     with pytest.raises(TransportError, match="request to .* failed: HTTP Error 503"):
         judge_client(server.url)()
 
 
-def test_client_recovers_once_the_server_answers_again(server):
+def test_client_recovers_once_the_server_answers_again(server, judge_client):
     # the judge is called without retries here
     call = judge_client(server.url)
     server.respond(REPLY, status=500)
@@ -187,7 +234,7 @@ def closed_port() -> int:
         return sock.getsockname()[1]
 
 
-def test_a_refused_connection_is_retried_then_raised(monkeypatch):
+def test_a_refused_connection_is_retried_then_raised(monkeypatch, judge_client):
     sleeps, posts = [], []
     real = dcr.judge.post_completion
 
@@ -198,7 +245,7 @@ def test_a_refused_connection_is_retried_then_raised(monkeypatch):
     monkeypatch.setattr(dcr.judge.time, "sleep", sleeps.append)
     monkeypatch.setattr(dcr.judge, "post_completion", spy)
     with pytest.raises(TransportError, match="request to .* failed"):
-        judge_client(f"http://127.0.0.1:{closed_port()}/judge", max_retries=2)()
+        judge_client(f"http://127.0.0.1:{closed_port()}/judge", retries=2)()
     assert len(posts) == 3 and len(sleeps) == 2
 
 
@@ -257,18 +304,19 @@ def raw_server():
      b"Content-Length: 100\r\n\r\n{\"completion\": \"ok", http.client.IncompleteRead),
     (b"garbage\r\n\r\n", http.client.BadStatusLine),
 ], ids=["truncated-body", "garbage-status-line"])
-def test_a_malformed_reply_is_retried_then_raised(raw_server, monkeypatch, reply, cause):
+def test_a_malformed_reply_is_retried_then_raised(raw_server, monkeypatch, reply, cause,
+                                                  judge_client):
     # a ResourceWarning, an error under pytest.ini, would show a leaked socket
     sleeps = []
     monkeypatch.setattr(dcr.judge.time, "sleep", sleeps.append)
     srv = raw_server(reply)
     with pytest.raises(TransportError, match="request to .* failed") as raised:
-        judge_client(srv.url, max_retries=2)()
+        judge_client(srv.url, retries=2)()
     assert isinstance(raised.value.__cause__, cause)
     assert srv.connections == 3 and len(sleeps) == 2
 
 
-def test_a_redirect_is_not_followed(server):
+def test_a_redirect_is_not_followed(server, judge_client):
     # urllib re-sent a redirected POST as a GET without its body
     server.respond(REPLY, status=302)
     server.extra_headers = {"Location": server.url + "moved"}
@@ -277,7 +325,7 @@ def test_a_redirect_is_not_followed(server):
     assert [(r["method"], r["path"]) for r in server.requests] == [("POST", "/")]
 
 
-def test_the_endpoint_path_and_query_reach_the_server(server):
+def test_the_endpoint_path_and_query_reach_the_server(server, judge_client):
     server.respond(REPLY)
     assert is_reply(judge_client(server.url + "v1/judge?key=a%20b&x=1")())
     assert server.requests[0]["path"] == "/v1/judge?key=a%20b&x=1"
@@ -341,7 +389,7 @@ def test_proxy_credentials_arrive_as_basic_proxy_authorization(server, scheme):
         "Basic " + base64.b64encode(b"us@er:p:ss").decode("ascii")
 
 
-def test_https_to_a_plain_server_is_a_transport_error(server, monkeypatch):
+def test_https_to_a_plain_server_is_a_transport_error(server, monkeypatch, judge_client):
     # a short timeout bounds the case where the server waits on the handshake
     monkeypatch.setattr(dcr.judge, "TIMEOUT_S", 5.0)
     server.respond(REPLY)
@@ -380,17 +428,17 @@ def test_https_requests_share_one_tls_context(monkeypatch):
     assert built[0].verify_mode == ssl.CERT_REQUIRED and built[0].check_hostname
 
 
-def test_judge_retry_recovers_from_one_server_error_in_one_call(server):
+def test_judge_retry_recovers_from_one_server_error_in_one_call(server, judge_client):
     server.respond(REPLY)
     server.fail_next = 1
-    assert is_reply(judge_client(server.url, max_retries=1)())
+    assert is_reply(judge_client(server.url, retries=1)())
     assert len(server.requests) == 2
 
 
 @pytest.mark.parametrize("raw", [b"not json", b'{"unexpected": 1}',
                                  b'{"completion": 5}', b'{"completion": null}',
                                  b'{"caption": 5}', b'{"embedding": {"a": 1}}'])
-def test_malformed_body_raises_transport_error(server, raw):
+def test_malformed_body_raises_transport_error(server, raw, judge_client):
     server.respond(raw=raw)
     with pytest.raises(TransportError):
         judge_client(server.url)()

@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+import dcr.judge
 from dcr.errors import (ConfigurationError, JudgeParseError, TransportError,
                         ValidationError, VerdictError)
 from dcr.judge import (FRAMES_PER_REQUEST, RUBRIC_V1, EncodedFrame,
@@ -25,10 +26,13 @@ def request(n_frames=2):
 
 
 def config(transport, **kw):
-    base = dict(endpoint="https://judge.invalid/v1", max_retries=3,
-                backoff_base_s=0.0, transport=transport)
-    base.update(kw)
-    return JudgeClientConfig(**base)
+    return JudgeClientConfig(endpoint="https://judge.invalid/v1", transport=transport, **kw)
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retries at once, with the judge's retry budget unchanged."""
+    monkeypatch.setattr(dcr.judge, "BACKOFF_BASE_S", 0.0)
 
 
 class TestRequestAndMessage:
@@ -88,7 +92,7 @@ class TestJudge:
         assert (v.score, v.collapsed) == (5, False)
         assert len(calls) == 1
 
-    def test_retries_then_succeeds(self, caplog):
+    def test_retries_then_succeeds(self, caplog, no_backoff):
         state = {"n": 0}
 
         def transport(payload):
@@ -104,12 +108,32 @@ class TestJudge:
         retries_logged = [r for r in caplog.records if "transport failure" in r.message]
         assert len(retries_logged) == 2
 
-    def test_retry_budget_exhausted(self):
+    def test_retry_budget_exhausted(self, monkeypatch, no_backoff):
         def transport(payload):
             raise TransportError("down")
 
+        monkeypatch.setattr(dcr.judge, "MAX_RETRIES", 2)
         with pytest.raises(TransportError):
-            judge(request(), config(transport, max_retries=2))
+            judge(request(), config(transport))
+
+    @pytest.mark.parametrize("base, delays", [(None, [0.25, 0.5, 1.0]),
+                                              (3.0, [3.0, 4.0, 4.0])],
+                             ids=["defaults", "base-3s"])
+    def test_retry_schedule(self, monkeypatch, base, delays):
+        # the backoff doubles from BACKOFF_BASE_S, capped at BACKOFF_CAP_S
+        attempts, sleeps = [], []
+
+        def transport(payload):
+            attempts.append(payload)
+            raise TransportError("down")
+
+        if base is not None:
+            monkeypatch.setattr(dcr.judge, "BACKOFF_BASE_S", base)
+        monkeypatch.setattr(dcr.judge.time, "sleep", sleeps.append)
+        with pytest.raises(TransportError):
+            judge(request(), config(transport))
+        assert (dcr.judge.MAX_RETRIES, dcr.judge.BACKOFF_CAP_S) == (3, 4.0)
+        assert len(attempts) == 1 + dcr.judge.MAX_RETRIES and sleeps == delays
 
     def test_no_verdict_synthesized_on_parse_failure(self):
         def transport(payload):
@@ -159,13 +183,14 @@ class TestJudge:
         assert entry["response"] == "score: banana"
         assert entry["request"] == build_rubric_message(request())
 
-    def test_audit_log_skips_a_transport_failure(self):
+    def test_audit_log_skips_a_transport_failure(self, monkeypatch, no_backoff):
         def transport(payload):
             raise TransportError("connection reset")
 
+        monkeypatch.setattr(dcr.judge, "MAX_RETRIES", 1)
         stream = io.StringIO()
         with pytest.raises(TransportError):
-            judge(request(), config(transport, max_retries=1, audit_log=stream))
+            judge(request(), config(transport, audit_log=stream))
         assert stream.getvalue() == ""
 
     def test_endpoint_required_for_http_transport(self, monkeypatch):

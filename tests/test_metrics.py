@@ -163,6 +163,22 @@ class TestAggregateReport:
         assert lines[0] == "method,group,n,ccs,ccs_sd,cvr,cvr_sd"
         assert lines[1] == "m,overall,4,3.000000,2.000000,0.666667,0.577350"
 
+    def test_the_means_are_ccs_and_cvr(self):
+        rng = random.Random(3)
+        rows = [ItemRow(item_id=str(i), judge_score=rng.randint(1, 5),
+                        collapsed=rng.random() < 0.3) for i in range(37)]
+        rep = aggregate_report(rows)
+        assert rep.overall.mean == {"ccs": ccs(r.judge_score for r in rows),
+                                    "cvr": cvr(r.collapsed for r in rows)}
+
+    @pytest.mark.parametrize("score", [4.5, 0, 6, True])
+    def test_a_score_that_is_not_an_integer_in_1_to_5_is_refused(self, score):
+        # the check in ccs(), which takes the mean; 4.5 was once averaged
+        rows = [ItemRow(item_id="a", category="ENV", judge_score=4),
+                ItemRow(item_id="b", category="ENV", judge_score=score)]
+        with pytest.raises(ValidationError, match="integers in 1..5"):
+            aggregate_report(rows, by_category=True)
+
     def test_a_column_no_row_sets_is_absent(self):
         rows = [ItemRow(item_id="a", category="ENV", judge_score=2),
                 ItemRow(item_id="b", category="ENV", judge_score=4)]
