@@ -44,10 +44,11 @@ class Category(str, enum.Enum):
 
 @dataclass(frozen=True)
 class FactorConstraint:
-    """One semantic-factor constraint: either a discrete allowed set or, for
-    density factors only, an upper threshold. ``attractor_set`` is the
-    attractor's preferred set used for the collapse flag; it is declared
-    explicitly per item, never inferred from text."""
+    """One semantic-factor constraint: either a nonempty discrete allowed set
+    or, for density factors only, an upper threshold. ``attractor_set`` is
+    the attractor's preferred set used for the collapse flag, beside an
+    allowed set only; it is declared explicitly per item, never inferred from
+    text."""
 
     name: str
     allowed: frozenset | None = None
@@ -62,7 +63,13 @@ class FactorConstraint:
                 f"factor '{self.name}' needs exactly one of an allowed set or a threshold")
         if self.allowed is not None:
             object.__setattr__(self, "allowed", frozenset(self.allowed))
+            if not self.allowed:
+                raise ValidationError(f"factor '{self.name}': allowed must be nonempty")
         if self.attractor_set is not None:
+            if self.is_threshold:
+                raise ValidationError(
+                    f"factor '{self.name}': attractor_set is never read beside a "
+                    "threshold (max)")
             object.__setattr__(self, "attractor_set", frozenset(self.attractor_set))
 
     @property
@@ -89,10 +96,16 @@ class BenchPrompt:
                 f"item '{self.id}': prompt and attractor prompt must differ")
         if len(self.factors) < 1:
             raise ValidationError(f"item '{self.id}' needs at least one factor")
-        for fc in self.factors:
+        names = [fc.name for fc in self.factors]
+        for i, fc in enumerate(self.factors):
             if fc.is_threshold and self.category is not Category.DENS:
                 raise ValidationError(
                     f"item '{self.id}': threshold factors are only permitted for DENS")
+            if fc.name in names[:i]:
+                # extractors are bound by name, so both would read one value
+                raise ValidationError(
+                    f"item '{self.id}': factors[{i}].name repeats the name "
+                    f"'{fc.name}' of factors[{names.index(fc.name)}]")
         object.__setattr__(self, "factors", tuple(self.factors))
 
 

@@ -3,9 +3,10 @@ benchmark evaluation, all emitting manifest-linked, plot-ready tables.
 
 Configuration precedence: flags > config file > scenario preset > the
 ``GuidanceConfig`` defaults; sweeps skip the scenario preset and hold the axes
-they do not sweep at those defaults. The environment supplies only the
-judge's endpoint and key. Exit codes: 0 success, 1 usage/configuration error,
-2 runtime failure under --strict.
+they do not sweep at those defaults. No setting comes from the environment:
+only ``dcr.judge`` reads it, for the judge's endpoint and key, and the
+manifest records that endpoint only for ``bench --with-judge``. Exit codes:
+0 success, 1 usage/configuration error, 2 runtime failure under --strict.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .bench import BenchPrompt, load_fixture_suite, load_suite
 from .errors import (ConfigurationError, SuiteFormatError, TransportError,
                      ValidationError, VerdictError)
 from .guidance import GuidanceConfig
-from .judge import (ENDPOINT_VARIABLE, EncodedFrame, JudgeClientConfig,
-                    build_request, judge_endpoint)
+from .judge import EncodedFrame, JudgeClientConfig, JudgeRequest, judge_endpoint
 from .metrics import (GroupStats, ItemRow, ScoreReport, aggregate_report,
                       report_to_csv, report_to_json, toy_collapse_fraction,
                       wilson_interval)
@@ -115,7 +115,7 @@ def _config_value(key: str, value):
 
 def _sampler_config(args, cfg_file, scenario, variant) -> SamplerConfig:
     """flags > config file > scenario preset > ``GuidanceConfig`` defaults
-    (the environment only feeds endpoints)."""
+    (the environment sets none of them)."""
     if scenario.guidance is not None:
         settings = dataclasses.asdict(scenario.guidance)
     else:
@@ -175,7 +175,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
-                    cfg: SamplerConfig, scenario: BiasScenario, extra: dict) -> None:
+                    cfg: SamplerConfig, scenario: BiasScenario, extra: dict,
+                    endpoint: str | None = None) -> None:
+    """The run's manifest; ``endpoint`` is the judge's endpoint for a run
+    that judged, None for any other run."""
     args_dict = {k: v for k, v in (vars(args) | {"config_file": cfg_file}).items()
                  if k != "func" and isinstance(v, (str, int, float, bool, dict,
                                                    list, type(None)))}
@@ -185,7 +188,7 @@ def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
         "command": command,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "args": args_dict,
-        "endpoints": {"judge": os.environ.get(ENDPOINT_VARIABLE)},
+        "endpoints": {"judge": endpoint},
         "sampler": dataclasses.asdict(cfg),
         "scenario": scenario_doc(scenario),
     } | extra
@@ -389,8 +392,8 @@ def _bench_rows(batch, suite, scenario: BiasScenario,
         judge_score = None
         collapsed = (mode == scenario.dominant_index) or outcome.collapsed
         if judge_cfg is not None:
-            req = build_request(item.prompt, [fc.name for fc in item.factors],
-                                item.attractor_prompt, [_latent_frame(batch.finals[r])])
+            req = JudgeRequest(item.prompt, tuple(fc.name for fc in item.factors),
+                               item.attractor_prompt, (_latent_frame(batch.finals[r]),))
             try:
                 verdict = judge(req, judge_cfg)
                 judge_score = verdict.score
@@ -446,7 +449,7 @@ def cmd_bench(args) -> int:
     _write_text(outdir / "bench_report.json", json.dumps(doc, indent=2) + "\n")
     _write_manifest(outdir, "bench", args, cfg_file, cfg, scenario,
                     {"suite_items": len(suite.items), "n_per_item": args.n_per_item,
-                     "failures": failures})
+                     "failures": failures}, endpoint)
     print(f"evaluated {len(rows)} trajectories over {len(suite.items)} items; " + (
         f"cvr={report.overall.mean['cvr']:.4f}" if rows else f"cvr=n/a ({all_failed})"))
     return 0

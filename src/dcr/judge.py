@@ -1,26 +1,27 @@
 """Client for an external multimodal judge, the one external service.
 
-``build_request`` assembles every ``JudgeRequest``: the target prompt, its
-compositional factors, the attractor prompt, and ``FRAMES_PER_REQUEST``
-uniformly spaced frames. The payload carries rubric ``RUBRIC_VERSION``; a
-transport failure is retried up to ``MAX_RETRIES`` times, after a backoff
-that doubles from ``BACKOFF_BASE_S`` up to ``BACKOFF_CAP_S``. The judge must
-answer with a strict machine-readable trailer ``score: <1-5>, collapsed:
-<true|false>`` on its final line. No verdict is ever synthesized
-client-side: every JudgeVerdict corresponds to exactly one successful remote
-response.
+A ``JudgeRequest`` carries the target prompt, its compositional factors, the
+attractor prompt and the frames the judge is shown; ``dcr bench --with-judge``
+sends one frame per request, the final latent. The payload carries rubric
+``RUBRIC_VERSION``; a transport failure is retried up to ``MAX_RETRIES``
+times, after a backoff that doubles from ``BACKOFF_BASE_S`` up to
+``BACKOFF_CAP_S``. The judge must answer with a strict machine-readable
+trailer ``score: <1-5>, collapsed: <true|false>`` on its final line. No
+verdict is ever synthesized client-side: every JudgeVerdict corresponds to
+exactly one successful remote response.
 
-The endpoint comes from ``JudgeClientConfig.endpoint`` or the variable
-``ENDPOINT_VARIABLE``. ``judge_endpoint`` checks that a request to it can be
-sent: an ``http://`` or ``https://`` URL with a host, without user
-credentials, with a port in 1..65535 and of printable ASCII only, and a key
-an HTTP header can carry. ``post_completion`` sends each request over one
-``http.client`` connection, with the key of ``KEY_VARIABLE`` as a bearer
-token and a ``TIMEOUT_S`` timeout, and follows no redirect. The proxy
-variables (``http_proxy``, ``https_proxy``, ``no_proxy`` and the like),
-read once per process, apply as urllib applies them. The judge writes one
-JSON line per exchange to ``JudgeClientConfig.audit_log``: to a stream the
-caller opens and closes, or to a file it opens and appends to per exchange.
+This is the one module that reads the environment. The endpoint comes from
+``JudgeClientConfig.endpoint`` or the variable ``ENDPOINT_VARIABLE``.
+``judge_endpoint`` checks that a request to it can be sent: an ``http://``
+or ``https://`` URL with a host, without user credentials, with a port in
+1..65535 and of printable ASCII only, and a key an HTTP header can carry.
+``post_completion`` sends each request over one ``http.client`` connection,
+with the key of ``KEY_VARIABLE`` as a bearer token and a ``TIMEOUT_S``
+timeout, and follows no redirect. The proxy variables (``http_proxy``,
+``https_proxy``, ``no_proxy`` and the like), read once per process, apply as
+urllib applies them. The judge writes one JSON line per exchange to
+``JudgeClientConfig.audit_log``: to a stream the caller opens and closes, or
+to a file it opens and appends to per exchange.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ RUBRIC_VERSION = "v1"
 _TRAILER = re.compile(r"score:\s*(-?\d+)\s*,\s*collapsed:\s*(true|false)\s*$",
                       re.IGNORECASE)
 
-FRAMES_PER_REQUEST = 8
 MAX_RETRIES = 3
 BACKOFF_BASE_S = 0.25
 BACKOFF_CAP_S = 4.0
@@ -121,24 +121,6 @@ class JudgeVerdict:
     def __post_init__(self):
         if not (1 <= self.score <= 5):
             raise ValidationError(f"score must lie in 1..5, got {self.score}")
-
-
-def uniform_sample(seq, k: int) -> list:
-    """k uniformly spaced elements (used to pick frames across a video)."""
-    seq = list(seq)
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if len(seq) <= k:
-        return seq
-    idx = [round(i * (len(seq) - 1) / (k - 1)) for i in range(k)] if k > 1 else [0]
-    return [seq[i] for i in idx]
-
-
-def build_request(prompt_p: str, factors, attractor: str, frames) -> JudgeRequest:
-    """A request keeping ``FRAMES_PER_REQUEST`` uniformly spaced frames of
-    the sequence (all of them when there are no more)."""
-    return JudgeRequest(prompt_p=prompt_p, factors=factors, attractor=attractor,
-                        frames=uniform_sample(frames, FRAMES_PER_REQUEST))
 
 
 def build_rubric_message(req: JudgeRequest) -> dict:

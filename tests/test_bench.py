@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dcr.bench import (Category, FactorConstraint, REWRITE_TEMPLATE,
+from dcr.bench import (BenchPrompt, Category, FactorConstraint, REWRITE_TEMPLATE,
                        eval_constraint, load_fixture_suite, load_suite,
                        render_attractor_template)
 from dcr.cli import main
@@ -118,6 +118,37 @@ class TestLoadSuite:
         with pytest.raises(SuiteFormatError) as err:
             load_suite(path)
         assert (str(err.value.item), err.value.field) == (item, field)
+
+    @pytest.mark.parametrize("change, field, named", [
+        ({"factors": [{"name": "f", "allowed": []}]}, "factors[0]", "allowed"),
+        # extractors are bound by name, so the first factor would read the
+        # second's value, and the rare mode would count as collapsed
+        ({"factors": [{"name": "f", "allowed": ["snowy"], "attractor_set": ["beach"]},
+                      {"name": "f", "allowed": ["beach"], "attractor_set": ["sunny"]}]},
+         None, "factors[1].name"),
+        # a threshold factor never reads an attractor set
+        ({"category": "DENS",
+          "factors": [{"name": "f", "max": 0.5, "attractor_set": ["dense"]}]},
+         "factors[0]", "attractor_set"),
+    ], ids=["empty-allowed", "repeated-name", "attractor-set-beside-max"])
+    def test_bench_refuses_a_factor_it_cannot_evaluate_before_sampling(
+            self, tmp_path, capsys, change, field, named):
+        path = write_suite(tmp_path, [item_dict() | change])
+        with pytest.raises(SuiteFormatError) as err:
+            load_suite(path)
+        assert (str(err.value.item), err.value.field) == ("x-001", field)
+        assert named in str(err.value)
+        out = tmp_path / "out"
+        assert main(["bench", "--suite", str(path), "--n-per-item", "1",
+                     "--steps", "5", "--out", str(out)]) == 1
+        assert str(err.value) in capsys.readouterr().err
+        assert not out.exists()
+        # the rule is the type's, so a suite built in code is refused too
+        with pytest.raises(ValidationError):
+            factors = [FactorConstraint(f["name"], f.get("allowed"), f.get("max"),
+                                        f.get("attractor_set"))
+                       for f in change["factors"]]
+            BenchPrompt("x-001", change.get("category", "ENV"), "p", "q", factors)
 
     def test_bench_reports_a_mistyped_suite_as_a_usage_error(self, tmp_path, capsys):
         path = write_suite(tmp_path, [item_dict(id=["x"])])

@@ -132,7 +132,8 @@ class TestSample:
         assert not out.exists()
 
     def test_manifest_records_every_service_endpoint(self, tmp_path, monkeypatch):
-        # the judge is the one external service
+        # the judge is the one external service; sample calls no judge, so its
+        # manifest records none, whether or not the endpoint is set
         out = tmp_path / "o"
         monkeypatch.delenv("DCR_JUDGE_ENDPOINT", raising=False)
         assert run("sample", "--n", "1", *FAST, "--out", str(out)) == 0
@@ -141,7 +142,7 @@ class TestSample:
         monkeypatch.setenv("DCR_JUDGE_ENDPOINT", "http://127.0.0.1:9/judge")
         assert run("sample", "--n", "1", *FAST, "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["endpoints"] == {"judge": "http://127.0.0.1:9/judge"}
+        assert manifest["endpoints"] == {"judge": None}
 
     def test_manifest_scenario_reloads_and_reproduces_the_run(self, tmp_path):
         from dcr.toy import (TARGET, PromptChannel, default_scenario, load_scenario,
@@ -447,40 +448,55 @@ def test_count_below_one_is_rejected_before_the_output_directory(tmp_path, argv)
     assert not out.exists()
 
 
+@pytest.fixture
+def loopback_judge(monkeypatch):
+    """A judge on 127.0.0.1 that answers every request with score 4, not
+    collapsed; its endpoint is set in the environment and returned."""
+    import http.server
+    import threading
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            body = json.dumps({"completion": "score: 4, collapsed: false"})
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.end_headers()
+            self.wfile.write(body.encode())
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    endpoint = f"http://127.0.0.1:{server.server_port}/judge"
+    monkeypatch.setenv("DCR_JUDGE_ENDPOINT", endpoint)
+    try:
+        yield endpoint
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 class TestBenchWithJudge:
-    def test_judge_verdicts_flow_into_report(self, tmp_path, monkeypatch):
-        import http.server
-        import threading
+    def test_judge_verdicts_flow_into_report(self, tmp_path, loopback_judge):
+        out = tmp_path / "wj"
+        assert run("bench", "--with-judge", "--n-per-item", "1",
+                   "--seed", "2", *FAST, "--out", str(out)) == 0
+        doc = json.loads((out / "bench_report.json").read_text())
+        assert doc["overall"]["mean"]["ccs"] == 4.0
+        assert doc["overall"]["mean"]["cvr"] == 0.0
+        audit = (out / "judge_audit.jsonl").read_text().splitlines()
+        assert len(audit) == 16  # one exchange per item
 
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_POST(self):
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                body = json.dumps({"completion": "score: 4, collapsed: false"})
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.end_headers()
-                self.wfile.write(body.encode())
-
-            def log_message(self, *args):
-                pass
-
-        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            monkeypatch.setenv("DCR_JUDGE_ENDPOINT",
-                               f"http://127.0.0.1:{server.server_port}/judge")
-            out = tmp_path / "wj"
-            assert run("bench", "--with-judge", "--n-per-item", "1",
-                       "--seed", "2", *FAST, "--out", str(out)) == 0
-            doc = json.loads((out / "bench_report.json").read_text())
-            assert doc["overall"]["mean"]["ccs"] == 4.0
-            assert doc["overall"]["mean"]["cvr"] == 0.0
-            audit = (out / "judge_audit.jsonl").read_text().splitlines()
-            assert len(audit) == 16  # one exchange per item
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_the_manifest_records_the_endpoint_judged_at(self, tmp_path,
+                                                         loopback_judge):
+        out = tmp_path / "wj"
+        assert run("bench", "--with-judge", "--n-per-item", "1", *FAST,
+                   "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["endpoints"] == {"judge": loopback_judge}
 
 
 def judge_in_process(monkeypatch, fail_at=None, untrailed_at=None):
@@ -620,6 +636,19 @@ class TestArtifacts:
             sorted([*artifacts, "manifest.json"])
 
     @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_a_run_that_calls_no_judge_records_no_judge_endpoint(
+            self, tmp_path, monkeypatch, name):
+        # the endpoint variable is read only to judge, so no artifact of a run
+        # that judges nothing carries it, or the credentials in it
+        argv, _ = ARTIFACTS[name]
+        monkeypatch.setenv("DCR_JUDGE_ENDPOINT", "http://user:pw@127.0.0.1:9/judge")
+        out = tmp_path / name
+        assert run(*argv, *FAST, "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["endpoints"] == {"judge": None}
+        assert not [p.name for p in out.iterdir() if b"pw" in p.read_bytes()]
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
     def test_text_model_variables_change_no_artifact(self, tmp_path, monkeypatch,
                                                      name):
         # no text-model service exists, so its old variables are not read
@@ -631,7 +660,7 @@ class TestArtifacts:
             assert run(*argv, "--seed", "1", *FAST, "--out", str(out)) == 0
             files = {p.name: p.read_bytes() for p in out.iterdir()}
             manifest = json.loads(files.pop("manifest.json"))
-            assert manifest.pop("endpoints") == {"judge": "http://127.0.0.1:9/judge"}
+            assert manifest.pop("endpoints") == {"judge": None}
             manifest.pop("timestamp_utc")
             return files, manifest
 

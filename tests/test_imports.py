@@ -28,3 +28,11 @@ def test_module_imports_alone(name):
                           env=os.environ | {"PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("path", sorted(p for p in Path(dcr.__file__).parent.glob("*.py")
+                                         if p.name != "judge.py"), ids=lambda p: p.name)
+def test_only_the_judge_reads_the_environment(path):
+    # the judge's endpoint and key have one reader, dcr.judge
+    text = path.read_text(encoding="utf-8")
+    assert not [word for word in ("os.environ", "getenv", "DCR_JUDGE_") if word in text]

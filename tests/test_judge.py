@@ -7,10 +7,9 @@ import pytest
 import dcr.judge
 from dcr.errors import (ConfigurationError, JudgeParseError, TransportError,
                         ValidationError, VerdictError)
-from dcr.judge import (FRAMES_PER_REQUEST, RUBRIC_V1, EncodedFrame,
-                       JudgeClientConfig, JudgeRequest, build_request,
+from dcr.judge import (RUBRIC_V1, EncodedFrame, JudgeClientConfig, JudgeRequest,
                        build_rubric_message, judge, parse_verdict,
-                       serialize_payload, uniform_sample)
+                       serialize_payload)
 
 
 def frame(i=0):
@@ -199,27 +198,3 @@ class TestJudge:
         with pytest.raises(ConfigurationError):
             judge(request(), cfg)
 
-
-class TestUniformSample:
-    def test_spacing(self):
-        assert uniform_sample(list(range(100)), 5) == [0, 25, 50, 74, 99]
-
-    def test_short_input_passthrough(self):
-        assert uniform_sample([1, 2], 8) == [1, 2]
-
-
-class TestBuildRequest:
-    def test_keeps_uniformly_spaced_frames(self):
-        frames = [frame(i) for i in range(20)]
-        req = build_request("p", ["f"], "q", frames)
-        assert FRAMES_PER_REQUEST == 8
-        assert req.frames == tuple(uniform_sample(frames, 8))
-        assert len(req.frames) == 8
-        assert req.frames[0] == frames[0] and req.frames[-1] == frames[19]
-        assert req.factors == ("f",)
-
-    def test_single_frame_passes_through(self):
-        only = frame(3)
-        req = build_request("p", ("f",), "q", [only])
-        assert req == JudgeRequest(prompt_p="p", factors=("f",), attractor="q",
-                                   frames=(only,))
