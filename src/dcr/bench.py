@@ -47,8 +47,9 @@ class FactorConstraint:
     """One semantic-factor constraint: either a nonempty discrete allowed set
     or, for density factors only, an upper threshold. ``attractor_set`` is
     the attractor's preferred set used for the collapse flag, beside an
-    allowed set only; it is declared explicitly per item, never inferred from
-    text."""
+    allowed set only and sharing no value with it, since such a value would
+    both satisfy the prompt and mark collapse; it is declared explicitly per
+    item, never inferred from text."""
 
     name: str
     allowed: frozenset | None = None
@@ -71,6 +72,9 @@ class FactorConstraint:
                     f"factor '{self.name}': attractor_set is never read beside a "
                     "threshold (max)")
             object.__setattr__(self, "attractor_set", frozenset(self.attractor_set))
+            if shared := self.allowed & self.attractor_set:
+                raise ValidationError(f"factor '{self.name}': attractor_set shares "
+                                      f"{sorted(shared)} with allowed")
 
     @property
     def is_threshold(self) -> bool:

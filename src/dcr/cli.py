@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import BenchPrompt, load_fixture_suite, load_suite
+from .bench import BenchPrompt
 from .errors import (ConfigurationError, SuiteFormatError, TransportError,
                      ValidationError, VerdictError)
 from .guidance import GuidanceConfig
@@ -340,26 +340,22 @@ def cmd_sweep(args) -> int:
 
 
 def _toy_extractors(item: BenchPrompt, scenario: BiasScenario):
-    """Factor extractors for toy-backend evaluation. Each reads a sample's
-    mode, the index that ``mode_assignment`` gives its final latent, and is
-    passed that index in place of the sample: the semantic factor is the
-    mode; rare-mode samples satisfy every declared factor, dominant-mode
-    samples land in the attractor set."""
-    def make(fc):
+    """Toy-backend extractors: per factor, ``dict.get`` of a table from a
+    sample's mode (``mode_assignment`` of its final latent) to a value. A
+    discrete factor reads its first allowed value on the rare mode, its first
+    attractor value, if any, on the dominant mode and None, which no suite
+    file can hold, on others; a threshold factor 0.0 on the rare, 1.0 on others."""
+    rare, dominant = scenario.rare_index, scenario.dominant_index
+    tables = {}
+    for fc in item.factors:
         if fc.is_threshold:
-            def extract(mode):
-                return 0.0 if mode == scenario.rare_index else 1.0
+            table = {m: float(m != rare) for m in range(len(scenario.base.weights))}
         else:
-            ok = next(iter(sorted(fc.allowed)))
-            bad = next(iter(sorted(fc.attractor_set))) if fc.attractor_set else "__other__"
-            def extract(mode, _ok=ok, _bad=bad):
-                if mode == scenario.rare_index:
-                    return _ok
-                if mode == scenario.dominant_index:
-                    return _bad
-                return "__other__"
-        return extract
-    return {fc.name: make(fc) for fc in item.factors}
+            table = {rare: min(fc.allowed)}
+            if fc.attractor_set:
+                table[dominant] = min(fc.attractor_set)
+        tables[fc.name] = table.get
+    return tables
 
 
 def _latent_frame(latent) -> EncodedFrame:
@@ -409,10 +405,9 @@ def _bench_rows(batch, suite, scenario: BiasScenario,
 def cmd_bench(args) -> int:
     cfg_file = _load_config_file(args.config)
     endpoint = judge_endpoint() if args.with_judge else None
-    suite = load_suite(args.suite, canonical=args.canonical) if args.suite \
-        else load_fixture_suite()
-    if args.canonical and not args.suite:
-        suite.validate_canonical()
+    # looked up per call, not at import, so that a wrapper set on the module applies
+    from .bench import fixture_suite_path, load_suite
+    suite = load_suite(args.suite or fixture_suite_path(), canonical=args.canonical)
     scenario = _resolve_scenario(args.scenario)
     # the report reads finals only, so the run records no trace
     cfg = dataclasses.replace(_sampler_config(args, cfg_file, scenario, args.variant),

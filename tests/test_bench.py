@@ -6,7 +6,7 @@ import pytest
 from dcr.bench import (BenchPrompt, Category, FactorConstraint, REWRITE_TEMPLATE,
                        eval_constraint, load_fixture_suite, load_suite,
                        render_attractor_template)
-from dcr.cli import main
+from dcr.cli import _toy_extractors, main
 from dcr.errors import ConfigurationError, SuiteFormatError, ValidationError
 from dcr.toy import default_scenario, mode_assignment
 
@@ -130,7 +130,13 @@ class TestLoadSuite:
         ({"category": "DENS",
           "factors": [{"name": "f", "max": 0.5, "attractor_set": ["dense"]}]},
          "factors[0]", "attractor_set"),
-    ], ids=["empty-allowed", "repeated-name", "attractor-set-beside-max"])
+        # a shared value would both satisfy the prompt and mark collapse, so
+        # the rare mode would count as collapsed
+        ({"factors": [{"name": "f", "allowed": ["snowy"],
+                       "attractor_set": ["snowy", "sunny"]}]},
+         "factors[0]", "attractor_set"),
+    ], ids=["empty-allowed", "repeated-name", "attractor-set-beside-max",
+            "allowed-in-attractor-set"])
     def test_bench_refuses_a_factor_it_cannot_evaluate_before_sampling(
             self, tmp_path, capsys, change, field, named):
         path = write_suite(tmp_path, [item_dict() | change])
@@ -222,6 +228,33 @@ class TestEvalConstraint:
         ex = {"a": lambda _: "ok", "b": lambda _: "no"}
         assert eval_constraint(None, mk((base,)), ex).satisfied
         assert not eval_constraint(None, mk((base, extra)), ex).satisfied
+
+
+class TestToyReadout:
+    """``dcr bench`` reads each factor from a trajectory's nearest mode."""
+
+    def setup_method(self):
+        self.sc = default_scenario()
+
+    def test_no_attractor_value_is_read_off_a_mode_other_than_the_dominant(self):
+        item = BenchPrompt("x-001", "ENV", "p", "q", (FactorConstraint(
+            "f", frozenset({"snowy"}), attractor_set=frozenset({"__other__"})),))
+        extractors = _toy_extractors(item, self.sc)
+        read = {mode: eval_constraint(mode, item, extractors) for mode in range(3)}
+        assert (self.sc.dominant_index, self.sc.rare_index) == (0, 1)
+        assert (read[1].satisfied, read[1].collapsed) == (True, False)
+        assert (read[0].satisfied, read[0].collapsed) == (False, True)
+        assert (read[2].satisfied, read[2].collapsed) == (False, False)
+
+    def test_a_row_is_collapsed_exactly_when_its_mode_is_the_dominant(self):
+        # the nearest-mode readout toy_collapse_fraction and the judge stub use
+        dom = self.sc.dominant_index
+        for item in load_fixture_suite().items:
+            extractors = _toy_extractors(item, self.sc)
+            for mode in range(len(self.sc.base.weights)):
+                outcome = eval_constraint(mode, item, extractors)
+                assert ((mode == dom) or outcome.collapsed) == (mode == dom), \
+                    (item.id, mode)
 
 
 class TestTemplate:

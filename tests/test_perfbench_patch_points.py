@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dcr.bench
 import dcr.sampling
 from dcr.cli import main
 from dcr.judge import ENDPOINT_VARIABLE
@@ -85,8 +86,10 @@ BENCH = REPORTED | {"bench.load_suite", "bench.eval_constraint"}
     (["sweep", "--axis", "eta", "--values", "0,1", "--w", "3.5", "--n", "2"], REPORTED),
     (["sample", "--n", "2"], LOOP | {"sampling.write_traces", "sampling.read_traces"}),
     (["bench", "--n-per-item", "1"], BENCH),
+    (["bench", "--suite", str(dcr.bench.fixture_suite_path()), "--n-per-item", "1"],
+     BENCH),
     (["bench", "--with-judge", "--n-per-item", "1"], BENCH | {"judge"}),
-], ids=["ablate", "sweep", "sample", "bench", "bench-judge"])
+], ids=["ablate", "sweep", "sample", "bench", "bench-suite", "bench-judge"])
 def test_the_layers_fire_on_every_command(tmp_path, monkeypatch, argv, layers):
     # presence only: a layer that does not fire today is not pinned absent
     sc = default_scenario()
