@@ -306,8 +306,6 @@ SWEEP_AXES = ("w-attr", "eta", "interval")
 
 def cmd_sweep(args) -> int:
     cfg_file = _load_config_file(args.config)
-    if args.axis not in SWEEP_AXES:
-        raise ConfigurationError(f"sweep axis must be one of {SWEEP_AXES}")
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ConfigurationError("sweep needs a nonempty --values list")

@@ -32,11 +32,12 @@ import numpy as np
 from .errors import ShapeMismatchError, ValidationError
 
 
-def _as_flat64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if not np.isfinite(arr).all():
+def _finite(values) -> np.ndarray:
+    """values as float64; ValidationError if they hold a NaN or an infinity."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
         raise ValidationError("latent values must be finite (no NaN/Inf)")
-    return arr
+    return values
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class _FlatVector:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_flat64(self.values))
+        object.__setattr__(self, "values", _finite(self.values).reshape(-1))
         shape = tuple(int(d) for d in self.shape)
         if any(d <= 0 for d in shape):
             raise ValidationError(f"shape dimensions must be positive: {shape}")

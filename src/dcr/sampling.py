@@ -17,12 +17,11 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, TrajectoryError, ValidationError
-from .guidance import (GuidanceConfig, StepPosition, _guided_rows, _row_mask,
+from .guidance import (GuidanceConfig, StepPosition, _finite, _guided_rows, _row_mask,
                        _step_diagnostics, schedule_alpha)
 # Not called here: perfbench/layers.py wraps these guidance functions under
 # their dcr.sampling names, so the names stay importable from this module.
@@ -188,26 +187,13 @@ class BatchItem:
             object.__setattr__(self, "variant", Variant(self.variant))
 
 
-class _Live(NamedTuple):
-    """The rows still in the batch; every array is indexed by live row."""
-
-    ids: np.ndarray     # the row's index in the batch
-    code: np.ndarray    # (m, 3): label index of its negative, text and probe branch
-    repel: np.ndarray
-    probe: np.ndarray
-    source: np.ndarray  # its column of the (T, k) alpha_t table
-    draws: np.ndarray   # its standard-normal draws
-
-    def keep(self, mask: np.ndarray) -> "_Live":
-        return _Live(*(a[mask] for a in self))
-
-
-def _finite(stack) -> np.ndarray:
-    """stack as float64; ValidationError if it holds a NaN or an infinity."""
-    stack = np.asarray(stack, dtype=np.float64)
-    if not np.isfinite(stack).all():
-        raise ValidationError("latent values must be finite (no NaN/Inf)")
-    return stack
+def _draw_shape(backend, cfg: SamplerConfig) -> tuple[int, ...]:
+    """The shape of one row's standard-normal draws, entry 0 its initial
+    latent: (T-1, *latent_shape) under the ancestral scheduler, whose step i
+    adds entry i + 1 as its noise (the last transition, t=1 -> 0, adds
+    none), and (1, *latent_shape) under the deterministic one."""
+    ancestral = cfg.scheduler_kind is SchedulerKind.ANCESTRAL_DDPM
+    return (cfg.T - 1 if ancestral else 1, *backend.latent_shape)
 
 
 def _branch_rows(channels, x: np.ndarray, t: int, labels: list[str],
@@ -244,7 +230,7 @@ def _branch_rows(channels, x: np.ndarray, t: int, labels: list[str],
 # floating-point warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
-                 rngs, trajectory_ids) -> "Batch":
+                 draws: np.ndarray, trajectory_ids) -> "Batch":
     """The sampling loop: steps the live rows together as one
     (N, *latent_shape) array and returns their results as one columnar Batch.
 
@@ -256,20 +242,19 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     and builds every row's negative, text and probe branches from them, so a
     row's result is bitwise that of a batch of its own.
 
-    Row r draws from rngs[r] what a lone trajectory draws, in the same
-    order: one standard_normal((T-1, *latent_shape)) draw under the
-    ancestral scheduler (the initial latent, then the noise of every
-    transition but the last, bitwise equal to drawing them one by one), or
-    the initial latent alone under the deterministic one. Rows given the
-    same Generator object share its one draw. Everything that does not
-    depend on the step (channels, the (T, k) table of alpha_t with one
-    column per distinct source, the schedule or a fixed value, its range
-    check, each row's column, the draws) is set up once, before the loop,
-    and what depends only on which rows are live (whether all of them repel
-    and probe, their indices) once each time that set changes. A row whose
-    backend call raises or returns non-finite output, or whose latent goes
-    non-finite, leaves the batch with a TrajectoryError at that step; the
-    other rows go on.
+    ``draws`` holds each row's standard-normal draws, float64 of shape
+    (N, *_draw_shape(backend, cfg)): row r starts from draws[r, 0] and,
+    under the ancestral scheduler, step i adds draws[r, i + 1] as its noise.
+    Everything that does not depend on the step (channels, the (T, k) table
+    of alpha_t with one column per distinct source, the schedule or a fixed
+    value, its range check, each row's column) is set up once, before the
+    loop, and what depends only on which rows are live (whether all of them
+    repel and probe, where their branches lie) once each time that set
+    changes. ``ids`` holds the live rows and ``sel`` indexes their entries
+    of the per-row arrays: slice(None) until a row fails, then ``ids``. A
+    row whose backend call raises or returns non-finite output, or whose
+    latent goes non-finite, leaves the batch with a TrajectoryError at that
+    step; the other rows go on.
 
     With cfg.trace a step writes the live rows' pre-step latents, drifts
     and delta_refs into (T, N, D) float64 histories, and their alpha_t,
@@ -284,18 +269,8 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     if sched.T != cfg.T:
         raise ConfigurationError(
             f"sampler T={cfg.T} does not match backend schedule T={sched.T}")
-    T, n = cfg.T, len(rngs)
+    T, n = cfg.T, len(draws)
     ancestral = cfg.scheduler_kind is SchedulerKind.ANCESTRAL_DDPM
-    draw_shape = (T - 1 if ancestral else 1, *backend.latent_shape)
-    ids = np.arange(n)
-    draws = np.empty((n, *draw_shape))
-    first: dict[int, int] = {}  # id of each distinct generator -> its first row
-    source = np.array([first.setdefault(id(rng), r) for r, rng in enumerate(rngs)])
-    for r in first.values():
-        rngs[r].standard_normal(out=draws[r])
-    if len(first) < n:
-        shared = source != ids
-        draws[shared] = draws[source[shared]]
     items = [item for item, _ in rows]
     parts = [_VARIANT_PARTS[item.variant or cfg.variant] for item in items]
     # per row, the channel of its negative, text and probe branch; a row
@@ -308,6 +283,7 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
         for item, p in zip(items, parts)]
     labels = list(dict.fromkeys(label for row in branch_labels for label in row))
     code = np.array([[labels.index(label) for label in row] for row in branch_labels])
+    repel = np.array([p.repel for p in parts])
     probe = np.array([p.probe is not None for p in parts])
     # one alpha_t column per distinct source, None standing for the schedule,
     # and per row the index of its column
@@ -317,10 +293,10 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     alpha = np.column_stack([schedule if a is None else np.full(T, a) for a in sources])
     if not ((0.0 <= alpha) & (alpha <= 1.0)).all():
         raise ValidationError(f"alpha_t must lie in [0,1], got {alpha}")
-    source = np.array([sources.index(p.alpha) for p in parts])
-    live = _Live(ids, code, np.array([p.repel for p in parts]), probe, source, draws)
+    column = np.array([sources.index(p.alpha) for p in parts])
+    ids, sel = np.arange(n), slice(None)
     x = draws[:, 0].copy()  # the live rows' latents
-    size = draws[0, 0].size
+    size = x[0].size
     if cfg.trace:
         # per step: x_mean, x_rms, alpha_t, lambda_t, s_t and residual of each
         # row, and the pre-step latent, drift and delta_ref they come from
@@ -331,30 +307,31 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     errors: dict[int, TrajectoryError] = {}
     changed = True  # whether the live rows changed since the gates were set
     for i in range(T):
-        if not live.ids.size:
+        if not ids.size:
             break
         t = T - 1 - i
-        preds, failed = _branch_rows(channels, x, t, labels, live.code)
+        preds, failed = _branch_rows(channels, x, t, labels, code[sel])
         if failed:
             for j, exc in failed.items():
                 err = TrajectoryError(f"backend failure: {exc}", step=i)
                 err.__cause__ = exc
-                errors[int(live.ids[j])] = err
-            keep = np.ones(live.ids.size, dtype=bool)
+                errors[int(ids[j])] = err
+            keep = np.ones(ids.size, dtype=bool)
             keep[list(failed)] = False
-            live, x, preds, changed = live.keep(keep), x[keep], preds[:, keep], True
-            if not live.ids.size:
+            ids = sel = ids[keep]
+            x, preds, changed = x[keep], preds[:, keep], True
+            if not ids.size:
                 break
         if changed:
-            m = live.ids.size
+            m = ids.size
             # (3, m): where each row's branches lie in the (n_labels * m) rows
             # of the flattened preds
-            branch = live.code.T * m + np.arange(m)
-            sel = slice(None) if m == n else live.ids
-            gates = _row_mask(live.repel), _row_mask(live.probe)
+            branch = code[sel].T * m + np.arange(m)
+            gates = _row_mask(repel[sel]), _row_mask(probe[sel])
+            live_column = column[sel]
             changed = False
         e_neg, e_text, e_attr = preds.reshape(-1, size).take(branch, axis=0)
-        alpha_t = alpha[i].take(live.source)
+        alpha_t = alpha[i].take(live_column)
         eps_star, lambda_t, s_t, drift, delta_ref = _guided_rows(
             e_neg, e_text, e_attr, alpha_t, cfg.guidance, *gates)
         if cols is not None:
@@ -362,17 +339,18 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
             drifts[i, sel], deltas[i, sel] = drift, delta_ref
             cols[i, 2:5][:, sel] = alpha_t, lambda_t, s_t
         if t >= 1:
-            noise = live.draws[:, i + 1] if ancestral and t > 1 else None
+            noise = draws[sel, i + 1] if ancestral and t > 1 else None
             x = scheduler_step(eps_star, t, x, sched, cfg.scheduler_kind, noise)
             if not np.isfinite(x).all():
                 ok = np.isfinite(x.reshape(m, size)).all(axis=1)
-                for r in live.ids[~ok].tolist():
+                for r in ids[~ok].tolist():
                     errors[r] = TrajectoryError("non-finite latent", step=i)
-                live, x, changed = live.keep(ok), x[ok], True
+                ids = sel = ids[ok]
+                x, changed = x[ok], True
     if cols is not None:
         _fill_diagnostics(cols, latents, drifts, deltas, _row_mask(probe), cfg.guidance)
     finals = np.full((n, *backend.latent_shape), np.nan)
-    finals[live.ids] = x
+    finals[ids] = x
     return Batch([(item.item_id, rep) for item, rep in rows], list(trajectory_ids),
                  finals, errors, None if cols is None else cols.transpose(0, 2, 1))
 
@@ -411,14 +389,17 @@ def run_sampling(backend, prompts: tuple[str, str], cfg: SamplerConfig,
     """Run one trajectory from pure noise down to the clean step: the
     one-row case of the sampling loop.
 
-    The backend supplies the branches the variant uses at each step. A
-    backend failure or a non-finite latent raises TrajectoryError with the
-    step index attached.
+    Its draws are one rng.standard_normal(_draw_shape(backend, cfg)) call
+    (rng defaults to default_rng(cfg.seed)). The backend supplies the
+    branches the variant uses at each step. A backend failure or a
+    non-finite latent raises TrajectoryError with the step index attached.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    draws = np.empty((1, *_draw_shape(backend, cfg)))
+    rng.standard_normal(out=draws[0])
     batch = _sample_rows(backend, [(BatchItem(trajectory_id, *prompts), 0)], cfg,
-                         [rng], [trajectory_id])
+                         draws, [trajectory_id])
     if batch.errors:
         raise batch.errors[0]
     [out] = batch
@@ -481,12 +462,12 @@ def derive_seed(base_seed: int, item_id: str, replicate: int) -> int:
 
 def run_batch(backend, items, cfg: SamplerConfig, n_per_item: int) -> Batch:
     """Run n_per_item trajectories per item, all rows of all items as one
-    batch, each seeded by derive_seed, so items of one id share seeds across
-    variants: rows of one (item_id, replicate) share one Generator and its
-    draws. Rows come in item order, then replicate order;
-    per-trajectory failures are collected instead of aborting the batch.
-    With cfg.trace False the batch records no diagnostics and its rows
-    carry no trace (see Batch)."""
+    batch. Each (item_id, replicate) gets one Generator, seeded by
+    derive_seed, and one standard_normal draw from it, which every row of
+    that key is given, so items of one id share draws across variants. Rows
+    come in item order, then replicate order; per-trajectory failures are
+    collected instead of aborting the batch. With cfg.trace False the batch
+    records no diagnostics and its rows carry no trace (see Batch)."""
     if n_per_item < 1:
         raise ValidationError(f"n_per_item must be >= 1, got {n_per_item}")
     rows = [(item, rep) for item in items for rep in range(n_per_item)]
@@ -494,9 +475,14 @@ def run_batch(backend, items, cfg: SamplerConfig, n_per_item: int) -> Batch:
         return Batch([], [], np.empty((0, *backend.latent_shape)), {},
                      np.empty((cfg.T, 0, 6)) if cfg.trace else None)
     keys = [(item.item_id, rep) for item, rep in rows]
-    rngs = {key: np.random.default_rng(derive_seed(cfg.seed, *key))
-            for key in dict.fromkeys(keys)}
-    return _sample_rows(backend, rows, cfg, [rngs[key] for key in keys],
+    first: dict[tuple[str, int], int] = {}  # each key -> its first row
+    source = np.array([first.setdefault(key, r) for r, key in enumerate(keys)])
+    draws = np.empty((len(rows), *_draw_shape(backend, cfg)))
+    for key, r in first.items():
+        np.random.default_rng(derive_seed(cfg.seed, *key)).standard_normal(out=draws[r])
+    shared = source != np.arange(len(rows))
+    draws[shared] = draws[source[shared]]
+    return _sample_rows(backend, rows, cfg, draws,
                         [f"{item_id}/{rep}" for item_id, rep in keys])
 
 

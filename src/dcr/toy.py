@@ -145,8 +145,6 @@ def cosine_schedule(T: int) -> NoiseScheduleSpec:
     """Cosine-like alpha-bar, offset by ``_COSINE_OFFSET``, evaluated at
     interval midpoints so that alpha_bar[0] < 1 and alpha_bar[T-1] > 0
     strictly."""
-    if T < 2:
-        raise ValidationError(f"T must be >= 2, got {T}")
     s = _COSINE_OFFSET
     u = (np.arange(T, dtype=np.float64) + 0.5) / T
     f = np.cos((u + s) / (1.0 + s) * np.pi / 2.0) ** 2

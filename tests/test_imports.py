@@ -36,3 +36,14 @@ def test_only_the_judge_reads_the_environment(path):
     # the judge's endpoint and key have one reader, dcr.judge
     text = path.read_text(encoding="utf-8")
     assert not [word for word in ("os.environ", "getenv", "DCR_JUDGE_") if word in text]
+
+
+def test_the_version_has_one_source():
+    # pyproject.toml reads the version from dcr.__version__ instead of repeating it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(dcr.__file__).resolve().parents[2] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "dcr.__version__"}
+    assert isinstance(dcr.__version__, str) and dcr.__version__

@@ -952,8 +952,8 @@ class TestSeeds:
 
 
 class TestSharedGenerators:
-    """run_batch builds one Generator per (item_id, replicate); the rows that
-    share it share its draws."""
+    """run_batch builds one Generator per (item_id, replicate) and gives its
+    one draw to every row of that key."""
 
     ITEMS = [BatchItem(item_id, variant=v) for item_id in ("a", "b") for v in Variant]
 
@@ -976,16 +976,17 @@ class TestSharedGenerators:
         seen = []
         sample_rows = dcr.sampling._sample_rows
 
-        def spy(backend, rows, cfg, rngs, trajectory_ids):
-            seen.extend(zip(rows, rngs))
-            return sample_rows(backend, rows, cfg, rngs, trajectory_ids)
+        def spy(backend, rows, cfg, draws, trajectory_ids):
+            seen.extend(zip(rows, draws.copy()))
+            return sample_rows(backend, rows, cfg, draws, trajectory_ids)
 
         monkeypatch.setattr(dcr.sampling, "_sample_rows", spy)
         batch = run_batch(be, self.ITEMS, small_cfg(T=6, scheduler="ancestral-ddpm"), 3)
-        for (item, rep), rng in seen:
-            for (other, other_rep), other_rng in seen:
+        assert len(seen) == len(batch) == 36
+        for (item, rep), draw in seen:
+            for (other, other_rep), other_draw in seen:
                 same_key = (item.item_id, rep) == (other.item_id, other_rep)
-                assert (rng is other_rng) == same_key
+                assert (draw.tobytes() == other_draw.tobytes()) == same_key
         # the initial latents, read back from the step-0 x_mean, follow suit
         first = {}
         for res in batch:

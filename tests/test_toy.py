@@ -79,6 +79,12 @@ class TestSpecs:
         assert sched.alpha_bar[0] < 1.0 and sched.alpha_bar[0] > 0.999
         assert sched.alpha_bar[-1] > 0.0 and sched.alpha_bar[-1] < 1e-3
 
+    @pytest.mark.parametrize("T", [1, 0, -3])
+    def test_cosine_schedule_needs_two_steps(self, T):
+        # the refusal is NoiseScheduleSpec's; cosine_schedule has no check of its own
+        with pytest.raises(ValidationError, match=f"T must be >= 2, got {T}"):
+            cosine_schedule(T)
+
     def test_bias_scenario_invariants(self):
         base = two_mode(w0=0.9)
         sc = scenario_of(base)
