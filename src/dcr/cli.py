@@ -163,9 +163,9 @@ def _artifact(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_json(path: Path, doc: dict) -> None:
     with _artifact(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -192,7 +192,7 @@ def _write_manifest(outdir: Path, command: str, args, cfg_file: dict,
         "sampler": dataclasses.asdict(cfg),
         "scenario": scenario_doc(scenario),
     } | extra
-    _write_text(outdir / MANIFEST, json.dumps(doc, indent=2) + "\n")
+    _write_json(outdir / MANIFEST, doc)
 
 
 def _run_toy_batch(scenario, cfg: SamplerConfig, items, n: int):
@@ -264,9 +264,8 @@ def _collapse_report(name: str, args, cfg_file: dict, scenario: BiasScenario,
                                     "wilson_hi": hi}
     _write_csv(outdir / f"{name}_report.csv", list(rows[0]),
                (row.values() for row in rows))
-    _write_text(outdir / f"{name}_report.json",
-                json.dumps({"manifest": MANIFEST, "rows": rows} | report_extra,
-                           indent=2) + "\n")
+    _write_json(outdir / f"{name}_report.json",
+                {"manifest": MANIFEST, "rows": rows} | report_extra)
     _write_manifest(outdir, name, args, cfg_file, runs[0][1], scenario, manifest_extra)
     return rows
 
@@ -369,7 +368,8 @@ AUDIT_LOG = "judge_audit.jsonl"
 def _bench_rows(batch, suite, scenario: BiasScenario,
                 judge_cfg: JudgeClientConfig | None) -> tuple[list[ItemRow], int]:
     """One report row per finished trajectory of ``batch``, and the number
-    of judge verdicts missing; with ``judge_cfg`` None no row is judged."""
+    of judge verdicts missing. With ``judge_cfg`` None no row is judged and
+    the toy sets each collapse flag; otherwise only a verdict sets it."""
     good = np.flatnonzero(batch.ok).tolist()
     modes = mode_assignment(batch.finals[good], scenario).tolist()
     by_id = {item.id: item for item in suite.items}
@@ -383,15 +383,15 @@ def _bench_rows(batch, suite, scenario: BiasScenario,
         item_id, replicate = batch.keys[r]
         item = by_id[item_id]
         outcome = eval_constraint(mode, item, extractors[item_id])
-        judge_score = None
-        collapsed = (mode == scenario.dominant_index) or outcome.collapsed
-        if judge_cfg is not None:
+        judge_score = collapsed = None
+        if judge_cfg is None:
+            collapsed = (mode == scenario.dominant_index) or outcome.collapsed
+        else:
             req = JudgeRequest(item.prompt, tuple(fc.name for fc in item.factors),
                                item.attractor_prompt, (_latent_frame(batch.finals[r]),))
             try:
                 verdict = judge(req, judge_cfg)
-                judge_score = verdict.score
-                collapsed = verdict.collapsed
+                judge_score, collapsed = verdict.score, verdict.collapsed
             except (TransportError, VerdictError):
                 judge_failures += 1  # excluded with a visible count, never imputed
         rows.append(ItemRow(item_id=f"{item_id}/{replicate}",
@@ -435,16 +435,17 @@ def cmd_bench(args) -> int:
                              notes=[all_failed])
     if judge_failures:
         report.notes.append(f"judge verdicts missing for {judge_failures} items")
-    _write_text(outdir / "bench_report.csv",
-                f"# manifest: {MANIFEST}\n" + report_to_csv(report))
-    doc = json.loads(report_to_json(report))
-    doc["manifest"] = MANIFEST
-    _write_text(outdir / "bench_report.json", json.dumps(doc, indent=2) + "\n")
+    header, *table = report_to_csv(report)
+    _write_csv(outdir / "bench_report.csv", header, table)
+    _write_json(outdir / "bench_report.json",
+                report_to_json(report) | {"manifest": MANIFEST})
     _write_manifest(outdir, "bench", args, cfg_file, cfg, scenario,
                     {"suite_items": len(suite.items), "n_per_item": args.n_per_item,
                      "failures": failures}, endpoint)
+    cvr = report.overall.mean.get("cvr")
     print(f"evaluated {len(rows)} trajectories over {len(suite.items)} items; " + (
-        f"cvr={report.overall.mean['cvr']:.4f}" if rows else f"cvr=n/a ({all_failed})"))
+        f"cvr={cvr:.4f}" if cvr is not None
+        else f"cvr=n/a ({'no judge verdict' if rows else all_failed})"))
     return 0
 
 

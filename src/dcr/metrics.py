@@ -9,9 +9,6 @@ are counted by the callers rather than imputed.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -152,33 +149,26 @@ def aggregate_report(rows, by_category: bool = False, method: str = "") -> Score
     return report
 
 
-def report_to_csv(report: ScoreReport) -> str:
-    """Delimiter-separated table: one overall row plus one row per category,
-    with the standard column set."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["method", "group", "n"] +
-                    [c for m in _METRICS for c in (m, f"{m}_sd")])
-    def row(group: str, stats: GroupStats):
+def report_to_csv(report: ScoreReport) -> list[list]:
+    """The report's table, header first: one overall row, then one row per
+    category. Each mean and SD is formatted to six decimals, and the cells
+    of a metric no row carries are empty; ``dcr.cli`` writes the file."""
+    def row(group: str, stats: GroupStats) -> list:
         cells = [report.method, group, stats.n]
         for m in _METRICS:
-            cells.append(f"{stats.mean[m]:.6f}" if m in stats.mean else "")
-            cells.append(f"{stats.sd[m]:.6f}" if m in stats.sd else "")
-        writer.writerow(cells)
-    row("overall", report.overall)
-    for cat, stats in report.by_category.items():
-        row(cat, stats)
-    return buf.getvalue()
+            cells += [f"{d[m]:.6f}" if m in d else "" for d in (stats.mean, stats.sd)]
+        return cells
+    return [["method", "group", "n"] + [c for m in _METRICS for c in (m, f"{m}_sd")],
+            row("overall", report.overall),
+            *(row(cat, stats) for cat, stats in report.by_category.items())]
 
 
-def report_to_json(report: ScoreReport) -> str:
-    doc = {
-        "method": report.method,
-        "n": report.n,
-        "overall": {"n": report.overall.n, "mean": report.overall.mean,
-                    "sd": report.overall.sd},
-        "by_category": {cat: {"n": s.n, "mean": s.mean, "sd": s.sd}
-                        for cat, s in report.by_category.items()},
-        "notes": report.notes,
-    }
-    return json.dumps(doc, indent=2)
+def report_to_json(report: ScoreReport) -> dict:
+    """The report as a JSON document: method, n, the overall and per-category
+    n, means and SDs (a metric no row carries is absent), and the notes;
+    ``dcr.cli`` writes the file."""
+    def group(stats: GroupStats) -> dict:
+        return {"n": stats.n, "mean": stats.mean, "sd": stats.sd}
+    return {"method": report.method, "n": report.n, "overall": group(report.overall),
+            "by_category": {cat: group(s) for cat, s in report.by_category.items()},
+            "notes": report.notes}

@@ -1,5 +1,7 @@
+import base64
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -11,7 +13,7 @@ from faults import CountingBackend, NaNRows, NaNWhere
 import dcr.cli
 import dcr.judge
 from dcr.cli import main
-from dcr.toy import default_scenario, scenario_doc
+from dcr.toy import default_scenario, mode_assignment, scenario_doc
 
 
 def run(*argv):
@@ -499,11 +501,12 @@ class TestBenchWithJudge:
         assert manifest["endpoints"] == {"judge": loopback_judge}
 
 
-def judge_in_process(monkeypatch, fail_at=None, untrailed_at=None):
+def judge_in_process(monkeypatch, fail_at=None, untrailed_at=None,
+                     reply=lambda req: "score: 4, collapsed: false"):
     """Answer ``dcr.judge.judge`` in process, through the real judge and its
-    audit; raise RuntimeError on request number ``fail_at`` and reply without
-    a verdict trailer to request number ``untrailed_at``. Returns the list of
-    requests made."""
+    audit, with the completion ``reply(request)``; raise RuntimeError on
+    request number ``fail_at`` and reply without a verdict trailer to request
+    number ``untrailed_at``. Returns the list of requests made."""
     real = dcr.judge.judge
     calls = []
 
@@ -511,9 +514,8 @@ def judge_in_process(monkeypatch, fail_at=None, untrailed_at=None):
         calls.append(req)
         if len(calls) == fail_at:
             raise RuntimeError("judge crashed")
-        reply = "no verdict" if len(calls) == untrailed_at \
-            else "score: 4, collapsed: false"
-        return real(req, dataclasses.replace(config, transport=lambda payload: reply))
+        text = "no verdict" if len(calls) == untrailed_at else reply(req)
+        return real(req, dataclasses.replace(config, transport=lambda payload: text))
 
     monkeypatch.setenv("DCR_JUDGE_ENDPOINT", "http://127.0.0.1:9/judge")
     monkeypatch.setattr(dcr.judge, "judge", fake)
@@ -581,6 +583,72 @@ class TestJudgeAudit:
         assert (out / "judge_audit.jsonl").is_file()
         assert run(*argv) == 0
         assert not (out / "judge_audit.jsonl").exists()
+
+
+def final_mode(req) -> int:
+    """The nearest mode of the final latent a judge request carries."""
+    latent = json.loads(base64.b64decode(req.frames[0].data_b64))
+    return mode_assignment(np.asarray(latent), default_scenario())
+
+
+def verdict_by_mode(req) -> str:
+    """The verdict ``perfbench/judge_stub.py`` gives: score 1 and collapsed
+    on the dominant mode, 5 on the rare one, 3 on any other."""
+    mode, sc = final_mode(req), default_scenario()
+    if mode == sc.dominant_index:
+        return "score: 1, collapsed: true"
+    return f"score: {5 if mode == sc.rare_index else 3}, collapsed: false"
+
+
+class TestJudgedReport:
+    def test_the_judged_report_is_pinned(self, tmp_path, monkeypatch):
+        calls = judge_in_process(monkeypatch, reply=verdict_by_mode)
+        out = tmp_path / "wj"
+        assert run("bench", "--with-judge", "--n-per-item", "3", "--seed", "5", *FAST,
+                   "--out", str(out)) == 0
+        assert len(calls) == 48
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("bench_report.csv", "bench_report.json")} == {
+            "bench_report.csv":
+                "feb65824e40db521dcd29941380fe57f1a3d12a2bc7d316302dd2a75de4033c1",
+            "bench_report.json":
+                "695cf1d64382f4aa18101814bbafd022fb6a72b7e9e0c5d2b65850ca50697d73",
+        }
+
+    def test_a_missing_verdict_is_not_taken_from_the_toy(self, tmp_path, monkeypatch):
+        # the one request left without a verdict carries a final off the
+        # dominant mode, which the toy counts as not collapsed
+        untrailed = []
+
+        def reply(req):
+            if not untrailed and final_mode(req) != default_scenario().dominant_index:
+                untrailed.append(req)
+                return "no verdict"
+            return "score: 2, collapsed: true"
+
+        calls = judge_in_process(monkeypatch, reply=reply)
+        out = tmp_path / "wj"
+        assert run("bench", "--with-judge", "--n-per-item", "1", *FAST,
+                   "--out", str(out)) == 0
+        assert (len(calls), len(untrailed)) == (16, 1)
+        doc = json.loads((out / "bench_report.json").read_text())
+        assert doc["overall"] == {"n": 16, "mean": {"ccs": 2.0, "cvr": 1.0},
+                                  "sd": {"ccs": 0.0, "cvr": 0.0}}
+        assert doc["notes"] == ["judge verdicts missing for 1 items"]
+
+    def test_with_no_verdict_the_report_has_no_means(self, tmp_path, monkeypatch,
+                                                     capsys):
+        calls = judge_in_process(monkeypatch, reply=lambda req: "no verdict")
+        out = tmp_path / "wj"
+        assert run("bench", "--with-judge", "--n-per-item", "1", *FAST,
+                   "--out", str(out)) == 0
+        assert len(calls) == 16
+        doc = json.loads((out / "bench_report.json").read_text())
+        assert doc["overall"] == {"n": 16, "mean": {}, "sd": {}}
+        assert all(group["mean"] == {} for group in doc["by_category"].values())
+        assert doc["notes"] == ["judge verdicts missing for 16 items"]
+        assert capsys.readouterr().out == "evaluated 16 trajectories over 16 items; " \
+            "cvr=n/a (no judge verdict)\n"
 
 
 # command argv and the artifacts it writes besides manifest.json

@@ -2,6 +2,7 @@
 imports modules in its own order, which can hide an import cycle that only
 shows when a module is the first one loaded."""
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -36,6 +37,16 @@ def test_only_the_judge_reads_the_environment(path):
     # the judge's endpoint and key have one reader, dcr.judge
     text = path.read_text(encoding="utf-8")
     assert not [word for word in ("os.environ", "getenv", "DCR_JUDGE_") if word in text]
+
+
+def test_metrics_encodes_no_file():
+    # dcr.metrics computes the bench report; dcr.cli encodes every report file
+    tree = ast.parse((Path(dcr.__file__).parent / "metrics.py").read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not imported & {"csv", "io", "json"}
 
 
 def test_the_version_has_one_source():

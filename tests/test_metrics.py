@@ -124,13 +124,18 @@ class TestAggregateReport:
         rows = [ItemRow(item_id="a", category="ENV", judge_score=4, collapsed=False),
                 ItemRow(item_id="b", category="MAT", judge_score=2, collapsed=True)]
         rep = aggregate_report(rows, by_category=True, method="full-dcr")
-        csv_text = report_to_csv(rep)
-        lines = csv_text.strip().splitlines()
-        assert lines[0].startswith("method,group,n")
-        assert lines[1].startswith("full-dcr,overall,2")
-        assert any(line.startswith("full-dcr,ENV") for line in lines)
+        table = report_to_csv(rep)
+        assert table[0][:3] == ["method", "group", "n"]
+        assert [row[:3] for row in table[1:]] == [["full-dcr", "overall", 2],
+                                                  ["full-dcr", "ENV", 1],
+                                                  ["full-dcr", "MAT", 1]]
         doc = report_to_json(rep)
-        assert '"method": "full-dcr"' in doc
+        assert list(doc) == ["method", "n", "overall", "by_category", "notes"]
+        assert (doc["method"], doc["n"]) == ("full-dcr", 2)
+        assert doc["overall"] == {"n": 2, "mean": rep.overall.mean, "sd": rep.overall.sd}
+        assert doc["by_category"]["ENV"] == {"n": 1, "mean": {"ccs": 4.0, "cvr": 0.0},
+                                             "sd": {"ccs": 0.0, "cvr": 0.0}}
+        assert doc["notes"] == rep.notes
 
     def test_every_column_aggregates_over_its_present_values(self):
         # each metric field is set on some rows and None on others; a
@@ -159,9 +164,10 @@ class TestAggregateReport:
         # MAT: ccs 3, 1; cvr 1
         assert mat.mean == pytest.approx({"ccs": 2.0, "cvr": 1.0}, abs=1e-12)
         assert mat.sd == pytest.approx({"ccs": math.sqrt(2.0), "cvr": 0.0}, abs=1e-12)
-        lines = report_to_csv(rep).strip().splitlines()
-        assert lines[0] == "method,group,n,ccs,ccs_sd,cvr,cvr_sd"
-        assert lines[1] == "m,overall,4,3.000000,2.000000,0.666667,0.577350"
+        table = report_to_csv(rep)
+        assert table[0] == ["method", "group", "n", "ccs", "ccs_sd", "cvr", "cvr_sd"]
+        assert table[1] == ["m", "overall", 4, "3.000000", "2.000000", "0.666667",
+                            "0.577350"]
 
     def test_the_means_are_ccs_and_cvr(self):
         rng = random.Random(3)
@@ -185,5 +191,6 @@ class TestAggregateReport:
         rep = aggregate_report(rows, method="m")
         assert rep.overall.mean == {"ccs": 3.0}
         assert rep.overall.sd == pytest.approx({"ccs": math.sqrt(2.0)}, abs=1e-12)
-        row = report_to_csv(rep).strip().splitlines()[1]
-        assert row == "m,overall,2,3.000000,1.414214,,"
+        assert report_to_csv(rep)[1] == ["m", "overall", 2, "3.000000", "1.414214",
+                                          "", ""]
+        assert report_to_json(rep)["overall"]["mean"] == {"ccs": 3.0}
