@@ -324,31 +324,26 @@ def dcr_guided_prediction(eps_uncond: NoisePrediction, eps_text: NoisePrediction
     """
     shape = _require_same_shape(eps_uncond, eps_text, eps_attr)
     alpha_t = schedule_alpha(pos, cfg)
+    on = np.ones(1, dtype=bool)
     eps_star, lambda_t, s_t, drift, delta_ref = _guided_rows(
         eps_uncond.values[None], eps_text.values[None], eps_attr.values[None],
-        np.asarray(alpha_t), cfg, None, None)
-    s_t, n_t, residual = _step_diagnostics(drift, delta_ref, s_t, None, cfg)
+        np.asarray(alpha_t), cfg, on, on)
+    s_t, n_t, residual = _step_diagnostics(drift, delta_ref, s_t, on, cfg)
     return (NoisePrediction(eps_star[0], shape),
             RepulsionDiagnostics(float(s_t[0]), float(n_t[0]), alpha_t,
                                  float(lambda_t[0]), float(residual[0])))
 
 
-def _row_mask(mask: np.ndarray) -> np.ndarray | None:
-    """A per-row switch as ``_guided_rows`` takes it: None when it is on
-    for every row."""
-    return None if mask.all() else mask
-
-
 def _guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray,
-                 alpha_t: np.ndarray, cfg: GuidanceConfig, repel: np.ndarray | None,
-                 probe: np.ndarray | None) -> tuple[np.ndarray, ...]:
+                 alpha_t: np.ndarray, cfg: GuidanceConfig, repel: np.ndarray,
+                 probe: np.ndarray) -> tuple[np.ndarray, ...]:
     """The DCR step of N stacked latents, without argument checks or the
     diagnostics only a traced run needs. The caller has checked them: (N, D)
     branch outputs (``eps_neg`` the CFG negative branch), alpha_t in [0, 1]
     of shape () or (N,), and ``repel`` and ``probe`` each a boolean (N,)
-    array, or None when every row repels or probes, which skips its mask.
-    Rows without ``probe`` take the plain CFG step, their ``eps_attr`` rows
-    ignored; rows without ``repel`` have lambda_t zeroed and not applied.
+    array. Rows without ``probe`` take the plain CFG step, their ``eps_attr``
+    rows ignored; rows without ``repel`` have lambda_t zeroed and not
+    applied.
 
     Returns what the step computes anyway: ``eps_star`` (N, D), the masked
     ``lambda_t`` (N,), the unmasked ``s_t`` (N,), and the ``drift`` and
@@ -357,25 +352,20 @@ def _guided_rows(eps_neg: np.ndarray, eps_text: np.ndarray, eps_attr: np.ndarray
     delta_ref = _cfg_delta(eps_neg, eps_text, cfg.w)
     drift = _drift(eps_neg, eps_attr, delta_ref, cfg.w_attr)
     s_t, _, n_t, lambda_t = _projection(drift, delta_ref, alpha_t, cfg)
-    if repel is not None:
-        lambda_t = np.where(repel | (lambda_t == 0.0), lambda_t, 0.0)
-    if probe is not None:
-        lambda_t = np.where(probe, lambda_t, 0.0)
+    lambda_t = np.where(probe & (repel | (lambda_t == 0.0)), lambda_t, 0.0)
     return eps_neg + _correct(delta_ref, lambda_t, drift), lambda_t, s_t, drift, delta_ref
 
 
 def _step_diagnostics(drift: np.ndarray, delta_ref: np.ndarray, s_t: np.ndarray,
-                      probe: np.ndarray | None, cfg: GuidanceConfig
+                      probe: np.ndarray, cfg: GuidanceConfig
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The probe-masked s_t, n_t and collinearity residual of the steps whose
     drift, delta_ref (..., D) and unmasked s_t (...,) ``_guided_rows``
     returned, over any leading axes. ``probe`` is a boolean array that
-    broadcasts against s_t, or None when every row probes; rows without a
-    probe get the diagnostics of a zero drift."""
+    broadcasts against s_t; rows without a probe get the diagnostics of a
+    zero drift."""
     na2 = _row_dot(drift, drift)
     n_t = na2 + cfg.eps_stab
     residual = _residual(drift, delta_ref, s_t, na2)
-    if probe is not None:
-        s_t, n_t = np.where(probe, s_t, 0.0), np.where(probe, n_t, cfg.eps_stab)
-        residual = np.where(probe, residual, 0.0)
-    return s_t, n_t, residual
+    return (np.where(probe, s_t, 0.0), np.where(probe, n_t, cfg.eps_stab),
+            np.where(probe, residual, 0.0))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, TrajectoryError, ValidationError
-from .guidance import (GuidanceConfig, StepPosition, _finite, _guided_rows, _row_mask,
+from .guidance import (GuidanceConfig, StepPosition, _finite, _guided_rows,
                        _step_diagnostics, schedule_alpha)
 # Not called here: perfbench/layers.py wraps these guidance functions under
 # their dcr.sampling names, so the names stay importable from this module.
@@ -247,14 +247,14 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     under the ancestral scheduler, step i adds draws[r, i + 1] as its noise.
     Everything that does not depend on the step (channels, the (T, k) table
     of alpha_t with one column per distinct source, the schedule or a fixed
-    value, its range check, each row's column) is set up once, before the
-    loop, and what depends only on which rows are live (whether all of them
-    repel and probe, where their branches lie) once each time that set
-    changes. ``ids`` holds the live rows and ``sel`` indexes their entries
-    of the per-row arrays: slice(None) until a row fails, then ``ids``. A
-    row whose backend call raises or returns non-finite output, or whose
-    latent goes non-finite, leaves the batch with a TrajectoryError at that
-    step; the other rows go on.
+    value, each row's column) is set up once, before the loop, and what
+    depends only on which rows are live (their repel and probe switches,
+    where their branches lie) once each time that set changes. ``ids``
+    holds the live rows and ``sel`` indexes their entries of the per-row
+    arrays: slice(None) until a row fails, then ``ids``. A row whose backend
+    call raises or returns non-finite output, or whose latent goes
+    non-finite, leaves the batch with a TrajectoryError at that step; the
+    other rows go on.
 
     With cfg.trace a step writes the live rows' pre-step latents, drifts
     and delta_refs into (T, N, D) float64 histories, and their alpha_t,
@@ -291,8 +291,6 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
     schedule = np.array([schedule_alpha(StepPosition(index=i, total=T), cfg.guidance)
                          for i in range(T)])
     alpha = np.column_stack([schedule if a is None else np.full(T, a) for a in sources])
-    if not ((0.0 <= alpha) & (alpha <= 1.0)).all():
-        raise ValidationError(f"alpha_t must lie in [0,1], got {alpha}")
     column = np.array([sources.index(p.alpha) for p in parts])
     ids, sel = np.arange(n), slice(None)
     x = draws[:, 0].copy()  # the live rows' latents
@@ -327,7 +325,7 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
             # (3, m): where each row's branches lie in the (n_labels * m) rows
             # of the flattened preds
             branch = code[sel].T * m + np.arange(m)
-            gates = _row_mask(repel[sel]), _row_mask(probe[sel])
+            gates = repel[sel], probe[sel]
             live_column = column[sel]
             changed = False
         e_neg, e_text, e_attr = preds.reshape(-1, size).take(branch, axis=0)
@@ -348,7 +346,7 @@ def _sample_rows(backend, rows: list[tuple[BatchItem, int]], cfg: SamplerConfig,
                 ids = sel = ids[ok]
                 x, changed = x[ok], True
     if cols is not None:
-        _fill_diagnostics(cols, latents, drifts, deltas, _row_mask(probe), cfg.guidance)
+        _fill_diagnostics(cols, latents, drifts, deltas, probe, cfg.guidance)
     finals = np.full((n, *backend.latent_shape), np.nan)
     finals[ids] = x
     return Batch([(item.item_id, rep) for item, rep in rows], list(trajectory_ids),
@@ -361,13 +359,13 @@ _BLOCK_VALUES = 1 << 16
 
 
 def _fill_diagnostics(cols: np.ndarray, latents: np.ndarray, drifts: np.ndarray,
-                      deltas: np.ndarray, probe: np.ndarray | None,
+                      deltas: np.ndarray, probe: np.ndarray,
                       g: GuidanceConfig) -> None:
     """Completes a traced run's (T, 6, N) diagnostics columns, in which the
     loop wrote alpha_t, lambda_t and the unmasked s_t: fills x_mean, x_rms
     and the residual from the (T, N, D) histories of the pre-step latent,
     the drift and delta_ref, and masks s_t of the rows without a probe
-    (``probe`` as ``_guided_rows`` takes it, over all N rows). Works over
+    (``probe`` the boolean (N,) array of the rows that probe). Works over
     blocks of as many steps as hold ``_BLOCK_VALUES`` latent values, so its
     temporaries stay small. A row's histories are zero from its failure
     step on, and so are its diagnostics."""

@@ -91,7 +91,8 @@ class PromptChannel:
         if self.weights_override is None:
             return base.weights
         if self.weights_override.shape != (base.n_components,):
-            raise ValidationError("override weights must match the component count")
+            raise ValidationError(f"channel '{self.label}': override weights must match "
+                                  "the component count")
         return self.weights_override
 
 
@@ -178,13 +179,14 @@ class BiasScenario:
         pi_major = float(self.base.weights[dom])
         if not pi_major > 0.5:
             raise ValidationError(f"the heaviest base weight must exceed 0.5, got {pi_major}")
-        tw = self.channels[TARGET].weights_for(self.base)
+        # every channel's weights, so a wrong-length override is refused here
+        weights = {label: ch.weights_for(self.base) for label, ch in self.channels.items()}
+        tw = weights[TARGET]
         rare = [k for k in np.flatnonzero(tw) if k != dom]
         if len(rare) != 1:
             raise ValidationError("Target channel must weight exactly one component "
                                   "besides the dominant mode")
-        aw = self.channels[ATTRACTOR].weights_for(self.base)
-        if aw[dom] < pi_major - 1e-12:
+        if weights[ATTRACTOR][dom] < pi_major - 1e-12:
             raise ValidationError(
                 "Attractor channel must place at least pi_major on the dominant mode")
         if self.steps < 2:
@@ -302,7 +304,7 @@ class _Posterior:
         if not (0 <= t < T):
             raise ValidationError(f"t must lie in [0, {T - 1}], got {t}")
         x = np.asarray(x_t, dtype=np.float64)
-        if x.shape[-1] != dim:
+        if x.ndim == 0 or x.shape[-1] != dim:
             raise ValidationError(f"x_t last dimension must be {dim}")
         x = x.reshape(-1, dim)
         xs, kdm, km, ckm, ckdm, cdm, c1m = self._workspace(len(log_w), len(x))

@@ -125,6 +125,20 @@ class TestSample:
         assert f"dcr: error: scenario file {path}: " in err and detail in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("label, weights", [("uncond", [0.5, 0.5]), ("extra", [1.0])])
+    def test_a_channel_with_the_wrong_number_of_weights_is_usage_error(
+            self, tmp_path, capsys, label, weights):
+        # such a file used to load and fail in the backend, after --out existed
+        doc = scenario_doc(default_scenario())
+        doc["channels"][label] = weights
+        path, out = tmp_path / "scenario.json", tmp_path / "o"
+        path.write_text(json.dumps(doc))
+        assert run("sample", "--scenario", str(path), "--n", "1", *FAST,
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"dcr: error: scenario file {path}: channel '{label}': " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, value", [("--eta", "nan"), ("--w", "inf")])
     def test_a_non_finite_guidance_value_is_usage_error(self, tmp_path, capsys,
                                                         option, value):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dcr.errors import ShapeMismatchError, ValidationError
 from dcr.guidance import (GuidanceConfig, GuidanceUpdate, NoisePrediction,
-                          StepPosition, _guided_rows, _row_mask, _step_diagnostics,
+                          StepPosition, _guided_rows, _step_diagnostics,
                           attractor_drift, attractor_drift_expanded, cfg_update,
                           collinearity_residual, corrected_update,
                           dcr_guided_prediction, probe_prediction,
@@ -43,19 +43,21 @@ class Rows(NamedTuple):
     residual: np.ndarray
 
 
-def guided_rows(e_neg, e_text, e_attr, alpha, g, repel=None, probe=None) -> Rows:
+def guided_rows(e_neg, e_text, e_attr, alpha, g, repel=True, probe=True) -> Rows:
     """The row-wise step as the sampling loop runs it: ``_guided_rows``, then
     ``_step_diagnostics`` with the same probe mask. ``repel`` and ``probe``
-    are per-row boolean arrays, or None when every row repels or probes."""
+    are per-row boolean arrays, or one bool for every row."""
+    repel, probe = flag(len(e_neg), repel), flag(len(e_neg), probe)
     eps_star, lambda_t, s_t, drift, delta_ref = _guided_rows(
         e_neg, e_text, e_attr, np.asarray(alpha), g, repel, probe)
     s_t, n_t, residual = _step_diagnostics(drift, delta_ref, s_t, probe, g)
     return Rows(eps_star, s_t, n_t, lambda_t, residual)
 
 
-def flag(n: int, on: bool):
-    """The same switch for each of n rows, as the loop passes it."""
-    return _row_mask(np.full(n, on))
+def flag(n: int, on) -> np.ndarray:
+    """A switch as the loop passes it, a boolean array of the n rows: ``on``
+    for each row, or ``on``'s own n values."""
+    return np.full(n, on, dtype=bool)
 
 
 class TestTypes:
@@ -579,8 +581,7 @@ class TestGuidedRowsProperties:
         alpha = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
         repel = data.draw(hnp.arrays(np.bool_, n))
         probe = data.draw(hnp.arrays(np.bool_, n))
-        rows = guided_rows(e_neg, e_text, e_attr, alpha, g, repel=_row_mask(repel),
-                           probe=_row_mask(probe))
+        rows = guided_rows(e_neg, e_text, e_attr, alpha, g, repel=repel, probe=probe)
         for r in range(n):
             one = guided_rows(e_neg[r:r + 1], e_text[r:r + 1], e_attr[r:r + 1],
                               float(alpha[r]), g, repel=flag(1, bool(repel[r])),

@@ -378,6 +378,20 @@ class TestDerivedValues:
             BiasScenario(base=base, channels=channels_of(target, attr))
 
 
+    @pytest.mark.parametrize("label, weights", [(UNCOND, [0.5, 0.5]), ("extra", [1.0])])
+    def test_a_channel_with_the_wrong_number_of_weights_is_refused(self, tmp_path,
+                                                                   label, weights):
+        # only the target and attractor weights used to be checked, so such a
+        # file loaded and the backend refused it later
+        doc = scenario_doc(default_scenario())
+        doc["channels"][label] = weights
+        path = self.write(tmp_path, doc)
+        with pytest.raises(ValidationError) as err:
+            load_scenario(path)
+        assert (f"scenario file {path}: channel '{label}': override weights must "
+                "match the component count") in str(err.value)
+
+
 class TestBackend:
     def test_epsilon_contract(self):
         sc = default_scenario()
@@ -390,6 +404,14 @@ class TestBackend:
         be = ToyDenoiser(default_scenario())
         with pytest.raises(ValidationError):
             be.epsilon(np.array([0.0, 0.0]), 50, "no-such-channel")
+
+    @pytest.mark.parametrize("x_t", [5.0, np.zeros(3), np.zeros((4, 1))],
+                             ids=["0-d", "3-d", "1-wide-batch"])
+    def test_a_wrong_last_dimension_is_refused(self, x_t):
+        # a 0-d x_t has no last dimension, and used to raise IndexError
+        be = ToyDenoiser(default_scenario())
+        with pytest.raises(ValidationError, match="x_t last dimension must be 2"):
+            be.epsilon(x_t, 10, TARGET)
 
 
 def _grid_scenario(d: int, K: int) -> BiasScenario:
